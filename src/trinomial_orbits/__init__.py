@@ -31,7 +31,9 @@ from .errors import (
 from .families import FamilyTag, family_of
 from .fields import PrimeField, QQ, Rationals, field_designator, parse_field
 from .oracle import (
+    Census,
     VerifyReport,
+    build_census,
     enumerate_points,
     partition_selftest,
     verify_all,

@@ -302,7 +302,8 @@ def cmd_verify(args) -> int:
         print(report.dumps())
     else:
         for c in report.checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name} {json.dumps(c.details, sort_keys=True)}")
+            status = "SKIP" if c.skipped else "PASS" if c.passed else "FAIL"
+            print(f"{status} {c.name} {json.dumps(c.details, sort_keys=True)}")
         print(f"failures: {report.failures}")
     return 3 if report.failures else 0
 

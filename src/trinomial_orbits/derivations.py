@@ -408,13 +408,23 @@ def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
     return (out, notes) if with_notes else out
 
 
+def catalog_index(shape: TrinomialShape, fld) -> dict:
+    """The catalog keyed by designator.  Build it once per computation: a
+    derivation caches its divided-power series, so reusing it across flow
+    steps reuses them."""
+    index = {}
+    for d in lnd_catalog(shape, fld):
+        index.setdefault(d.designator, d)
+    return index
+
+
 def catalog_derivation(shape: TrinomialShape, fld, designator: str) -> Derivation:
     """Look up one catalog derivation by its designator, e.g. 'D:1'."""
     designator = designator.strip()
-    for d in lnd_catalog(shape, fld):
-        if d.designator == designator:
-            return d
-    raise KeyError(f"no catalog derivation {designator!r} for this shape")
+    index = catalog_index(shape, fld)
+    if designator not in index:
+        raise KeyError(f"no catalog derivation {designator!r} for this shape")
+    return index[designator]
 
 
 # ---------------------------------------------------------------------------

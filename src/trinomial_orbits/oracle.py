@@ -20,7 +20,13 @@ from itertools import product
 
 from . import orbits, strata
 from .derivations import lnd_catalog
-from .errors import DifferentOrbits, MathDomainError, TooLarge
+from .errors import (
+    CharacteristicTooSmall,
+    DifferentOrbits,
+    MathDomainError,
+    TooLarge,
+    UnsupportedFamily,
+)
 from .families import family_of
 from .fields import field_designator
 from .shapes import TrinomialShape, torus_lattice, torus_scaling
@@ -155,9 +161,20 @@ def singular_set(shape: TrinomialShape, fld, pts) -> set:
 
 @dataclass
 class CheckResult:
+    """One check's outcome.  A skipped check could not run in this field;
+    its details carry the MathDomainError code and message, and it counts
+    as neither a pass nor a failure."""
+
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    skipped: bool = False
+
+    def to_json(self) -> dict:
+        out = {"name": self.name, "passed": self.passed, "details": self.details}
+        if self.skipped:
+            out["status"] = "skipped"
+        return out
 
 
 @dataclass
@@ -169,7 +186,7 @@ class VerifyReport:
 
     @property
     def failures(self) -> int:
-        return sum(1 for c in self.checks if not c.passed)
+        return sum(1 for c in self.checks if not c.passed and not c.skipped)
 
     @property
     def totals(self) -> dict:
@@ -187,10 +204,7 @@ class VerifyReport:
             "seed": self.seed,
             "failures": self.failures,
             "totals": self.totals,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "details": c.details}
-                for c in self.checks
-            ],
+            "checks": [c.to_json() for c in self.checks],
         }
 
     def dumps(self) -> str:
@@ -206,46 +220,66 @@ def _desc_key(shape, fld, desc) -> str:
 
 
 # ---------------------------------------------------------------------------
+# census: every point enumerated and classified once per (shape, field)
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Census:
+    """The classified points of one (shape, field).
+
+    counts holds one entry per distinct descriptor; buckets holds, for the
+    open and component strata (the ones transport handles), the points of
+    each descriptor in enumeration order.  Points whose classification
+    raised a MathDomainError are counted in errors only.
+    """
+
+    points: list
+    counts: dict
+    buckets: dict
+    errors: int
+
+
+def build_census(
+    shape: TrinomialShape, fld, assume_conjecture: bool = False
+) -> Census:
+    """Enumerate the F_p-points once and classify each of them once."""
+    pts = enumerate_points(shape, fld)
+    counts = {}
+    buckets = {}
+    errors = 0
+    for pt in pts:
+        try:
+            desc = orbits.classify_point(shape, fld, pt, assume_conjecture)
+        except MathDomainError:
+            errors += 1
+            continue
+        counts[desc] = counts.get(desc, 0) + 1
+        if isinstance(desc, (orbits.BigO, orbits.OMeps)):
+            buckets.setdefault(desc, []).append(pt)
+    return Census(pts, counts, buckets, errors)
+
+
+# ---------------------------------------------------------------------------
 # partition / census
 # ---------------------------------------------------------------------------
 
 
-def verify_partition(
-    shape: TrinomialShape,
-    fld,
-    assume_conjecture: bool = False,
-    classifier=None,
-) -> VerifyReport:
-    """Classify every rational point exactly once and report the census.
-
-    For the power-one family with p = 1 (mod 2d) the number of realized
-    descriptors must equal the orbit-count formula; a planted misclassifier
-    that merges strata fails exactly this check.
-    """
-    classify = classifier or (
-        lambda pt: orbits.classify_point(shape, fld, pt, assume_conjecture)
-    )
-    pts = enumerate_points(shape, fld)
-    counts = {}
-    errors = 0
-    for pt in pts:
-        try:
-            desc = classify(pt)
-        except MathDomainError:
-            errors += 1
-            continue
-        key = _desc_key(shape, fld, desc)
-        counts[key] = counts.get(key, 0) + 1
+def _partition_checks(shape, fld, counts, points: int, errors: int) -> list:
+    """The partition check over per-descriptor counts, plus the descriptor
+    census where the orbit-count formula applies."""
+    keyed = {_desc_key(shape, fld, desc): c for desc, c in counts.items()}
+    classified = sum(keyed.values())
     checks = [
         CheckResult(
             "partition",
-            errors == 0 and sum(counts.values()) == len(pts),
+            errors == 0 and classified == points,
             {
-                "points": len(pts),
-                "classified": sum(counts.values()),
+                "points": points,
+                "classified": classified,
                 "errors": errors,
-                "strata": len(counts),
-                "counts": dict(sorted(counts.items())),
+                "strata": len(keyed),
+                "counts": dict(sorted(keyed.items())),
             },
         )
     ]
@@ -255,10 +289,28 @@ def verify_partition(
         checks.append(
             CheckResult(
                 "descriptor_census",
-                len(counts) == expected,
-                {"realized": len(counts), "expected": expected},
+                len(keyed) == expected,
+                {"realized": len(keyed), "expected": expected},
             )
         )
+    return checks
+
+
+def verify_partition(
+    shape: TrinomialShape,
+    fld,
+    assume_conjecture: bool = False,
+) -> VerifyReport:
+    """Classify every rational point exactly once and report the census.
+
+    For the power-one family with p = 1 (mod 2d) the number of realized
+    descriptors must equal the orbit-count formula; a planted misclassifier
+    that merges strata fails exactly this check.
+    """
+    census = build_census(shape, fld, assume_conjecture)
+    checks = _partition_checks(
+        shape, fld, census.counts, len(census.points), census.errors
+    )
     return _report(shape, fld, None, checks)
 
 
@@ -269,28 +321,39 @@ def selftest_applicable(shape: TrinomialShape) -> bool:
     return tag.kind == "F1" and (tag.f1.q >= 1 or tag.f1.d > 1)
 
 
-def partition_selftest(shape: TrinomialShape, fld) -> VerifyReport:
-    """Plant a misclassifier and demand that the census check catches it.
+def _planted(shape, fld, desc):
+    """The planted misclassification of one descriptor.
 
-    The plant ignores x != 0 (merging the two singular strata); free-term
-    shapes have no singular strata, so there the plant conflates the
-    root-ratio components instead."""
-    view = family_of(shape).f1
+    It ignores x != 0 (merging the two singular strata); free-term shapes
+    have no singular strata, so there it conflates the root-ratio
+    components instead."""
+    if isinstance(desc, orbits.O2):
+        return orbits.O1(desc.M, desc.P, desc.Q)
+    if family_of(shape).f1.q == 0 and isinstance(desc, orbits.OMeps):
+        return orbits.OMeps(desc.M, fld.one)  # never a genuine label
+    return desc
 
-    def planted(pt):
-        desc = orbits.classify_point(shape, fld, pt)
-        if isinstance(desc, orbits.O2):
-            return orbits.O1(desc.M, desc.P, desc.Q)
-        if view.q == 0 and isinstance(desc, orbits.OMeps):
-            return orbits.OMeps(desc.M, fld.one)  # never a genuine label
-        return desc
 
-    report = verify_partition(shape, fld, classifier=planted)
-    caught = any(c.name == "descriptor_census" and not c.passed for c in report.checks)
-    report.checks.append(
-        CheckResult("selftest_planted_merge_caught", caught, {})
+def _selftest_checks(shape, fld, census: Census) -> list:
+    """The partition checks of the planted classifier, then whether the
+    census check caught it.  The plant is a function of the descriptor, so
+    relabelling the census counts equals reclassifying every point."""
+    planted = {}
+    for desc, c in census.counts.items():
+        key = _planted(shape, fld, desc)
+        planted[key] = planted.get(key, 0) + c
+    checks = _partition_checks(
+        shape, fld, planted, len(census.points), census.errors
     )
-    return report
+    caught = any(c.name == "descriptor_census" and not c.passed for c in checks)
+    checks.append(CheckResult("selftest_planted_merge_caught", caught, {}))
+    return checks
+
+
+def partition_selftest(shape: TrinomialShape, fld) -> VerifyReport:
+    """Plant a misclassifier and demand that the census check catches it."""
+    checks = _selftest_checks(shape, fld, build_census(shape, fld))
+    return _report(shape, fld, None, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -298,22 +361,11 @@ def partition_selftest(shape: TrinomialShape, fld) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def verify_invariance(
-    shape: TrinomialShape,
-    fld,
-    trials: int = 200,
-    seed: int = 0,
-    assume_conjecture: bool = False,
-    exhaustive: bool = False,
-) -> VerifyReport:
-    """Descriptors and singular-component membership survive the generators.
-
-    Samples (point, catalog derivation, parameter) flows and neutral-torus
-    steps; exhaustive=True runs every combination instead.
-    """
+def _invariance_checks(
+    shape, fld, pts, trials, seed, assume_conjecture, exhaustive
+) -> list:
     p = fld.modulus
     rng = random.Random(seed)
-    pts = enumerate_points(shape, fld)
     catalog = lnd_catalog(shape, fld)
     basis = torus_lattice(shape).vectors
 
@@ -356,7 +408,7 @@ def verify_invariance(
             if classify(img) != classify(pt):
                 torus_fail += 1
 
-    checks = [
+    return [
         CheckResult(
             "flow_invariance",
             flow_fail == 0,
@@ -373,6 +425,25 @@ def verify_invariance(
             {"runs": torus_runs, "failures": torus_fail},
         ),
     ]
+
+
+def verify_invariance(
+    shape: TrinomialShape,
+    fld,
+    trials: int = 200,
+    seed: int = 0,
+    assume_conjecture: bool = False,
+    exhaustive: bool = False,
+) -> VerifyReport:
+    """Descriptors and singular-component membership survive the generators.
+
+    Samples (point, catalog derivation, parameter) flows and neutral-torus
+    steps; exhaustive=True runs every combination instead.
+    """
+    checks = _invariance_checks(
+        shape, fld, enumerate_points(shape, fld), trials, seed,
+        assume_conjecture, exhaustive,
+    )
     return _report(shape, fld, seed, checks)
 
 
@@ -448,25 +519,38 @@ def verify_flow_regularity(
 # ---------------------------------------------------------------------------
 
 
-def verify_transport(
-    shape: TrinomialShape, fld, pairs: int = 50, seed: int = 0
-) -> VerifyReport:
-    """Transport words map sampled same-descriptor pairs exactly; pairs in
-    different component strata surface DifferentOrbits (expected negative)."""
+def _skipped_transport(exc: MathDomainError) -> list:
+    details = {"code": exc.code, "message": str(exc)}
+    return [
+        CheckResult(name, False, dict(details), skipped=True)
+        for name in ("transport_roundtrip", "transport_negative")
+    ]
+
+
+def _transport_checks(shape, fld, buckets, pairs: int, seed: int) -> list:
+    """Both transport checks over the census buckets of a power-one shape.
+
+    A same-descriptor pair that transport cannot join (DifferentOrbits,
+    RootUnavailable, DlogUnsolvable, ...) is a failed run: the classifier
+    and transport disagree.  Only CharacteristicTooSmall, the field refusing
+    the flows, skips both checks, and only if no run has failed before it.
+    """
     rng = random.Random(seed)
-    pts = enumerate_points(shape, fld)
-    buckets = {}
-    for pt in pts:
-        desc = orbits.classify_point(shape, fld, pt)
-        if isinstance(desc, (orbits.BigO, orbits.OMeps)):
-            buckets.setdefault(desc, []).append(pt)
     usable = [b for b in buckets.values() if len(b) >= 2]
     ok = runs = 0
     word_lengths = []
     for _ in range(pairs):
         bucket = rng.choice(usable)
         src, dst = rng.choice(bucket), rng.choice(bucket)
-        word = orbits.transport(shape, fld, src, dst)
+        try:
+            word = orbits.transport(shape, fld, src, dst)
+        except CharacteristicTooSmall as exc:
+            if ok == runs:
+                return _skipped_transport(exc)
+            break
+        except MathDomainError:
+            runs += 1
+            continue
         runs += 1
         if word.apply(shape, fld, src) == tuple(dst):
             ok += 1
@@ -484,7 +568,7 @@ def verify_transport(
                     orbits.transport(shape, fld, buckets[a][0], buckets[b][0])
                 except DifferentOrbits:
                     negatives += 1
-    checks = [
+    return [
         CheckResult(
             "transport_roundtrip",
             ok == runs,
@@ -496,6 +580,24 @@ def verify_transport(
             {"expected": expected_neg, "surfaced": negatives},
         ),
     ]
+
+
+def verify_transport(
+    shape: TrinomialShape, fld, pairs: int = 50, seed: int = 0
+) -> VerifyReport:
+    """Transport words map sampled same-descriptor pairs exactly; pairs in
+    different component strata surface DifferentOrbits (expected negative).
+
+    Both checks are reported skipped, with the MathDomainError code, for a
+    shape outside the power-one family or a field whose characteristic
+    refuses the flows."""
+    if family_of(shape).kind != "F1":
+        checks = _skipped_transport(
+            UnsupportedFamily("transport is implemented for the power-one family")
+        )
+    else:
+        census = build_census(shape, fld)
+        checks = _transport_checks(shape, fld, census.buckets, pairs, seed)
     return _report(shape, fld, seed, checks)
 
 
@@ -506,19 +608,30 @@ def verify_all(
     seed: int = 0,
     assume_conjecture: bool = False,
 ) -> VerifyReport:
-    """Partition + census + invariance + transport + harness self-test."""
-    checks = []
-    part = verify_partition(shape, fld, assume_conjecture)
-    checks.extend(part.checks)
-    inv = verify_invariance(shape, fld, trials, seed, assume_conjecture)
-    checks.extend(inv.checks)
+    """Partition + census + invariance + transport + harness self-test.
+
+    One census serves every check: the points are enumerated once and each
+    is classified once.  Invariance samples from the census points,
+    transport draws its pairs from the census buckets, and the planted
+    self-test relabels the census counts.  Each check equals the one the
+    standalone verify_* function reports.  A skipped check does not count
+    as a failure.
+    """
+    census = build_census(shape, fld, assume_conjecture)
+    checks = _partition_checks(
+        shape, fld, census.counts, len(census.points), census.errors
+    )
+    checks += _invariance_checks(
+        shape, fld, census.points, trials, seed, assume_conjecture, False
+    )
     tag = family_of(shape)
     if tag.kind == "F1":
-        tr = verify_transport(shape, fld, max(10, trials // 10), seed)
-        checks.extend(tr.checks)
+        checks += _transport_checks(
+            shape, fld, census.buckets, max(10, trials // 10), seed
+        )
         if (fld.modulus - 1) % (2 * tag.f1.d) == 0 and selftest_applicable(shape):
-            st = partition_selftest(shape, fld)
-            checks.extend(
-                c for c in st.checks if c.name == "selftest_planted_merge_caught"
-            )
+            checks += [
+                c for c in _selftest_checks(shape, fld, census)
+                if c.name == "selftest_planted_merge_caught"
+            ]
     return _report(shape, fld, seed, checks)

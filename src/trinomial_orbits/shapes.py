@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from . import intlinalg
@@ -52,10 +52,19 @@ class TrinomialShape:
     def var_names(self):
         return tuple(f"T{g}_{j}" for g, j in self.var_ids)
 
-    @property
+    @cached_property
     def exponents(self):
         """Exponent of each variable, canonical order."""
         return tuple(l for g in self.groups for l in g)
+
+    @cached_property
+    def _group_ranges(self):
+        """Canonical indices of each group's variables, computed once."""
+        out, base = [], 0
+        for grp in self.groups:
+            out.append(tuple(range(base, base + len(grp))))
+            base += len(grp)
+        return tuple(out)
 
     def var_index(self, g: int, j: int) -> int:
         """Index in canonical order of T<g>_<j> (j is 1-based)."""
@@ -67,8 +76,7 @@ class TrinomialShape:
         return self.var_ids[idx][0]
 
     def group_indices(self, g: int):
-        base = sum(len(self.groups[h]) for h in range(g))
-        return tuple(range(base, base + len(self.groups[g])))
+        return self._group_ranges[g]
 
     def display_name(self, idx: int) -> str:
         if self.aliases:
@@ -111,8 +119,9 @@ class TrinomialShape:
     def monomial_value(self, fld, pt, g: int):
         """Value of the g-th monomial at a point (1 for the free term)."""
         acc = fld.one
-        for idx in self.group_indices(g):
-            acc = fld.mul(acc, fld.pow(pt[idx], self.exponents[idx]))
+        exps = self.exponents
+        for idx in self._group_ranges[g]:
+            acc = fld.mul(acc, fld.pow(pt[idx], exps[idx]))
         return acc
 
     def on_variety(self, fld, pt) -> bool:

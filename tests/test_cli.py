@@ -223,6 +223,15 @@ class TestEnumerateVerify:
         _, second = run(capsys, *args, "--json")
         assert first == second
 
+    def test_verify_all_f3_reports_skipped_transport(self, capsys):
+        args = ("verify", "all", "--shape", "[[1,2,2],[3],[3]]", "--field", "Fp:3")
+        code, data = run_json(capsys, *args)
+        assert code == 0 and data["failures"] == 0
+        skipped = {c["name"] for c in data["checks"] if c.get("status") == "skipped"}
+        assert skipped == {"transport_roundtrip", "transport_negative"}
+        code, text = run(capsys, *args)
+        assert code == 0 and "SKIP transport_roundtrip" in text
+
     def test_human_mode_matches_json_numbers(self, capsys):
         code, text = run(
             capsys, "verify", "partition", "--shape", "[[1,2],[3],[3]]",

@@ -3,7 +3,11 @@ import json
 import pytest
 
 from trinomial_orbits import (
+    CharacteristicTooSmall,
+    DifferentOrbits,
+    DlogUnsolvable,
     PrimeField,
+    RootUnavailable,
     TooLarge,
     enumerate_points,
     partition_selftest,
@@ -13,8 +17,10 @@ from trinomial_orbits import (
     verify_partition,
     verify_transport,
 )
-from trinomial_orbits.oracle import random_points, verify_flow_regularity
+from trinomial_orbits import oracle, orbits
+from trinomial_orbits.oracle import build_census, random_points, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
+from conftest import SHAPE_A, SHAPE_D, SHAPE_E
 
 
 def check(report, name):
@@ -36,8 +42,6 @@ class TestEnumeration:
         assert all(shape_a.on_variety(f3, pt) for pt in pts)
 
     def test_solved_and_scanned_paths_agree(self, shape_a, f3):
-        from trinomial_orbits import oracle
-
         solved = enumerate_points(shape_a, f3)
         old = oracle.SOLVED_SCAN_CAP
         oracle.SOLVED_SCAN_CAP = 0  # force the full scan
@@ -226,3 +230,136 @@ class TestVerifyAll:
     def test_flexible_verify_all(self, shape_h2, f3):
         report = verify_all(shape_h2, f3, trials=150, seed=9)
         assert report.failures == 0
+
+
+class TestCensus:
+    def test_counts_and_buckets(self, shape_a, f7):
+        census = build_census(shape_a, f7)
+        assert census.points == enumerate_points(shape_a, f7)
+        assert census.errors == 0
+        assert sum(census.counts.values()) == len(census.points)
+        for desc, bucket in census.buckets.items():
+            assert isinstance(desc, (orbits.BigO, orbits.OMeps))
+            assert len(bucket) == census.counts[desc]
+        assert all(orbits.classify_point(shape_a, f7, pt) == desc
+                   for desc, bucket in census.buckets.items() for pt in bucket)
+
+    def test_verify_all_enumerates_and_classifies_once(self, monkeypatch, shape_a):
+        calls = {"enumerate": 0, "classify": 0}
+        real_enumerate = oracle.enumerate_points
+        real_classify = orbits.classify_point
+
+        def counted_enumerate(*args, **kwargs):
+            calls["enumerate"] += 1
+            return real_enumerate(*args, **kwargs)
+
+        def counted_classify(*args, **kwargs):
+            calls["classify"] += 1
+            return real_classify(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "enumerate_points", counted_enumerate)
+        monkeypatch.setattr(orbits, "classify_point", counted_classify)
+        trials, fld = 100, PrimeField(13)
+        report = verify_all(shape_a, fld, trials=trials, seed=2)
+        assert report.failures == 0
+        assert check(report, "selftest_planted_merge_caught").passed
+        assert calls["enumerate"] == 1
+        points = check(report, "partition").details["points"]
+        pairs = check(report, "transport_roundtrip").details["pairs"]
+        negatives = check(report, "transport_negative").details["expected"]
+        # once per point, two per flow and per torus trial, two per transport
+        assert calls["classify"] <= points + 4 * trials + 2 * (pairs + negatives)
+
+    @pytest.mark.parametrize("groups,p", [(SHAPE_A, 7), (SHAPE_D, 13), (SHAPE_E, 7)])
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_verify_all_checks_equal_standalone(self, groups, p, seed):
+        shape, fld, trials = validate_shape(groups), PrimeField(p), 100
+        combined = verify_all(shape, fld, trials=trials, seed=seed)
+        standalone = (
+            verify_partition(shape, fld).checks
+            + verify_invariance(shape, fld, trials=trials, seed=seed).checks
+            + verify_transport(shape, fld, pairs=max(10, trials // 10), seed=seed).checks
+            + [check(partition_selftest(shape, fld), "selftest_planted_merge_caught")]
+        )
+
+        def dump(checks):
+            return [json.dumps(c.to_json(), sort_keys=True) for c in checks]
+
+        assert dump(combined.checks) == dump(standalone)
+
+    @pytest.mark.parametrize("groups", [SHAPE_A, SHAPE_E])
+    def test_selftest_relabel_equals_pointwise_plant(self, groups):
+        # the plant is a function of the descriptor: relabelling the census
+        # counts must give what classifying each point with the plant gives
+        shape, fld = validate_shape(groups), PrimeField(7)
+        counts = {}
+        for pt in enumerate_points(shape, fld):
+            desc = oracle._planted(shape, fld, orbits.classify_point(shape, fld, pt))
+            key = oracle._desc_key(shape, fld, desc)
+            counts[key] = counts.get(key, 0) + 1
+        report = partition_selftest(shape, fld)
+        assert check(report, "partition").details["counts"] == dict(sorted(counts.items()))
+
+
+class TestSkipped:
+    @pytest.mark.parametrize("groups", [SHAPE_A, SHAPE_D, SHAPE_E])
+    def test_transport_skipped_over_f3(self, groups, f3):
+        report = verify_all(validate_shape(groups), f3)
+        assert check(report, "partition").passed
+        for name in ("transport_roundtrip", "transport_negative"):
+            c = check(report, name)
+            assert c.skipped and not c.passed
+            assert c.details["code"] == "characteristic_too_small"
+            assert c.to_json()["status"] == "skipped"
+        assert report.failures == 0
+        assert json.loads(report.dumps())["failures"] == 0
+
+    def test_status_only_on_skipped_checks(self, shape_a, f7):
+        data = json.loads(verify_all(shape_a, f7, trials=20, seed=1).dumps())
+        assert all("status" not in c for c in data["checks"])
+
+    def test_transport_skipped_outside_power_one_family(self, monkeypatch, shape_b):
+        def no_census(*args, **kwargs):
+            raise AssertionError("census built for a shape transport refuses")
+
+        monkeypatch.setattr(oracle, "build_census", no_census)
+        report = verify_transport(shape_b, PrimeField(7), pairs=5)
+        assert report.failures == 0
+        assert {c.details["code"] for c in report.checks} == {"unsupported_family"}
+
+    @pytest.mark.parametrize("error", [DifferentOrbits, RootUnavailable, DlogUnsolvable])
+    def test_transport_disagreement_is_a_failure(self, monkeypatch, shape_a, f7, error):
+        # a same-descriptor pair that transport cannot join is exactly what
+        # the roundtrip check exists to catch: it fails, it is not skipped
+        real = orbits.transport
+
+        def refuse(shape, fld, src, dst):
+            if orbits.classify_point(shape, fld, src) != orbits.classify_point(shape, fld, dst):
+                return real(shape, fld, src, dst)
+            raise error("injected")
+
+        monkeypatch.setattr(orbits, "transport", refuse)
+        report = verify_transport(shape_a, f7, pairs=10, seed=0)
+        rt = check(report, "transport_roundtrip")
+        assert not rt.passed and not rt.skipped
+        assert rt.details["pairs"] == 10 and rt.details["exact"] == 0
+        assert check(report, "transport_negative").passed
+        assert report.failures == 1
+
+    def test_late_refusal_keeps_earlier_failure(self, monkeypatch, shape_a, f7):
+        real = orbits.transport
+        injected = iter([DifferentOrbits("injected"), CharacteristicTooSmall("injected")])
+
+        def flaky(*args, **kwargs):
+            exc = next(injected, None)
+            if exc is not None:
+                raise exc
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(orbits, "transport", flaky)
+        report = verify_transport(shape_a, f7, pairs=10, seed=0)
+        rt = check(report, "transport_roundtrip")
+        assert not rt.passed and not rt.skipped
+        assert rt.details["pairs"] == 1 and rt.details["exact"] == 0
+        assert check(report, "transport_negative").passed
+        assert report.failures == 1

@@ -332,6 +332,29 @@ class TestTransport:
         again = AutWord.from_json(f7, word.to_json(f7))
         assert again.apply(shape_a, f7, (5, 0, 6, 1)) == (0, 0, 6, 1)
 
+    def test_catalog_built_once_per_call(self, monkeypatch, shape_d):
+        from trinomial_orbits import derivations
+
+        f13 = PrimeField(13)
+        builds = []
+        real = derivations.lnd_catalog
+
+        def counted(shape, fld=derivations.QQ, *args, **kwargs):
+            builds.append(fld)
+            return real(shape, fld, *args, **kwargs)
+
+        monkeypatch.setattr(derivations, "lnd_catalog", counted)
+        # open stratum, x solved from x*y1^2*y2^2 + z^3 + s^3 = 0
+        src = (11, 1, 1, 1, 1)
+        dst = (f13.div(f13.neg(f13.add(64, 125)), 4), 1, 2, 4, 5)
+        assert shape_d.on_variety(f13, src) and shape_d.on_variety(f13, dst)
+        word = transport(shape_d, f13, src, dst)
+        flows = sum(1 for s in word.steps if hasattr(s, "designator"))
+        assert flows >= 2 and builds.count(f13) == 1
+        builds.clear()
+        assert word.apply(shape_d, f13, src) == dst
+        assert builds.count(f13) == 1
+
     def test_perm_step_applies(self, shape_a, f7):
         from trinomial_orbits.orbits import PermStep
         from trinomial_orbits.shapes import symmetry_group

@@ -55,6 +55,28 @@ class TestValidation:
         again = TrinomialShape.from_json(sh.to_json())
         assert again == sh and again.aliases == sh.aliases
 
+    def test_cached_index_keeps_equality_and_json(self, f7):
+        aliased = TrinomialShape.from_json(
+            {"groups": SHAPE_A, "aliases": {"T0_1": "x", "T0_2": "y"}}
+        )
+        plain = validate_shape(SHAPE_A)
+        before = aliased.to_json()
+        # fill the cached index on one of the two only
+        assert aliased.on_variety(f7, (5, 0, 6, 1))
+        assert aliased.group_indices(0) == (0, 1) and aliased.exponents == (1, 2, 3, 3)
+        assert plain == aliased and hash(plain) == hash(aliased)
+        assert {plain: "seen"}[aliased] == "seen"
+        assert aliased.to_json() == before
+        again = TrinomialShape.from_json(aliased.to_json())
+        assert again == aliased and again.aliases == aliased.aliases
+
+    def test_group_indices_cover_canonical_order(self):
+        for groups in CURATED:
+            sh = validate_shape(groups)
+            flat = [i for g in range(3) for i in sh.group_indices(g)]
+            assert flat == list(range(sh.n))
+            assert [sh.group_of(i) for i in flat] == [g for g, _ in sh.var_ids]
+
 
 class TestEquation:
     def test_shape_a(self, shape_a, qq):
