@@ -34,8 +34,8 @@ from .errors import (
 )
 from .families import family_of, require_f1
 from .fields import QQ
-from .polynomials import Polynomial
-from .shapes import TrinomialShape
+from .polynomials import Polynomial, PolyRing
+from .shapes import TrinomialShape, is_even_two_group
 
 NILPOTENCY_CAP = 50
 
@@ -52,6 +52,7 @@ class Derivation:
         self.params = tuple(params)
         self.qlift = None  # rational twin for exact divided-power flows
         self._series = {}
+        self._group_law = None  # flow_group_law, proved once
 
     @property
     def designator(self) -> str:
@@ -104,6 +105,16 @@ class Derivation:
         raise Diverged(f"no nilpotency on {self.ring.names[v]} within {cap} steps")
 
     # -- flows ----------------------------------------------------------------
+
+    def moving_variables(self):
+        """The variables a flow can move, in canonical order.
+
+        The rational twin may move a variable whose first-order image
+        vanishes mod p while higher divided powers survive."""
+        moving = set(self.images)
+        if self.qlift is not None:
+            moving |= set(self.qlift.images)
+        return sorted(moving)
 
     def divided_power_series(self, v: int, cap: int = NILPOTENCY_CAP):
         """[P_0, P_1, ...] with P_k = delta^k(v)/k!, P_k = 0 beyond the list.
@@ -163,12 +174,7 @@ class Derivation:
         if not self.shape.on_variety(fld, pt):
             raise PointNotOnVariety("flow source does not satisfy the equation")
         out = list(pt)
-        # the rational twin may move a variable whose first-order image
-        # vanishes mod p while higher divided powers survive
-        moving = set(self.images)
-        if self.qlift is not None:
-            moving |= set(self.qlift.images)
-        for v in sorted(moving):
+        for v in self.moving_variables():
             series = self.divided_power_series(v, cap)
             acc = fld.zero
             upow = fld.one
@@ -182,6 +188,45 @@ class Derivation:
                 "flow left the variety: exact divided powers unavailable in this characteristic"
             )
         return out
+
+    def flow_group_law(self) -> bool:
+        """Does exp(delta) o exp(u*delta) = exp((u+1)*delta) hold modulo the
+        equation, with u an extra ring variable?
+
+        The flow maps are the flow_polynomial images.  Over F_p the identity
+        gives, by induction on u, exp(u*delta) = exp(delta)^u on X(F_p) for
+        every u in F_p, and exp(delta)^p = exp(0) = id; so every cycle of
+        exp(delta) on the rational points has length 1 or p.  The law is
+        checked, not assumed: over F_p it rests on the divided powers the
+        characteristic allows.  The answer is kept on the derivation, next
+        to its divided-power series.
+        """
+        if self._group_law is None:
+            self._group_law = self._prove_group_law()
+        return self._group_law
+
+    def _prove_group_law(self) -> bool:
+        n = self.ring.nvars
+        ring = PolyRing(self.field, self.ring.names + ("u",))
+        xs = [ring.var(i) for i in range(n)]
+        u = ring.var(n)
+        g = self.shape.equation(self.field).substitute(xs)
+        series = {v: self.divided_power_series(v) for v in self.moving_variables()}
+        flow = list(xs)  # exp(u*delta) on each variable
+        for v, polys in series.items():
+            acc, upow = ring.zero, ring.one
+            for P in polys:
+                acc = acc + P.substitute(xs) * upow
+                upow = upow * u
+            flow[v] = acc.reduce_mod(g)
+        shifted = xs + [u + ring.one]
+        for v, polys in series.items():
+            stepped = ring.zero  # exp(delta) applied after exp(u*delta)
+            for P in polys:
+                stepped = stepped + P.substitute(flow)
+            if not (stepped - flow[v].substitute(shifted)).reduce_mod(g).is_zero():
+                return False
+        return True
 
 
 def _push_poly(p: Polynomial, ring) -> Polynomial:
@@ -252,17 +297,11 @@ def delta_pair_groups(shape: TrinomialShape):
     """
     if shape.is_free_term:
         return None
-
-    def ok(g):
-        grp = shape.groups[g]
-        return bool(grp) and all(l % 2 == 0 for l in grp) and 2 in grp
-
-    for g in range(3):
-        for h in range(g + 1, 3):
-            if ok(g) and ok(h):
-                rest = 3 - g - h
-                return g, h, rest
-    return None
+    even = [g for g in range(3) if is_even_two_group(shape.groups[g])]
+    if len(even) < 2:
+        return None
+    g, h = even[:2]
+    return g, h, 3 - g - h
 
 
 def delta_obstruction(shape: TrinomialShape, fld):

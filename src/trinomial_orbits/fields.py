@@ -233,7 +233,7 @@ class PrimeField:
         p = self.modulus
         if p == 2:
             return 1
-        order_factors = _prime_factors(p - 1)
+        order_factors = factor(p - 1)
         for g in range(2, p):
             if all(pow(g, (p - 1) // q, p) != 1 for q in order_factors):
                 return g
@@ -253,19 +253,6 @@ class PrimeField:
                 acc = acc * g % self.modulus
             self._dlog_table = table
         return self._dlog_table[a]
-
-
-def _prime_factors(n: int) -> set:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def factor(n: int) -> dict:

@@ -31,72 +31,73 @@ from .families import family_of
 from .fields import field_designator
 from .shapes import TrinomialShape, torus_lattice, torus_scaling
 
-ENUMERATION_CAP = 10**8
-SOLVED_SCAN_CAP = 10**7
+POINT_CAP = 10**7  # points held in memory: about 0.9 GiB of 4-tuples
+
+
+def _value_counts(exps, p) -> dict:
+    """Monomial value -> how many coordinate sub-tuples of one group give
+    it (the empty group is the free term 1): the power distributions of the
+    group's variables, multiplied together."""
+    counts = {1: 1}
+    for e in exps:
+        powers = {}
+        for x in range(p):
+            w = pow(x, e, p)
+            powers[w] = powers.get(w, 0) + 1
+        nxt = {}
+        for v, c in counts.items():
+            for w, k in powers.items():
+                vw = v * w % p
+                nxt[vw] = nxt.get(vw, 0) + c * k
+        counts = nxt
+    return counts
+
+
+def point_count(shape: TrinomialShape, p: int) -> int:
+    """The exact number of F_p-points, from the per-group value counts:
+    no point is built."""
+    c0, c1, c2 = (_value_counts(grp, p) for grp in shape.groups)
+    return sum(
+        a * b * c2.get(-(m0 + m1) % p, 0)
+        for m0, a in c0.items()
+        for m1, b in c1.items()
+    )
+
+
+def _value_table(exps, p) -> dict:
+    """Monomial value -> the coordinate sub-tuples of one group giving it."""
+    table = {}
+    for sub in product(range(p), repeat=len(exps)):
+        m = 1
+        for x, e in zip(sub, exps):
+            m = m * pow(x, e, p) % p
+        table.setdefault(m, []).append(sub)
+    return table
 
 
 def enumerate_points(shape: TrinomialShape, fld):
     """All F_p-points of the hypersurface, lexicographically ordered.
 
-    When some variable appears with exponent 1 the equation is linear in
-    it, so the scan runs over the remaining coordinates and solves: cost
-    p^(n-1) instead of p^n.
+    Each group's monomial is tabulated once (value -> coordinate
+    sub-tuples); a point joins sub-tuples of groups 0 and 1 with one of
+    group 2 whose monomial is -(m0 + m1).  The value counts give the exact
+    number of points before any is built: more than POINT_CAP raises
+    TooLarge.
     """
     p = fld.modulus
     if p is None:
         raise TooLarge("point enumeration needs a prime field")
-    n = shape.n
-    if p**n > ENUMERATION_CAP:
-        raise TooLarge(f"{p}^{n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    exps = shape.exponents
-    max_exp = max(exps)
-    pw = [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
-    groups = [shape.group_indices(g) for g in range(3)]
-
-    ones = [i for i, l in enumerate(exps) if l == 1]
+    total = point_count(shape, p)
+    if total > POINT_CAP:
+        raise TooLarge(f"{total} points exceed the enumeration cap {POINT_CAP}")
+    t0, t1, t2 = (_value_table(grp, p) for grp in shape.groups)
     pts = []
-    if ones and p ** (n - 1) <= SOLVED_SCAN_CAP:
-        v = ones[0]
-        gv = shape.group_of(v)
-        others = [i for i in range(n) if i != v]
-        inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-        vec = [0] * n
-        for combo in product(range(p), repeat=n - 1):
-            for i, val in zip(others, combo):
-                vec[i] = val
-            cof = 1
-            for i in groups[gv]:
-                if i != v:
-                    cof = cof * pw[vec[i]][exps[i]] % p
-            rest = 1 if shape.is_free_term and gv != 0 else 0
-            for g in range(3):
-                if g == gv or not groups[g]:
-                    continue
-                m = 1
-                for i in groups[g]:
-                    m = m * pw[vec[i]][exps[i]] % p
-                rest = (rest + m) % p
-            if cof:
-                vec[v] = (-rest) * inv[cof] % p
-                pts.append(tuple(vec))
-            elif rest == 0:
-                for x in range(p):
-                    vec[v] = x
-                    pts.append(tuple(vec))
-        pts.sort()
-        return pts
-
-    for vec in product(range(p), repeat=n):
-        total = 1 if shape.is_free_term else 0
-        for g in range(3):
-            if not groups[g]:
-                continue
-            m = 1
-            for i in groups[g]:
-                m = m * pw[vec[i]][exps[i]] % p
-            total = (total + m) % p
-        if total == 0:
-            pts.append(vec)
+    for m0, subs0 in t0.items():
+        for m1, subs1 in t1.items():
+            subs2 = t2.get(-(m0 + m1) % p)
+            if subs2:
+                pts.extend(a + b + c for a in subs0 for b in subs1 for c in subs2)
+    pts.sort()
     return pts
 
 
@@ -209,6 +210,11 @@ class VerifyReport:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _skipped(name: str, exc: MathDomainError) -> CheckResult:
+    details = {"code": exc.code, "message": str(exc)}
+    return CheckResult(name, False, details, skipped=True)
 
 
 def _report(shape, fld, seed, checks) -> VerifyReport:
@@ -361,6 +367,38 @@ def partition_selftest(shape: TrinomialShape, fld) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
+class _DescriptorTally:
+    """Runs and failures of a check that compares descriptors.
+
+    A pair whose classification is refused (ConjectureNotAssumed,
+    UnsupportedFamily, ...) is not compared; refused counts it, and the
+    other pairs still run.  The check reads skipped, with the first
+    refusal's code, only when every pair was refused."""
+
+    def __init__(self, classify):
+        self.classify = classify
+        self.runs = self.failures = self.refused = 0
+        self.refusal = None
+
+    def compare(self, a, b):
+        try:
+            same = self.classify(a) == self.classify(b)
+        except MathDomainError as exc:
+            self.refused += 1
+            self.refusal = self.refusal or exc
+            return
+        self.runs += 1
+        self.failures += not same
+
+    def result(self, name, **details) -> CheckResult:
+        if self.refused and not self.runs:
+            return _skipped(name, self.refusal)
+        details = {"runs": self.runs, "failures": self.failures, **details}
+        if self.refused:
+            details["refused"] = self.refused
+        return CheckResult(name, self.failures == 0, details)
+
+
 def _invariance_checks(
     shape, fld, pts, trials, seed, assume_conjecture, exhaustive
 ) -> list:
@@ -372,7 +410,7 @@ def _invariance_checks(
     def classify(pt):
         return orbits.classify_point(shape, fld, pt, assume_conjecture)
 
-    flow_fail = flow_runs = 0
+    flows = _DescriptorTally(classify)
     nset_fail = nset_runs = 0
     if catalog and pts:
         if exhaustive:
@@ -384,9 +422,7 @@ def _invariance_checks(
             )
         for pt, delta, u in cases:
             img = delta.exp_flow(u, pt)
-            flow_runs += 1
-            if classify(img) != classify(pt):
-                flow_fail += 1
+            flows.compare(img, pt)
             support = strata.support_zero_set(shape, fld, pt)
             if strata.n_set(shape, support):
                 nset_runs += 1
@@ -396,34 +432,23 @@ def _invariance_checks(
                 if before != after:
                     nset_fail += 1
 
-    torus_fail = torus_runs = 0
+    torus = _DescriptorTally(classify)
     if basis and pts:
         torus_trials = trials if not exhaustive else min(trials * 5, 1000)
         for _ in range(torus_trials):
             pt = rng.choice(pts)
             mus = [rng.randrange(1, p) for _ in basis]
             coords = torus_scaling(shape, fld, mus)
-            img = tuple(fld.mul(c, v) for c, v in zip(coords, pt))
-            torus_runs += 1
-            if classify(img) != classify(pt):
-                torus_fail += 1
+            torus.compare(tuple(fld.mul(c, v) for c, v in zip(coords, pt)), pt)
 
     return [
-        CheckResult(
-            "flow_invariance",
-            flow_fail == 0,
-            {"runs": flow_runs, "failures": flow_fail, "exhaustive": exhaustive},
-        ),
+        flows.result("flow_invariance", exhaustive=exhaustive),
         CheckResult(
             "component_membership",
             nset_fail == 0,
             {"runs": nset_runs, "failures": nset_fail},
         ),
-        CheckResult(
-            "torus_invariance",
-            torus_fail == 0,
-            {"runs": torus_runs, "failures": torus_fail},
-        ),
+        torus.result("torus_invariance"),
     ]
 
 
@@ -447,57 +472,115 @@ def verify_invariance(
     return _report(shape, fld, seed, checks)
 
 
+def _flow_step(delta, u, p):
+    """exp(u * delta) on residue points: the flow polynomials at u, compiled
+    to (coefficient, [(variable, exponent)]) terms over a power table."""
+    compiled = []
+    max_exp = 1
+    for v in delta.moving_variables():
+        terms = [
+            (c, [(i, e) for i, e in enumerate(exps) if e])
+            for exps, c in delta.flow_polynomial(v, u).terms.items()
+        ]
+        compiled.append((v, terms))
+        max_exp = max([max_exp] + [e for _, fac in terms for _, e in fac])
+    pw = [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
+
+    def step(pt):
+        img = list(pt)
+        for v, terms in compiled:
+            acc = 0
+            for c, fac in terms:
+                t = c
+                for i, e in fac:
+                    t = t * pw[pt[i]][e] % p
+                acc = (acc + t) % p
+            img[v] = acc
+        return tuple(img)
+
+    return step
+
+
+def _orbit_walk(step, pts, sing, p):
+    """(evaluations, failures) of a step map of order p on pts.
+
+    Each cycle is walked once, each point's image computed once.  On a cycle
+    of length L with k singular points, exp(u * delta) for u in F_p visits
+    every cycle point p/L times from each source, so the cycle contributes
+    (p/L) * 2k(L-k) singular/regular mismatches.  failures is None as soon
+    as an image leaves pts (or a cycle length does not divide p): the step
+    is then no permutation of order p there, and the caller runs pointwise.
+    """
+    remaining = set(pts)
+    evaluations = failures = 0
+    for start in pts:
+        if start not in remaining:
+            continue
+        remaining.discard(start)
+        length, k = 1, start in sing
+        cur = step(start)
+        evaluations += 1
+        while cur != start:
+            if cur not in remaining:
+                return evaluations, None
+            remaining.discard(cur)
+            length += 1
+            k += cur in sing
+            cur = step(cur)
+            evaluations += 1
+        if p % length:
+            return evaluations, None
+        failures += p // length * 2 * k * (length - k)
+    return evaluations, failures
+
+
+def _pointwise_flows(delta, pts, point_set, sing, p):
+    """(off_variety, failures) over every (u, point) pair, one image each."""
+    off_variety = failures = 0
+    for u in range(p):
+        step = _flow_step(delta, u, p)
+        for pt in pts:
+            img = step(pt)
+            if img not in point_set:
+                off_variety += 1
+            elif (img in sing) != (pt in sing):
+                failures += 1
+    return off_variety, failures
+
+
 def verify_flow_regularity(
     shape: TrinomialShape, fld, derivations, points=None
 ) -> VerifyReport:
-    """Flows preserve the regular locus, pointwise over all parameters.
+    """Flows preserve the regular locus, over every (derivation, u, point).
 
-    Every (derivation, u, point) combination is checked: the image must sit
-    on the same side of the singular locus as the source.  The inner loop is
-    specialized to residue arithmetic (combined flow polynomials and a
-    global power table), since this is the one exhaustive check whose size
-    is p^n * p per derivation.
+    The image of each point under each exp(u * delta), u in F_p, must sit
+    on the same side of the singular locus as the source; runs counts these
+    p * |points| pairs per derivation.  Where delta.flow_group_law() holds,
+    exp(u * delta) = exp(delta)^u on the points, so the pairs are counted
+    exactly from the cycles of the one step map exp(delta): one image per
+    point (flow_evaluations) instead of p.  A derivation whose law fails,
+    or whose step leaves the points, is checked pointwise, one image per
+    pair; off_variety counts the images that left.
     """
     p = fld.modulus
     pts = points if points is not None else enumerate_points(shape, fld)
     sing = singular_set(shape, fld, pts)
-    point_set = set(pts)
-    max_exp = 0
-    failures = runs = 0
-    off_variety = 0
+    point_set = None
+    runs = failures = off_variety = evaluations = 0
     for delta in derivations:
-        moving = sorted(
-            set(delta.images) | (set(delta.qlift.images) if delta.qlift else set())
-        )
-        for u in range(p):
-            compiled = []
-            for v in moving:
-                poly = delta.flow_polynomial(v, u)
-                terms = [
-                    (c, [(i, e) for i, e in enumerate(exps) if e])
-                    for exps, c in poly.terms.items()
-                ]
-                compiled.append((v, terms))
-                max_exp = max(
-                    [max_exp] + [e for _, fac in terms for _, e in fac]
-                )
-            pw = [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
-            for pt in pts:
-                img = list(pt)
-                for v, terms in compiled:
-                    acc = 0
-                    for c, fac in terms:
-                        t = c
-                        for i, e in fac:
-                            t = t * pw[pt[i]][e] % p
-                        acc = (acc + t) % p
-                    img[v] = acc
-                img = tuple(img)
-                runs += 1
-                if img not in point_set:
-                    off_variety += 1
-                elif (img in sing) != (pt in sing):
-                    failures += 1
+        runs += p * len(pts)
+        if delta.flow_group_law():
+            walked, walk_failures = _orbit_walk(_flow_step(delta, 1, p), pts, sing, p)
+            evaluations += walked
+            if walk_failures is not None:
+                failures += walk_failures
+                continue
+        if point_set is None:
+            point_set = set(pts)
+        off, fail = _pointwise_flows(delta, pts, point_set, sing, p)
+        off_variety += off
+        failures += fail
+        evaluations += p * len(pts)
     checks = [
         CheckResult(
             "flow_regularity",
@@ -508,6 +591,7 @@ def verify_flow_regularity(
                 "off_variety": off_variety,
                 "points": len(pts),
                 "singular": len(sing),
+                "flow_evaluations": evaluations,
             },
         )
     ]
@@ -520,10 +604,8 @@ def verify_flow_regularity(
 
 
 def _skipped_transport(exc: MathDomainError) -> list:
-    details = {"code": exc.code, "message": str(exc)}
     return [
-        CheckResult(name, False, dict(details), skipped=True)
-        for name in ("transport_roundtrip", "transport_negative")
+        _skipped(name, exc) for name in ("transport_roundtrip", "transport_negative")
     ]
 
 

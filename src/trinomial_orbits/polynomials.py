@@ -219,6 +219,30 @@ class Polynomial:
             acc = fld.add(acc, v)
         return acc
 
+    def substitute(self, images) -> "Polynomial":
+        """The composition self(images[0], ..., images[n-1]).
+
+        images holds one polynomial per variable, all in one ring over the
+        same field; the result lives in that ring."""
+        ring = images[0].ring
+        fld = ring.field
+        powers = {}
+        out: dict = {}
+        for e, c in self.terms.items():
+            term = ring.const(c)
+            for i, k in enumerate(e):
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = images[i] ** k
+                    term = term * powers[i, k]
+            for te, tc in term.terms.items():
+                s = fld.add(out.get(te, fld.zero), tc)
+                if fld.is_zero(s):
+                    out.pop(te, None)
+                else:
+                    out[te] = s
+        return Polynomial(ring, out)
+
     def rename(self, perm) -> "Polynomial":
         """Apply the variable permutation i -> perm[i] to every exponent."""
         out: dict = {}

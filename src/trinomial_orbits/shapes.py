@@ -213,6 +213,11 @@ class RigidityVerdict:
         return out
 
 
+def is_even_two_group(grp) -> bool:
+    """Nonempty, all exponents even, one of them exactly 2."""
+    return bool(grp) and all(l % 2 == 0 for l in grp) and 2 in grp
+
+
 def nonrigidity_witnesses(shape: TrinomialShape):
     """Witnesses for the two non-rigidity conditions.
 
@@ -230,7 +235,7 @@ def nonrigidity_witnesses(shape: TrinomialShape):
         even_groups = {}
         for g in range(3):
             grp = shape.groups[g]
-            if grp and all(l % 2 == 0 for l in grp) and 2 in grp:
+            if is_even_two_group(grp):
                 even_groups[g] = grp.index(2) + 1
         keys = sorted(even_groups)
         for i in range(len(keys)):
@@ -238,10 +243,6 @@ def nonrigidity_witnesses(shape: TrinomialShape):
                 gi, gj = keys[i], keys[j]
                 wits.append(("even_pair", gi, gj, even_groups[gi], even_groups[gj]))
     return tuple(wits)
-
-
-def _is_even_two_group(grp) -> bool:
-    return bool(grp) and all(l % 2 == 0 for l in grp) and 2 in grp
 
 
 def match_h_type(shape: TrinomialShape):
@@ -262,9 +263,9 @@ def match_h_type(shape: TrinomialShape):
     for g in nonempty:
         if 1 in groups[g]:
             others = [h for h in range(3) if h != g]
-            if all(_is_even_two_group(groups[h]) for h in others):
+            if all(is_even_two_group(groups[h]) for h in others):
                 return "H4"
-    if len(nonempty) == 3 and all(_is_even_two_group(groups[g]) for g in range(3)):
+    if len(nonempty) == 3 and all(is_even_two_group(groups[g]) for g in range(3)):
         return "H5"
     return None
 

@@ -232,6 +232,36 @@ class TestEnumerateVerify:
         code, text = run(capsys, *args)
         assert code == 0 and "SKIP transport_roundtrip" in text
 
+    def test_verify_all_reports_refused_classification(self, capsys):
+        args = ("verify", "all", "--shape", "[[1,1,2],[3],[3]]", "--field", "Fp:5")
+        code, data = run_json(capsys, *args)
+        assert code == 3 and data["failures"] == 1  # the partition errors
+        checks = {c["name"]: c for c in data["checks"]}
+        for name in ("flow_invariance", "torus_invariance"):
+            assert checks[name]["status"] == "skipped"
+            assert checks[name]["details"]["code"] == "conjecture_not_assumed"
+        assert checks["component_membership"]["passed"]
+        code, text = run(capsys, *args)
+        assert code == 3 and "SKIP flow_invariance" in text
+        code, data = run_json(capsys, *args, "--assume-conjecture")
+        assert code == 0 and data["failures"] == 0
+
+    def test_verify_all_compares_around_refused_points(self, capsys):
+        args = ("verify", "all", "--shape", "[[1,3],[2],[2,2]]", "--field", "Fp:5")
+        code, data = run_json(capsys, *args)
+        assert code == 3 and data["failures"] == 1  # the partition errors
+        checks = {c["name"]: c for c in data["checks"]}
+        for name in ("flow_invariance", "torus_invariance"):
+            assert checks[name]["passed"] and "status" not in checks[name]
+            assert checks[name]["details"]["refused"] > 0
+
+    def test_fully_skipped_invariance_exits_zero(self, capsys):
+        args = ("verify", "invariance", "--shape", "[[1,1,2],[3],[3]]", "--field", "Fp:5")
+        code, data = run_json(capsys, *args)
+        assert code == 0 and data["failures"] == 0
+        skipped = {c["name"] for c in data["checks"] if c.get("status") == "skipped"}
+        assert skipped == {"flow_invariance", "torus_invariance"}
+
     def test_human_mode_matches_json_numbers(self, capsys):
         code, text = run(
             capsys, "verify", "partition", "--shape", "[[1,2],[3],[3]]",

@@ -197,6 +197,33 @@ class TestFlows:
                     assert d.image(y).is_zero()
 
 
+class TestFlowGroupLaw:
+    @pytest.mark.parametrize(
+        "raw,p",
+        [(SHAPE_A, 3), (SHAPE_C, 5), (SHAPE_D, 7), (SHAPE_E, 7), ([[2], [2], [3]], 13)],
+    )
+    def test_catalog_flows_obey_the_law(self, raw, p):
+        shape = validate_shape(raw)
+        assert all(d.flow_group_law() for d in lnd_catalog(shape, PrimeField(p)))
+
+    def test_truncated_series_breaks_the_law(self, shape_a, f7):
+        d = catalog_derivation(shape_a, f7, "D:1")
+        series = d.divided_power_series(0)  # x + 3u z^2 - 3u^2 z y^2 + u^3 y^4
+        assert len(series) == 4
+        d._series[0] = series[:-1]
+        assert not d.flow_group_law()
+
+    def test_law_proved_once_per_derivation(self, monkeypatch, shape_a, f7):
+        d = catalog_derivation(shape_a, f7, "D:1")
+        proofs = []
+        prove = Derivation._prove_group_law
+        monkeypatch.setattr(
+            Derivation, "_prove_group_law", lambda self: proofs.append(1) or prove(self)
+        )
+        assert d.flow_group_law() and d.flow_group_law()
+        assert len(proofs) == 1
+
+
 class TestGradings:
     def test_eta_weights(self, shape_a):
         assert eta_grading(shape_a, 1).weights == (-2, 1, 0, 0)

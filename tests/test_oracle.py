@@ -1,9 +1,15 @@
 import json
+import math
+import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trinomial_orbits import (
     CharacteristicTooSmall,
+    ConjectureNotAssumed,
+    Derivation,
     DifferentOrbits,
     DlogUnsolvable,
     PrimeField,
@@ -20,11 +26,39 @@ from trinomial_orbits import (
 from trinomial_orbits import oracle, orbits
 from trinomial_orbits.oracle import build_census, random_points, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
-from conftest import SHAPE_A, SHAPE_D, SHAPE_E
+from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2
+
+SHAPE_H2_POWER_ONE = [[1, 3], [2], [2, 2]]  # flexible, exponent-1 variable
 
 
 def check(report, name):
     return next(c for c in report.checks if c.name == name)
+
+
+@st.composite
+def small_shapes(draw):
+    """Nondegenerate shapes, up to two variables a group (group 0 may be
+    empty: the free term), exponents 1-5."""
+    exps = st.integers(1, 5)
+    groups = [
+        draw(st.lists(exps, min_size=0, max_size=2)),
+        draw(st.lists(exps, min_size=1, max_size=2)),
+        draw(st.lists(exps, min_size=1, max_size=2)),
+    ]
+    shape = validate_shape(groups)
+    assume(shape.degenerate_group() is None)
+    return shape
+
+
+def scanned_points(shape, p):
+    """Every point of F_p^n on the hypersurface, by a full scan."""
+    exps = shape.exponents
+    groups = [shape.group_indices(g) for g in range(3)]  # empty group: 1
+
+    def equation(pt):
+        return sum(math.prod(pow(pt[i], exps[i], p) for i in idx) for idx in groups)
+
+    return [pt for pt in product(range(p), repeat=shape.n) if equation(pt) % p == 0]
 
 
 class TestEnumeration:
@@ -41,19 +75,58 @@ class TestEnumeration:
         assert pts == sorted(pts)
         assert all(shape_a.on_variety(f3, pt) for pt in pts)
 
-    def test_solved_and_scanned_paths_agree(self, shape_a, f3):
-        solved = enumerate_points(shape_a, f3)
-        old = oracle.SOLVED_SCAN_CAP
-        oracle.SOLVED_SCAN_CAP = 0  # force the full scan
-        try:
-            scanned = enumerate_points(shape_a, f3)
-        finally:
-            oracle.SOLVED_SCAN_CAP = old
-        assert solved == scanned
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=80, deadline=None)
+    def test_value_tables_match_full_scan(self, shape, p):
+        assume(p**shape.n <= 3000)
+        scanned = scanned_points(shape, p)
+        assert enumerate_points(shape, PrimeField(p)) == scanned
+        assert oracle.point_count(shape, p) == len(scanned)
 
-    def test_too_large(self, shape_a):
-        with pytest.raises(TooLarge):
+    def test_too_large(self, monkeypatch, shape_a):
+        def no_tables(*args):
+            raise AssertionError("tables built for a refused enumeration")
+
+        monkeypatch.setattr(oracle, "_value_table", no_tables)
+        with pytest.raises(TooLarge, match="993012997 points"):
             enumerate_points(shape_a, PrimeField(997))
+
+    @pytest.mark.parametrize(
+        "groups,p,points",
+        [
+            (SHAPE_A, 211, 9482551),  # just under the cap; 211^4 > 10^8
+            ([[1, 2, 2], [2, 2], [2, 3]], 13, 4877509),  # 13^6 solved scan
+            ([[1, 2], [2, 2], [2, 3]], 19, 2482597),  # 19^5 solved scan
+        ],
+    )
+    def test_counts_under_the_cap_enumerate(self, monkeypatch, groups, p, points):
+        class Tabulating(Exception):
+            pass
+
+        def tables_reached(*args):
+            raise Tabulating
+
+        shape = validate_shape(groups)
+        assert oracle.point_count(shape, p) == points <= oracle.POINT_CAP
+        monkeypatch.setattr(oracle, "_value_table", tables_reached)
+        with pytest.raises(Tabulating):
+            enumerate_points(shape, PrimeField(p))
+
+    def test_count_just_over_the_cap_is_refused(self, monkeypatch, shape_a):
+        def no_tables(*args):
+            raise AssertionError("tables built for a refused enumeration")
+
+        monkeypatch.setattr(oracle, "_value_table", no_tables)
+        assert oracle.POINT_CAP < oracle.point_count(shape_a, 223) == 11188579
+        with pytest.raises(TooLarge, match="11188579 points"):
+            enumerate_points(shape_a, PrimeField(223))
+
+    def test_cap_counts_points_not_p_to_the_n(self, shape_a):
+        # 101^4 exceeds the cap on F_p^n; the 101^3 points themselves do not
+        fld = PrimeField(101)
+        pts = enumerate_points(shape_a, fld)
+        assert len(pts) == 101**3 <= oracle.POINT_CAP
+        assert all(shape_a.on_variety(fld, pt) for pt in pts[::9973])
 
     def test_random_points_on_variety(self, shape_h2):
         import random
@@ -170,6 +243,78 @@ class TestFlowRegularity:
         result = check(report, "flow_regularity")
         assert result.passed
         assert result.details["runs"] == result.details["points"] * 13 * 2
+        # one step image per point and derivation, not one per parameter
+        assert result.details["flow_evaluations"] == result.details["points"] * 2
+
+    @pytest.mark.parametrize(
+        "groups,p",
+        [
+            ([[2], [2], [3]], 5),
+            ([[2], [2], [3]], 13),
+            ([[2], [2], [3]], 17),
+            (SHAPE_D, 7),
+            (SHAPE_E, 7),
+            (SHAPE_C, 5),
+            (SHAPE_H2_POWER_ONE, 5),
+            (SHAPE_H2, 5),
+        ],
+    )
+    def test_orbit_walk_equals_pointwise(self, monkeypatch, groups, p):
+        shape, fld = validate_shape(groups), PrimeField(p)
+        cat = lnd_catalog(shape, fld)
+        walked = check(verify_flow_regularity(shape, fld, cat), "flow_regularity")
+        # a failing law check sends every derivation down the pointwise loop
+        monkeypatch.setattr(Derivation, "flow_group_law", lambda self: False)
+        pointwise = check(verify_flow_regularity(shape, fld, cat), "flow_regularity")
+        assert pointwise.details["flow_evaluations"] == pointwise.details["runs"]
+        assert walked.passed == pointwise.passed
+        walked.details.pop("flow_evaluations")
+        pointwise.details.pop("flow_evaluations")
+        assert walked.details == pointwise.details
+
+    def test_step_leaving_the_variety_falls_back(self, shape_h2):
+        # over F_5 the delta flows leave X: the walk stops at the first such
+        # image and the pointwise loop counts every one of them
+        fld = PrimeField(5)
+        result = check(
+            verify_flow_regularity(shape_h2, fld, lnd_catalog(shape_h2, fld)),
+            "flow_regularity",
+        )
+        assert not result.passed
+        assert (result.details["off_variety"], result.details["runs"]) == (2560, 6250)
+        assert result.details["flow_evaluations"] > result.details["runs"]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_cycle_tally_matches_brute_force(self, p):
+        rng = random.Random(p)
+        mismatched = 0
+        for _ in range(25):
+            pts = [(i,) for i in range(rng.randrange(1, 40))]
+            order = rng.sample(pts, len(pts))
+            step = {}
+            while order:
+                length = p if len(order) >= p and rng.random() < 0.7 else 1
+                cycle, order = order[:length], order[length:]
+                step.update(zip(cycle, cycle[1:] + cycle[:1]))
+            sing = {pt for pt in pts if rng.random() < 0.3}
+            brute = 0
+            for x in pts:
+                img = x
+                for _ in range(p):  # img = step^u(x), u = 0 .. p-1
+                    brute += (img in sing) != (x in sing)
+                    img = step[img]
+            walked = oracle._orbit_walk(step.__getitem__, pts, sing, p)
+            assert walked == (len(pts), brute)
+            mismatched += brute > 0
+        assert mismatched
+
+    def test_walk_refuses_non_permutations(self):
+        pts = [(0,), (1,), (2,)]
+        # an image outside the points
+        assert oracle._orbit_walk(lambda pt: (pt[0] + 1,), pts, set(), 3)[1] is None
+        # a 3-cycle is not of order 2
+        cycle = oracle._orbit_walk(lambda pt: ((pt[0] + 1) % 3,), pts, set(), 2)
+        assert cycle[1] is None
 
 
 class TestClosedFormCensus:
@@ -313,6 +458,55 @@ class TestSkipped:
             assert c.to_json()["status"] == "skipped"
         assert report.failures == 0
         assert json.loads(report.dumps())["failures"] == 0
+
+    def test_all_pairs_refused_skips_invariance(self):
+        report = verify_all(validate_shape(SHAPE_C), PrimeField(5))
+        for name in ("flow_invariance", "torus_invariance"):
+            c = check(report, name)
+            assert c.skipped and c.details["code"] == "conjecture_not_assumed"
+        membership = check(report, "component_membership")
+        assert membership.passed and not membership.skipped
+        assert membership.details["runs"] > 0
+        partition = check(report, "partition")
+        assert not partition.passed and partition.details["errors"] == 625
+        assert report.failures == 1
+
+    def test_refused_pairs_skip_only_themselves(self):
+        # the singular points of this shape refuse; the regular ones compare
+        report = verify_all(validate_shape(SHAPE_H2_POWER_ONE), PrimeField(5))
+        for name in ("flow_invariance", "torus_invariance"):
+            c = check(report, name)
+            assert c.passed and not c.skipped
+            assert c.details["runs"] > 0 and c.details["refused"] > 0
+        partition = check(report, "partition")
+        assert not partition.passed and partition.details["errors"] == 45
+        assert report.failures == 1
+        standalone = verify_invariance(validate_shape(SHAPE_H2_POWER_ONE), PrimeField(5))
+        assert [c.to_json() for c in standalone.checks] == [
+            c.to_json() for c in report.checks
+            if c.name in ("flow_invariance", "component_membership", "torus_invariance")
+        ]
+
+    def test_tally_compares_around_refusals(self):
+        answers = iter([None, "O", "O1", "O", None, "O", "O"])
+
+        def classify(pt):
+            desc = next(answers)
+            if desc is None:
+                raise ConjectureNotAssumed("injected")
+            return desc
+
+        tally = oracle._DescriptorTally(classify)
+        for _ in range(4):
+            tally.compare((0,), (1,))
+        result = tally.result("flow_invariance")
+        assert not result.passed and not result.skipped
+        assert result.details == {"runs": 2, "failures": 1, "refused": 2}
+
+    def test_tally_without_refusals_has_no_refused_key(self):
+        tally = oracle._DescriptorTally(lambda pt: "O")
+        tally.compare((0,), (1,))
+        assert tally.result("torus_invariance").details == {"runs": 1, "failures": 0}
 
     def test_status_only_on_skipped_checks(self, shape_a, f7):
         data = json.loads(verify_all(shape_a, f7, trials=20, seed=1).dumps())

@@ -143,6 +143,24 @@ class TestParsing:
         assert str(f) == "x*y^2 + z^3 + s^3"
 
 
+class TestSubstitute:
+    def test_composition_evaluates_pointwise(self):
+        fld = PrimeField(11)
+        src = PolyRing(fld, ("x", "y", "z", "s"))
+        dst = PolyRing(fld, ("a", "b", "c"))
+        rng = random.Random(4)
+        for _ in range(30):
+            f = random_poly(src, rng)
+            images = [random_poly(dst, rng, max_exp=2) for _ in range(4)]
+            composed = f.substitute(images)
+            assert composed.ring == dst
+            pt = [rng.randrange(11) for _ in range(3)]
+            assert composed.eval(pt) == f.eval([img.eval(pt) for img in images])
+
+    def test_identity_images(self):
+        assert G.substitute([X, Y, Z, S]) == G
+
+
 class TestRename:
     def test_swap_fixes_symmetric_polynomial(self):
         perm = (0, 1, 3, 2)  # z <-> s
