@@ -66,9 +66,7 @@ def _load_point(shape: TrinomialShape, fld, arg: str):
             raise UsageError(f"point needs {shape.n} coordinates, got {len(data)}")
         return tuple(fld.parse(str(v)) for v in data)
     if isinstance(data, dict):
-        names = {nm: i for i, nm in enumerate(shape.var_names)}
-        if shape.aliases:
-            names.update({al: i for i, al in enumerate(shape.aliases)})
+        names = shape.name_index
         if set(data) - set(names):
             raise UsageError(f"unknown coordinates: {sorted(set(data) - set(names))}")
         vec = [None] * shape.n
@@ -192,9 +190,7 @@ def _custom_derivation(shape: TrinomialShape, fld, text: str):
     ring = shape.ring(fld)
     # parse against display names; exponent tuples share the variable order
     parse_ring = PolyRing(fld, tuple(shape.display_name(i) for i in range(shape.n)))
-    names = {nm: i for i, nm in enumerate(shape.var_names)}
-    if shape.aliases:
-        names.update({al: i for i, al in enumerate(shape.aliases)})
+    names = shape.name_index
     images = {}
     for nm, poly_text in data.items():
         if nm not in names:

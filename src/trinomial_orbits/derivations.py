@@ -251,12 +251,6 @@ def _push_poly(p: Polynomial, ring) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_poly(shape, ring, g):
-    if not shape.groups[g]:
-        return ring.one
-    return ring.monomial(shape.monomial_exps(g))
-
-
 def _build_gamma(shape, fld):
     """All gamma derivations, or [] when no group has an exponent-1 variable.
 
@@ -276,12 +270,12 @@ def _build_gamma(shape, fld):
     if pivot is None:
         return []
     gw, w = pivot
-    tail = _monomial_poly(shape, ring, gw).partial(w)
+    tail = ring.monomial(shape.monomial_exps(gw)).partial(w)
     out = []
     for g in range(3):
         if g == gw or not shape.groups[g]:
             continue
-        mon = _monomial_poly(shape, ring, g)
+        mon = ring.monomial(shape.monomial_exps(g))
         for j in range(1, len(shape.groups[g]) + 1):
             v = shape.var_index(g, j)
             images = {w: -mon.partial(v), v: tail}
@@ -353,7 +347,7 @@ def _build_delta(shape, fld):
 
     A, F0 = leader_and_tail(g0)
     B, F1 = leader_and_tail(g1)
-    P2 = _monomial_poly(shape, ring, g2)
+    P2 = ring.monomial(shape.monomial_exps(g2))
     out = []
     for i in range(1, len(shape.groups[g2]) + 1):
         v = shape.var_index(g2, i)
@@ -482,13 +476,7 @@ class GradingWeight:
         return sum(w * e for w, e in zip(self.weights, exps))
 
     def equation_degrees(self, shape: TrinomialShape):
-        degs = []
-        for g in range(3):
-            if shape.groups[g]:
-                degs.append(self.monomial_degree(shape.monomial_exps(g)))
-            else:
-                degs.append(0)
-        return degs
+        return [self.monomial_degree(shape.monomial_exps(g)) for g in range(3)]
 
     def is_admissible(self, shape: TrinomialShape) -> bool:
         degs = self.equation_degrees(shape)

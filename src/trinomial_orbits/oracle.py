@@ -119,18 +119,8 @@ def random_points(shape: TrinomialShape, fld, count: int, rng) -> list:
         if attempts > 10000 * count:
             raise MathDomainError("rejection sampling failed to find points")
         vec = [rng.randrange(p) for _ in range(shape.n)]
-        cof = 1
-        for i in shape.group_indices(gv):
-            if i != v:
-                cof = cof * pow(vec[i], exps[i], p) % p
-        rest = 1 if shape.is_free_term else 0
-        for g in range(3):
-            if g != gv:
-                m = 1
-                for i in shape.group_indices(g):
-                    m = m * pow(vec[i], exps[i], p) % p
-                if shape.groups[g]:
-                    rest = (rest + m) % p
+        cof = shape.monomial_value(fld, vec[:v] + [1] + vec[v + 1:], gv)
+        rest = sum(shape.monomial_value(fld, vec, g) for g in range(3) if g != gv) % p
         if cof == 0:
             if rest == 0:
                 out.append(tuple(vec))
@@ -146,8 +136,7 @@ def random_points(shape: TrinomialShape, fld, count: int, rng) -> list:
 
 def singular_set(shape: TrinomialShape, fld, pts) -> set:
     """The singular points among pts, by vanishing of all partials."""
-    g = shape.equation(fld)
-    partials = [g.partial(v) for v in range(shape.n)]
+    partials = strata._jacobian(shape, fld)
     out = set()
     for pt in pts:
         if all(fld.is_zero(pp.eval(pt)) for pp in partials):

@@ -20,7 +20,7 @@ point to another inside the open or component strata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import intlinalg, strata
@@ -41,6 +41,7 @@ from .shapes import (
     apply_permutation_to_point,
     symmetry_group,
     torus_lattice,
+    torus_scaling,
 )
 
 # ---------------------------------------------------------------------------
@@ -107,68 +108,50 @@ class SingTorus:
     S: frozenset
 
 
+_DESCRIPTOR_TYPES = {
+    "O": BigO,
+    "DDO": DDBigO,
+    **{
+        cls.__name__: cls
+        for cls in (OMeps, O1, O2, DDOMeps, DD, TorusStratum, RegularFlex, SingTorus)
+    },
+}
+_TYPE_NAMES = {cls: name for name, cls in _DESCRIPTOR_TYPES.items()}
+
+
 def descriptor_to_json(desc, shape: TrinomialShape = None, fld=None) -> dict:
-    def ints(s):
-        return sorted(s)
-
-    def names(s):
-        return sorted(shape.var_names[i] for i in s)
-
-    if isinstance(desc, BigO):
-        return {"type": "O"}
-    if isinstance(desc, OMeps):
-        return {"type": "OMeps", "M": ints(desc.M), "r": fld.fmt(desc.r)}
-    if isinstance(desc, O1):
-        return {"type": "O1", "M": ints(desc.M), "P": ints(desc.P), "Q": ints(desc.Q)}
-    if isinstance(desc, O2):
-        return {"type": "O2", "M": ints(desc.M), "P": ints(desc.P), "Q": ints(desc.Q)}
-    if isinstance(desc, DDBigO):
-        return {"type": "DDO"}
-    if isinstance(desc, DDOMeps):
-        return {"type": "DDOMeps", "M": ints(desc.M), "r": fld.fmt(desc.r)}
-    if isinstance(desc, DD):
-        return {
-            "type": "DD",
-            "K": ints(desc.K),
-            "M": ints(desc.M),
-            "P": ints(desc.P),
-            "Q": ints(desc.Q),
-        }
-    if isinstance(desc, TorusStratum):
-        return {"type": "TorusStratum", "vars": names(desc.S)}
-    if isinstance(desc, RegularFlex):
-        return {"type": "RegularFlex"}
-    if isinstance(desc, SingTorus):
-        return {"type": "SingTorus", "vars": names(desc.S)}
-    raise TypeError(f"not a descriptor: {desc!r}")
+    """{"type": name} plus one key per field: r as a field element, S as
+    variable names under "vars", every other set as sorted indices."""
+    name = _TYPE_NAMES.get(type(desc))
+    if name is None:
+        raise TypeError(f"not a descriptor: {desc!r}")
+    out = {"type": name}
+    for f in fields(desc):
+        value = getattr(desc, f.name)
+        if f.name == "r":
+            out["r"] = fld.fmt(value)
+        elif f.name == "S":
+            out["vars"] = sorted(shape.var_names[i] for i in value)
+        else:
+            out[f.name] = sorted(value)
+    return out
 
 
 def descriptor_from_json(data: dict, shape: TrinomialShape = None, fld=None):
     """Inverse of descriptor_to_json."""
-    kind = data["type"]
-    fs = lambda key: frozenset(data[key])
-    if kind == "O":
-        return BigO()
-    if kind == "OMeps":
-        return OMeps(fs("M"), fld.parse(data["r"]))
-    if kind == "O1":
-        return O1(fs("M"), fs("P"), fs("Q"))
-    if kind == "O2":
-        return O2(fs("M"), fs("P"), fs("Q"))
-    if kind == "DDO":
-        return DDBigO()
-    if kind == "DDOMeps":
-        return DDOMeps(fs("M"), fld.parse(data["r"]))
-    if kind == "DD":
-        return DD(fs("K"), fs("M"), fs("P"), fs("Q"))
-    if kind == "RegularFlex":
-        return RegularFlex()
-    index = {nm: i for i, nm in enumerate(shape.var_names)}
-    if kind == "TorusStratum":
-        return TorusStratum(frozenset(index[nm] for nm in data["vars"]))
-    if kind == "SingTorus":
-        return SingTorus(frozenset(index[nm] for nm in data["vars"]))
-    raise ValueError(f"unknown descriptor type {kind!r}")
+    cls = _DESCRIPTOR_TYPES.get(data["type"])
+    if cls is None:
+        raise ValueError(f"unknown descriptor type {data['type']!r}")
+    values = {}
+    for f in fields(cls):
+        if f.name == "r":
+            values["r"] = fld.parse(data["r"])
+        elif f.name == "S":
+            index = {nm: i for i, nm in enumerate(shape.var_names)}
+            values["S"] = frozenset(index[nm] for nm in data["vars"])
+        else:
+            values[f.name] = frozenset(data[f.name])
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -627,17 +610,8 @@ def _torus_step(shape, fld, src, dst, rows):
         mus = _solve_torus_q(fld, basis, rows, ratios)
     else:
         mus = _solve_torus_fp(fld, basis, rows, ratios)
-    coords = []
-    for idx in range(shape.n):
-        c = fld.one
-        for mu, vec in zip(mus, basis):
-            e = vec[idx]
-            if e >= 0:
-                c = fld.mul(c, fld.pow(mu, e))
-            else:
-                c = fld.mul(c, fld.inv(fld.pow(mu, -e)))
-        coords.append(c)
-    step = TorusStep(tuple(coords))
+    coords = torus_scaling(shape, fld, mus)
+    step = TorusStep(coords)
     cur = tuple(fld.mul(c, v) for c, v in zip(coords, src))
     for i in rows:
         assert cur[i] == dst[i], "torus step missed a matched coordinate"

@@ -78,6 +78,15 @@ class TrinomialShape:
     def group_indices(self, g: int):
         return self._group_ranges[g]
 
+    @cached_property
+    def name_index(self):
+        """Variable name or alias -> canonical index; an alias wins over a
+        canonical name it shadows."""
+        index = {nm: i for i, nm in enumerate(self.var_names)}
+        if self.aliases:
+            index.update({al: i for i, al in enumerate(self.aliases)})
+        return index
+
     def display_name(self, idx: int) -> str:
         if self.aliases:
             return self.aliases[idx]
@@ -111,7 +120,7 @@ class TrinomialShape:
 
     def equation(self, fld) -> Polynomial:
         ring = self.ring(fld)
-        out = ring.one if self.is_free_term else ring.monomial(self.monomial_exps(0))
+        out = ring.monomial(self.monomial_exps(0))
         out = out + ring.monomial(self.monomial_exps(1))
         out = out + ring.monomial(self.monomial_exps(2))
         return out

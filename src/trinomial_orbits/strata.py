@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from math import gcd
 
 from .errors import EmptyStratum, PointNotOnVariety
 from .shapes import TrinomialShape
@@ -26,9 +28,7 @@ class SingComponent:
 
 
 def var_set_from_names(shape: TrinomialShape, names) -> frozenset:
-    index = {nm: i for i, nm in enumerate(shape.var_names)}
-    if shape.aliases:
-        index.update({al: i for i, al in enumerate(shape.aliases)})
+    index = shape.name_index
     out = set()
     for nm in names:
         if nm not in index:
@@ -39,10 +39,6 @@ def var_set_from_names(shape: TrinomialShape, names) -> frozenset:
 
 def var_set_to_json(shape: TrinomialShape, S) -> dict:
     return {"vars": sorted(shape.var_names[i] for i in S)}
-
-
-def split_by_group(shape: TrinomialShape, S):
-    return tuple(frozenset(i for i in S if shape.group_of(i) == g) for g in range(3))
 
 
 def support_zero_set(shape: TrinomialShape, fld, pt) -> frozenset:
@@ -110,7 +106,8 @@ def n_set(shape: TrinomialShape, S):
 
 
 def containing_components(shape: TrinomialShape, fld, S):
-    """N(S) for a nonempty stratum; EmptyStratum when U(S) has no point."""
+    """N(S) for a stratum with a point; EmptyStratum as stratum_point
+    raises it (over Q: no witness found, not a proof that U(S) is empty)."""
     stratum_point(shape, fld, S)
     return n_set(shape, S)
 
@@ -135,14 +132,48 @@ def linked(shape: TrinomialShape, S, P) -> bool:
     return True
 
 
+def _nonzero_values(exps, p) -> dict:
+    """Monomial value -> the first sub-tuple of nonzero coordinates of one
+    group giving it (the empty group is the free term 1)."""
+    table = {1: ()}
+    for k, e in enumerate(exps, start=1):
+        size = (p - 1) // gcd(p - 1, *exps[:k])  # the values form this subgroup
+        powers = {}
+        for x in range(1, p):
+            powers.setdefault(pow(x, e, p), x)
+        nxt = {}
+        for m, sub in table.items():
+            for w, x in powers.items():
+                nxt.setdefault(m * w % p, sub + (x,))
+            if len(nxt) == size:
+                break
+        table = nxt
+    return table
+
+
+def _nonzero_witness(shape: TrinomialShape, p: int, live):
+    """Nonzero coordinates of the live groups whose monomials sum to 0 over
+    F_p, one sub-tuple per live group, or None when there are none."""
+    *first, last = (_nonzero_values(shape.groups[g], p) for g in live)
+    for combo in product(*(t.items() for t in first)):
+        need = -sum(m for m, _ in combo) % p
+        if need in last:
+            return [sub for _, sub in combo] + [last[need]]
+    return None
+
+
 def stratum_point(shape: TrinomialShape, fld, S):
     """An explicit point of U(S), or EmptyStratum.
 
     Vanishing variables are 0.  If at least two monomials survive S, all
     other variables are 1 except one adjusting variable v, solved from the
-    one-remaining-monomial cancellation v^l = -(rest) via k-th roots; the
-    field may obstruct (EmptyStratum, structural=False).  With precisely one
-    surviving monomial the stratum is empty over every field.
+    one-remaining-monomial cancellation v^l = -(rest) via k-th roots.  When
+    no variable admits that root, over F_p the live groups' nonzero value
+    tables are searched for a point, so EmptyStratum(structural=False)
+    means U(S) has no F_p-point; over Q it only means that construction
+    found no witness, and U(S) may still have rational points.  With
+    precisely one surviving monomial the stratum is empty over every field
+    (structural=True).
     """
     S = frozenset(S)
     if not S <= set(range(shape.n)):
@@ -167,7 +198,8 @@ def stratum_point(shape: TrinomialShape, fld, S):
             "exactly one monomial survives; it cannot vanish on nonzero coordinates",
             structural=True,
         )
-    # set everything to 1, then solve one variable's power
+    # every live monomial is 1 at base: v^l must cancel the other len(live) - 1
+    target = fld.from_int(1 - len(live))
     candidates = [
         i
         for g in live
@@ -176,22 +208,19 @@ def stratum_point(shape: TrinomialShape, fld, S):
     ]
     candidates.sort(key=lambda i: (shape.exponents[i], i))
     for v in candidates:
-        others = fld.zero
-        for g in live:
-            if g == shape.group_of(v):
-                continue
-            others = fld.add(others, shape.monomial_value(fld, base, g))
-        # residual within v's own monomial with v set to 1
-        cof = fld.one
-        for i in shape.group_indices(shape.group_of(v)):
-            if i != v and i not in S:
-                cof = fld.mul(cof, fld.pow(base[i], shape.exponents[i]))
-        target = fld.div(fld.neg(others), cof)
         roots = fld.kth_roots(target, shape.exponents[v])
         roots = [r for r in roots if not fld.is_zero(r)]
         if roots:
             pt = list(base)
             pt[v] = min(roots) if fld.modulus else max(roots)
+            return finish(pt)
+    if fld.modulus:
+        subs = _nonzero_witness(shape, fld.modulus, live)
+        if subs is not None:
+            pt = list(base)
+            for g, sub in zip(live, subs):
+                for i, x in zip(shape.group_indices(g), sub):
+                    pt[i] = x
             return finish(pt)
     raise EmptyStratum(
         "no coordinate admits the required root over this field", structural=False

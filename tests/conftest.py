@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import assume, strategies as st
 
 from trinomial_orbits import PrimeField, QQ, validate_shape
 
@@ -55,3 +56,18 @@ def f3():
 @pytest.fixture
 def qq():
     return QQ
+
+
+@st.composite
+def small_shapes(draw):
+    """Nondegenerate shapes, up to two variables a group (group 0 may be
+    empty: the free term), exponents 1-5."""
+    exps = st.integers(1, 5)
+    groups = [
+        draw(st.lists(exps, min_size=0, max_size=2)),
+        draw(st.lists(exps, min_size=1, max_size=2)),
+        draw(st.lists(exps, min_size=1, max_size=2)),
+    ]
+    shape = validate_shape(groups)
+    assume(shape.degenerate_group() is None)
+    return shape

@@ -149,6 +149,14 @@ class TestStrata:
         )
         assert code == 2 and data["error"] == "empty_stratum"
 
+    def test_set_witness_without_a_root(self, capsys):
+        code, data = run_json(
+            capsys, "strata", "--shape", "[[2],[3],[3]]",
+            "--field", "Fp:7", "--set", '{"vars": []}',
+        )
+        assert code == 0
+        assert data["witness_point"] == ["3", "3", "3"]
+
 
 class TestOrbits:
     def test_count_shape_d(self, capsys):

@@ -26,28 +26,13 @@ from trinomial_orbits import (
 from trinomial_orbits import oracle, orbits
 from trinomial_orbits.oracle import build_census, random_points, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
-from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2
+from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, small_shapes
 
 SHAPE_H2_POWER_ONE = [[1, 3], [2], [2, 2]]  # flexible, exponent-1 variable
 
 
 def check(report, name):
     return next(c for c in report.checks if c.name == name)
-
-
-@st.composite
-def small_shapes(draw):
-    """Nondegenerate shapes, up to two variables a group (group 0 may be
-    empty: the free term), exponents 1-5."""
-    exps = st.integers(1, 5)
-    groups = [
-        draw(st.lists(exps, min_size=0, max_size=2)),
-        draw(st.lists(exps, min_size=1, max_size=2)),
-        draw(st.lists(exps, min_size=1, max_size=2)),
-    ]
-    shape = validate_shape(groups)
-    assume(shape.degenerate_group() is None)
-    return shape
 
 
 def scanned_points(shape, p):

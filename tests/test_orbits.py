@@ -1,20 +1,25 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trinomial_orbits import (
     BigO,
     ConjectureNotAssumed,
     DifferentOrbits,
+    MathDomainError,
     OMeps,
     O1,
     O2,
     PointNotOnVariety,
     PrimeField,
+    TrinomialShape,
     UnsupportedFamily,
     classify_point,
     descriptor_dim,
+    descriptor_from_json,
     descriptor_to_json,
     family_of,
     ml_generators,
@@ -36,6 +41,7 @@ from trinomial_orbits.orbits import (
     AutWord,
 )
 from trinomial_orbits.oracle import enumerate_points
+from conftest import small_shapes
 
 
 class TestFamilies:
@@ -143,9 +149,6 @@ class TestClassify:
         }
 
     def test_descriptor_json_roundtrip(self, shape_a, shape_b, shape_c, shape_h2, f7, f3):
-        from trinomial_orbits import descriptor_from_json
-        from trinomial_orbits.oracle import enumerate_points
-
         cases = [
             (shape_a, f7, {}),
             (shape_b, f3, {}),
@@ -157,6 +160,33 @@ class TestClassify:
                 desc = classify_point(shape, fld, pt, **kw)
                 data = descriptor_to_json(desc, shape, fld)
                 assert descriptor_from_json(data, shape, fld) == desc
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_descriptor_json_roundtrip_generated(self, shape, p):
+        assume(p**shape.n <= 3000)
+        fld = PrimeField(p)
+        for pt in enumerate_points(shape, fld):
+            try:
+                desc = classify_point(shape, fld, pt, assume_conjecture=True)
+            except MathDomainError:
+                continue
+            data = json.loads(json.dumps(descriptor_to_json(desc, shape, fld)))
+            assert descriptor_from_json(data, shape, fld) == desc
+
+    def test_descriptor_json_uses_canonical_names(self, qq):
+        # the aliases swap two canonical names; the JSON keeps canonical ones
+        shape = TrinomialShape.from_json(
+            {"groups": [[2], [3], [3]], "aliases": {"T0_1": "T1_1", "T1_1": "T0_1"}}
+        )
+        desc = TorusStratum(frozenset([0]))
+        data = descriptor_to_json(desc, shape, qq)
+        assert data == {"type": "TorusStratum", "vars": ["T0_1"]}
+        assert descriptor_from_json(data, shape, qq) == desc
+
+    def test_descriptor_from_json_unknown_type(self):
+        with pytest.raises(ValueError, match="unknown descriptor type 'bogus'"):
+            descriptor_from_json({"type": "bogus"})
 
 
 class TestDimensions:

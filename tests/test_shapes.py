@@ -55,6 +55,12 @@ class TestValidation:
         again = TrinomialShape.from_json(sh.to_json())
         assert again == sh and again.aliases == sh.aliases
 
+    def test_name_index_aliases_win(self):
+        sh = TrinomialShape.from_json(
+            {"groups": SHAPE_A, "aliases": {"T0_1": "T1_1", "T1_1": "T0_1", "T2_1": "s"}}
+        )
+        assert sh.name_index == {"T0_1": 2, "T0_2": 1, "T1_1": 0, "T2_1": 3, "s": 3}
+
     def test_cached_index_keeps_equality_and_json(self, f7):
         aliased = TrinomialShape.from_json(
             {"groups": SHAPE_A, "aliases": {"T0_1": "x", "T0_2": "y"}}

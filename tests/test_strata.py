@@ -2,6 +2,7 @@ from fractions import Fraction as F
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trinomial_orbits import (
     EmptyStratum,
@@ -17,6 +18,7 @@ from trinomial_orbits import (
 )
 from trinomial_orbits.oracle import enumerate_points, singular_set
 from trinomial_orbits.strata import n_set, var_set_from_names, var_set_to_json
+from conftest import small_shapes
 
 
 def all_subsets(n):
@@ -136,6 +138,33 @@ class TestNSet:
             except EmptyStratum:
                 continue
             assert support_zero_set(shape_c, f3, pt) == S
+
+    def test_no_root_but_inhabited_over_fp(self):
+        # y^2 = -2 has no root in F_7, yet 3^2 + 3^3 + 3^3 = 63 = 0
+        shape = validate_shape([[2], [3], [3]])
+        f7 = PrimeField(7)
+        pt = stratum_point(shape, f7, frozenset())
+        assert support_zero_set(shape, f7, pt) == frozenset()
+
+    def test_empty_over_fp_after_search(self):
+        # x^2 + y^2 + z^2 over F_2 with nonzero coordinates is 1 + 1 + 1 = 1
+        shape = validate_shape([[2], [2], [2]])
+        with pytest.raises(EmptyStratum) as exc:
+            stratum_point(shape, PrimeField(2), frozenset())
+        assert not exc.value.structural
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=80, deadline=None)
+    def test_stratum_point_agrees_with_enumeration(self, shape, p):
+        assume(p**shape.n <= 3000)
+        fld = PrimeField(p)
+        inhabited = {support_zero_set(shape, fld, pt) for pt in enumerate_points(shape, fld)}
+        for S in all_subsets(shape.n):
+            if S in inhabited:
+                assert support_zero_set(shape, fld, stratum_point(shape, fld, S)) == S
+            else:
+                with pytest.raises(EmptyStratum):
+                    stratum_point(shape, fld, S)
 
 
 class TestLinked:
