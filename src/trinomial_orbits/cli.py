@@ -81,6 +81,19 @@ def _load_point(shape: TrinomialShape, fld, arg: str):
     raise UsageError("point must be a JSON array or object")
 
 
+def _load_var_names(arg: str):
+    """The variable names of --set: {"vars": [...]} or a bare JSON list."""
+    try:
+        data = json.loads(arg)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--set is not JSON: {exc}") from None
+    if isinstance(data, dict):
+        data = data.get("vars", data)
+    if not isinstance(data, (list, dict)):
+        raise UsageError('--set must be a JSON list of names or {"vars": [...]}')
+    return data
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -218,8 +231,7 @@ def cmd_strata(args) -> int:
     comps = strata.singular_components(shape)
     payload = {"singular_components": [c.names(shape) for c in comps]}
     if args.set:
-        data = json.loads(args.set)
-        S = strata.var_set_from_names(shape, data.get("vars", data))
+        S = strata.var_set_from_names(shape, _load_var_names(args.set))
         payload["set"] = strata.var_set_to_json(shape, S)
         payload["containing_components"] = [
             c.names(shape) for c in strata.containing_components(shape, fld, S)

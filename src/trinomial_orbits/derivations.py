@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     CharacteristicTooSmall,
@@ -406,12 +407,16 @@ def _build_f2_DE(shape, fld, view):
     return out
 
 
-def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
-    """Every catalog derivation constructible over fld.
+CATALOG_CACHE_SIZE = 8
 
-    Field-obstructed families (delta over fields without sqrt(-1)) are
-    skipped; pass with_notes=True to also receive the obstruction messages.
-    Rigid shapes give an empty catalog.
+
+@lru_cache(maxsize=CATALOG_CACHE_SIZE)
+def _catalog(shape: TrinomialShape, fld):
+    """The catalog over fld as (derivations, notes) tuples, built once per
+    (shape, field) while it is among the most recently used pairs.
+
+    Over F_p the rational twins are the derivations of the cached Q entry,
+    so their divided-power series are computed once for every prime.
     """
     shape.require_nondegenerate()
     out = []
@@ -432,19 +437,32 @@ def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
     elif tag.kind == "F2":
         out.extend(_build_f2_DE(shape, fld, tag.f2))
     if fld != QQ:
-        rational = {
-            d.designator: d for d in lnd_catalog(shape, QQ) if d.family != "custom"
-        }
+        rational = {d.designator: d for d in _catalog(shape, QQ)[0]}
         for d in out:
             if d.family in ("gamma", "D", "E", "Dk", "Ek"):
                 d.qlift = rational[d.designator]
-    return (out, notes) if with_notes else out
+    return tuple(out), tuple(notes)
+
+
+def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
+    """Every catalog derivation constructible over fld.
+
+    Field-obstructed families (delta over fields without sqrt(-1)) are
+    skipped; pass with_notes=True to also receive the obstruction messages.
+    Rigid shapes give an empty catalog.
+
+    The catalog is built once per (shape, field) and kept for the process,
+    for the CATALOG_CACHE_SIZE most recently used pairs.  The lists returned
+    are fresh, but the derivations in them are shared by every caller, with
+    their divided-power series: do not mutate them.
+    """
+    derivations, notes = _catalog(shape, fld)
+    return (list(derivations), list(notes)) if with_notes else list(derivations)
 
 
 def catalog_index(shape: TrinomialShape, fld) -> dict:
-    """The catalog keyed by designator.  Build it once per computation: a
-    derivation caches its divided-power series, so reusing it across flow
-    steps reuses them."""
+    """The catalog keyed by designator, over the shared lnd_catalog
+    derivations (and so their divided-power series)."""
     index = {}
     for d in lnd_catalog(shape, fld):
         index.setdefault(d.designator, d)

@@ -642,9 +642,9 @@ def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
         step, cur = _torus_step(shape, fld, src, dst, rows)
         if step:
             steps.append(step)
-        y_mon = fld.one
-        for i, a in zip(view.ys, view.a):
-            y_mon = fld.mul(y_mon, fld.pow(cur[i], a))
+        # the y-monomial: x's group monomial at cur with x set to 1
+        x_one = cur[:view.x] + (fld.one,) + cur[view.x + 1:]
+        y_mon = shape.monomial_value(fld, x_one, shape.group_of(view.x))
         catalog = catalog_index(shape, fld)
         for fam, idxs in (("D", view.zs), ("E", view.ss)):
             for pos, i in enumerate(idxs, start=1):

@@ -31,7 +31,7 @@ def var_set_from_names(shape: TrinomialShape, names) -> frozenset:
     index = shape.name_index
     out = set()
     for nm in names:
-        if nm not in index:
+        if not isinstance(nm, str) or nm not in index:
             raise KeyError(f"unknown variable {nm!r}")
         out.add(index[nm])
     return frozenset(out)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, strategies as st
 
-from trinomial_orbits import PrimeField, QQ, validate_shape
+from trinomial_orbits import PrimeField, QQ, derivations, validate_shape
 
 # the recurring cast of shapes
 SHAPE_A = [[1, 2], [3], [3]]        # x*y^2 + z^3 + s^3
@@ -11,6 +11,13 @@ SHAPE_D = [[1, 2, 2], [3], [3]]     # x*y1^2*y2^2 + z^3 + s^3
 SHAPE_E = [[], [1, 3, 3], [3, 3]]   # 1 + x*y1^3*y2^3 + z1^3*z2^3
 SHAPE_E_BASE = [[], [3, 3], [3, 3]]
 SHAPE_H2 = [[2, 2], [2, 2], [5]]
+
+
+@pytest.fixture(autouse=True)
+def fresh_catalog_cache():
+    """Start every test from an empty derivation catalog cache, so that no
+    test sees derivations, series or group laws another test left behind."""
+    derivations._catalog.cache_clear()
 
 
 @pytest.fixture

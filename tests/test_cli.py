@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from trinomial_orbits.cli import run_cli
 
 SHAPE_A_JSON = '{"groups": [[1,2],[3],[3]], "aliases": {"T0_1":"x","T0_2":"y","T1_1":"z","T2_1":"s"}}'
@@ -156,6 +158,20 @@ class TestStrata:
         )
         assert code == 0
         assert data["witness_point"] == ["3", "3", "3"]
+
+    def test_set_as_bare_list(self, capsys):
+        args = ("strata", "--shape", "[[1,1,2],[3],[3]]", "--field", "Fp:7")
+        code, listed = run_json(capsys, *args, "--set", '["T0_2","T0_3","T1_1","T2_1"]')
+        assert code == 0
+        _, wrapped = run_json(
+            capsys, *args, "--set", '{"vars": ["T0_2","T0_3","T1_1","T2_1"]}'
+        )
+        assert listed == wrapped
+
+    @pytest.mark.parametrize("bad", ['"T0_1"', "{bad", "3", '{"vars": 5}', "[[1]]"])
+    def test_bad_set_is_a_usage_error(self, capsys, bad):
+        code, data = run_json(capsys, "strata", "--shape", "[[1,2],[3],[3]]", "--set", bad)
+        assert code == 1 and data["error"] == "usage"
 
 
 class TestOrbits:

@@ -14,11 +14,15 @@ from trinomial_orbits import (
     RootUnavailable,
     catalog_derivation,
     delta_obstruction,
+    derivations,
     eta_grading,
     homogeneous_split,
     lnd_catalog,
     validate_shape,
 )
+from trinomial_orbits.cli import run_cli
+from trinomial_orbits.derivations import catalog_index
+from trinomial_orbits.orbits import BigO, FlowStep, OMeps, classify_point, transport
 from trinomial_orbits.oracle import enumerate_points, random_points
 
 from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2
@@ -207,7 +211,10 @@ class TestFlowGroupLaw:
         assert all(d.flow_group_law() for d in lnd_catalog(shape, PrimeField(p)))
 
     def test_truncated_series_breaks_the_law(self, shape_a, f7):
-        d = catalog_derivation(shape_a, f7, "D:1")
+        # a private copy of D:1: the catalog's derivations are shared
+        D1 = catalog_derivation(shape_a, f7, "D:1")
+        d = Derivation(shape_a, f7, dict(D1.images), family="D", params=(1,))
+        d.qlift = D1.qlift
         series = d.divided_power_series(0)  # x + 3u z^2 - 3u^2 z y^2 + u^3 y^4
         assert len(series) == 4
         d._series[0] = series[:-1]
@@ -312,3 +319,111 @@ class TestDeltaFlows:
             from trinomial_orbits.derivations import _build_delta
 
             _build_delta(shape_h2, QQ)
+
+
+class TestCatalogCache:
+    """lnd_catalog builds each (shape, field) catalog once and shares it."""
+
+    @staticmethod
+    def _same_orbit_pairs(shape, fld, pts, rng, count):
+        buckets = {}
+        for pt in pts:
+            desc = classify_point(shape, fld, pt)
+            if isinstance(desc, (BigO, OMeps)):
+                buckets.setdefault(desc, []).append(pt)
+        sources = sorted(pt for bucket in buckets.values() for pt in bucket)
+        for _ in range(count):
+            src = rng.choice(sources)
+            yield src, rng.choice(buckets[classify_point(shape, fld, src)])
+
+    @staticmethod
+    def _rational_points_a(rng, count):
+        nonzero = [i for i in range(-5, 6) if i]
+        for _ in range(count):
+            y = F(rng.choice([1, 2, -1, 3]))
+            z, s = F(rng.choice(nonzero)), F(rng.choice(nonzero))
+            yield (-(z**3 + s**3) / y**2, y, z, s)
+
+    @pytest.mark.parametrize("raw,p", [(SHAPE_D, 13), (SHAPE_A, None)])
+    def test_transports_build_each_catalog_once(self, monkeypatch, raw, p):
+        shape = validate_shape(raw)
+        fld = PrimeField(p) if p else QQ
+        rng = random.Random(6)
+        if p:
+            pts = random_points(shape, fld, 60, rng)
+        else:
+            pts = list(self._rational_points_a(rng, 60))
+        builds = []
+        real = derivations._build_f1_DE
+        monkeypatch.setattr(
+            derivations, "_build_f1_DE",
+            lambda shape, fld, view: builds.append(fld) or real(shape, fld, view),
+        )
+        flows = 0
+        for src, dst in self._same_orbit_pairs(shape, fld, pts, rng, 50):
+            word = transport(shape, fld, src, dst)
+            assert word.apply(shape, fld, src) == dst
+            flows += sum(1 for s in word.steps if isinstance(s, FlowStep))
+        assert flows >= 50
+        assert len(builds) == len({fld, QQ}) and set(builds) == {fld, QQ}
+
+    @pytest.mark.parametrize("raw", [SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E])
+    def test_fp_twins_are_the_cached_q_derivations(self, raw):
+        shape = validate_shape(raw)
+        rational = lnd_catalog(shape, QQ)
+        twins = [
+            [d.qlift for d in lnd_catalog(shape, PrimeField(p))] for p in (7, 13)
+        ]
+        assert twins[0] and all(t is not None for t in twins[0])
+        for per_prime in twins:
+            assert len(per_prime) == len(rational)
+            assert all(t is q for t, q in zip(per_prime, rational))
+
+    def test_cache_stays_bounded(self):
+        for k in range(2, 4 + derivations.CATALOG_CACHE_SIZE):
+            shape = validate_shape([[1, k], [3], [3]])
+            for fld in (QQ, PrimeField(101)):
+                lnd_catalog(shape, fld)
+                info = derivations._catalog.cache_info()
+                assert info.currsize <= derivations.CATALOG_CACHE_SIZE
+        assert info.currsize == derivations.CATALOG_CACHE_SIZE
+
+    def test_returned_containers_are_fresh(self, shape_a, f7):
+        first, notes = lnd_catalog(shape_a, f7, with_notes=True)
+        designators = [d.designator for d in first]
+        first.append("junk")
+        notes.append("junk")
+        again, notes_again = lnd_catalog(shape_a, f7, with_notes=True)
+        assert [d.designator for d in again] == designators
+        assert "junk" not in notes_again
+        index = catalog_index(shape_a, f7)
+        index.pop("D:1")
+        assert "D:1" in catalog_index(shape_a, f7)
+
+    def test_outputs_same_with_cold_and_warm_cache(self, capsys):
+        plain = "[[1,2,2],[3],[3]]"
+        aliased = '{"groups": [[1,2,2],[3],[3]], "aliases": {"T0_1": "x", "T1_1": "z"}}'
+        commands = [
+            ("verify", "all", "--field", "Fp:7", "--trials", "40", "--seed", "3"),
+            ("orbits", "transport", "--field", "Fp:13",
+             "--from", "[11,1,1,1,1]", "--to", "[8,1,2,4,5]"),
+            ("orbits", "transport", "--field", "Q",
+             "--from", "[-2,1,1,1,1]", "--to", "[-9,1,1,2,1]"),
+            ("lnd", "list", "--field", "Fp:13"),
+            ("lnd", "check", "--field", "Fp:7"),
+        ]
+
+        def outputs(shape):
+            out = []
+            for cmd in commands:
+                code = run_cli([*cmd[:2], "--shape", shape, *cmd[2:], "--json"])
+                out.append((code, capsys.readouterr().out))
+            return out
+
+        cold = outputs(plain)
+        derivations._catalog.cache_clear()
+        cold_aliased = outputs(aliased)
+        assert outputs(plain) == cold  # warm, from the aliased shape's entries
+        assert outputs(aliased) == cold_aliased
+        assert all(code == 0 for code, _ in cold)
+        assert '"maps_src_to_dst": true' in cold[1][1]
