@@ -1,13 +1,14 @@
 """Locally nilpotent derivations: catalog, verification, flows, gradings.
 
 A derivation is stored by its images on the coordinate variables and
-extended by the Leibniz rule.  The catalog builds the known families:
+extended by the Leibniz rule.  The catalog builds the known families; the
+first three are elementary derivations a -> dF/db, b -> -dF/da of the
+equation F, for an exponent-1 variable and a variable of another group:
 
-* gamma:i,j   - one group has an exponent-1 variable w; the derivation
-                moves w against a partial of another group's monomial.
-* D:i / E:j   - unique-power-one family: x moves by a z- (s-) partial,
-                z_i (s_j) moves by minus the y-monomial.
-* Dk:i,j / Ek:i,j - same with several power-one variables x_1..x_k.
+* gamma:i,j   - on (T<i>_<j>, w), w the first exponent-1 variable; on
+                power-one shapes it is minus a D/E (Dk:1/Ek:1) derivation.
+* D:i / E:j   - unique-power-one family: on (x, z_i) / (x, s_j).
+* Dk:i,j / Ek:i,j - on (x_i, z_j) / (x_i, s_j), for x_1..x_k of exponent 1.
 * delta+:i / delta-:i - two all-even groups led by exponent 2.  Under the
                 all-plus sign convention these need a square root of -1 in
                 the coefficient field (RootUnavailable otherwise); the two
@@ -117,7 +118,7 @@ class Derivation:
             moving |= set(self.qlift.images)
         return sorted(moving)
 
-    def divided_power_series(self, v: int, cap: int = NILPOTENCY_CAP):
+    def divided_power_series(self, v: int):
         """[P_0, P_1, ...] with P_k = delta^k(v)/k!, P_k = 0 beyond the list.
 
         Computed over Q through the rational twin when available (exact in
@@ -127,14 +128,14 @@ class Derivation:
         if v in self._series:
             return self._series[v]
         if self.qlift is not None:
-            q_series = self.qlift.divided_power_series(v, cap)
+            q_series = self.qlift.divided_power_series(v)
             series = [_push_poly(p, self.ring) for p in q_series]
         else:
-            series = self._series_in_field(v, cap)
+            series = self._series_in_field(v)
         self._series[v] = series
         return series
 
-    def _series_in_field(self, v: int, cap: int):
+    def _series_in_field(self, v: int):
         fld = self.field
         g = self.shape.equation(fld)
         out = [self.ring.var(v)]
@@ -143,8 +144,10 @@ class Derivation:
             nxt = self.derive(out[-1]).reduce_mod(g)
             if nxt.is_zero():
                 return out
-            if k > cap:
-                raise Diverged(f"flow series on {self.ring.names[v]} exceeds cap {cap}")
+            if k > NILPOTENCY_CAP:
+                raise Diverged(
+                    f"flow series on {self.ring.names[v]} exceeds cap {NILPOTENCY_CAP}"
+                )
             kk = fld.from_int(k)
             if fld.is_zero(kk):
                 raise CharacteristicTooSmall(
@@ -153,18 +156,18 @@ class Derivation:
             out.append(nxt.scale(fld.inv(kk)))
             k += 1
 
-    def flow_polynomial(self, v: int, u, cap: int = NILPOTENCY_CAP) -> Polynomial:
+    def flow_polynomial(self, v: int, u) -> Polynomial:
         """The image of variable v under exp(u * derivation), as a polynomial:
         sum over k of u^k * delta^k(v)/k!."""
         fld = self.field
         out = self.ring.zero
         upow = fld.one
-        for P in self.divided_power_series(v, cap):
+        for P in self.divided_power_series(v):
             out = out + P.scale(upow)
             upow = fld.mul(upow, u)
         return out
 
-    def exp_flow(self, u, pt, cap: int = NILPOTENCY_CAP):
+    def exp_flow(self, u, pt):
         """Image of a variety point under exp(u * derivation).
 
         The result satisfies the equation exactly; if an in-field series
@@ -176,7 +179,7 @@ class Derivation:
             raise PointNotOnVariety("flow source does not satisfy the equation")
         out = list(pt)
         for v in self.moving_variables():
-            series = self.divided_power_series(v, cap)
+            series = self.divided_power_series(v)
             acc = fld.zero
             upow = fld.one
             for P in series:
@@ -252,36 +255,34 @@ def _push_poly(p: Polynomial, ring) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _build_gamma(shape, fld):
-    """All gamma derivations, or [] when no group has an exponent-1 variable.
+def _equation_partials(shape, fld):
+    """dF/dv for every variable v, in canonical order."""
+    equation = shape.equation(fld)
+    return [equation.partial(v) for v in range(shape.n)]
 
-    The first group (canonical order) containing an exponent-1 variable is
-    distinguished, its first such variable is w; for every variable v of the
-    other groups:  w -> -d(mon(v's group))/dv,  v -> d(mon(w's group))/dw.
-    """
-    ring = shape.ring(fld)
-    pivot = None
-    for g in range(3):
-        for j, l in enumerate(shape.groups[g]):
-            if l == 1:
-                pivot = (g, shape.var_index(g, j + 1))
-                break
-        if pivot:
-            break
-    if pivot is None:
+
+def _elementary(shape, fld, partials, a, b, family, params):
+    """The elementary derivation a -> dF/db, b -> -dF/da, for variables of
+    different groups, one of exponent 1 (which makes it locally nilpotent;
+    it kills F by construction).  partials holds every dF/dv."""
+    images = {a: partials[b], b: -partials[a]}
+    return Derivation(shape, fld, images, family=family, params=params)
+
+
+def _build_gamma(shape, fld, partials):
+    """All gamma derivations, or [] when no group has an exponent-1 variable:
+    the elementary derivation on (v, w) for the first exponent-1 variable w
+    and every variable v of the other groups."""
+    w = next((i for i, l in enumerate(shape.exponents) if l == 1), None)
+    if w is None:
         return []
-    gw, w = pivot
-    tail = ring.monomial(shape.monomial_exps(gw)).partial(w)
-    out = []
-    for g in range(3):
-        if g == gw or not shape.groups[g]:
-            continue
-        mon = ring.monomial(shape.monomial_exps(g))
-        for j in range(1, len(shape.groups[g]) + 1):
-            v = shape.var_index(g, j)
-            images = {w: -mon.partial(v), v: tail}
-            out.append(Derivation(shape, fld, images, family="gamma", params=(g, j)))
-    return out
+    gw = shape.group_of(w)
+    return [
+        _elementary(shape, fld, partials, v, w, "gamma", (g, j))
+        for g in range(3)
+        if g != gw
+        for j, v in enumerate(shape.group_indices(g), start=1)
+    ]
 
 
 def delta_pair_groups(shape: TrinomialShape):
@@ -313,7 +314,7 @@ def delta_obstruction(shape: TrinomialShape, fld):
     return None
 
 
-def _build_delta(shape, fld):
+def _build_delta(shape, fld, partials=None):
     """Both sign variants of the quadratic-pair derivations, for each
     variable of the remaining group.
 
@@ -334,6 +335,7 @@ def _build_delta(shape, fld):
     if obstruction is not None:
         raise RootUnavailable(obstruction)
     g0, g1, g2 = pair
+    partials = partials or _equation_partials(shape, fld)
     ring = shape.ring(fld)
     j = fld.sqrt_minus_one()
 
@@ -348,11 +350,9 @@ def _build_delta(shape, fld):
 
     A, F0 = leader_and_tail(g0)
     B, F1 = leader_and_tail(g1)
-    P2 = ring.monomial(shape.monomial_exps(g2))
     out = []
-    for i in range(1, len(shape.groups[g2]) + 1):
-        v = shape.var_index(g2, i)
-        dP2 = P2.partial(v)
+    for i, v in enumerate(shape.group_indices(g2), start=1):
+        dP2 = partials[v]
         for sign, fam in ((j, "delta+"), (fld.neg(j), "delta-")):
             images = {
                 A: dP2 * F1,
@@ -365,46 +365,16 @@ def _build_delta(shape, fld):
     return out
 
 
-def _build_f1_DE(shape, fld, view):
-    ring = shape.ring(fld)
-    y_exps = [0] * shape.n
-    for idx, a in zip(view.ys, view.a):
-        y_exps[idx] = a
-    Y = ring.monomial(tuple(y_exps))
-    out = []
-    for fam, idxs in (("D", view.zs), ("E", view.ss)):
-        mon_exps = [0] * shape.n
-        for i in idxs:
-            mon_exps[i] = shape.exponents[i]
-        mon = ring.monomial(tuple(mon_exps))
-        for pos, v in enumerate(idxs, start=1):
-            images = {view.x: mon.partial(v), v: -Y}
-            out.append(Derivation(shape, fld, images, family=fam, params=(pos,)))
-    return out
-
-
-def _build_f2_DE(shape, fld, view):
-    ring = shape.ring(fld)
-    out = []
-    xy_exps = [0] * shape.n
-    for i in view.xs:
-        xy_exps[i] = 1
-    for idx, a in zip(view.ys, view.a):
-        xy_exps[idx] = a
-    XY = ring.monomial(tuple(xy_exps))
-    for fam, idxs in (("Dk", view.zs), ("Ek", view.ss)):
-        mon_exps = [0] * shape.n
-        for i in idxs:
-            mon_exps[i] = shape.exponents[i]
-        mon = ring.monomial(tuple(mon_exps))
-        for xi, x in enumerate(view.xs, start=1):
-            cofactor = XY.partial(x)
-            for pos, v in enumerate(idxs, start=1):
-                images = {x: mon.partial(v), v: -cofactor}
-                out.append(
-                    Derivation(shape, fld, images, family=fam, params=(xi, pos))
-                )
-    return out
+def _build_power_one(shape, fld, partials, view):
+    """D:j / E:j (one x) or Dk:i,j / Ek:i,j (x_1..x_k): the elementary
+    derivation on (x_i, z_j) or (x_i, s_j) for each exponent-1 variable."""
+    one = view.k == 1
+    return [
+        _elementary(shape, fld, partials, x, v, fam, (j,) if one else (i, j))
+        for fam, idxs in zip(("D", "E") if one else ("Dk", "Ek"), (view.zs, view.ss))
+        for i, x in enumerate(view.xs, start=1)
+        for j, v in enumerate(idxs, start=1)
+    ]
 
 
 CATALOG_CACHE_SIZE = 8
@@ -419,23 +389,22 @@ def _catalog(shape: TrinomialShape, fld):
     so their divided-power series are computed once for every prime.
     """
     shape.require_nondegenerate()
-    out = []
+    partials = _equation_partials(shape, fld)
+    out = _build_gamma(shape, fld, partials)
     notes = []
-    out.extend(_build_gamma(shape, fld))
     obstruction = delta_obstruction(shape, fld)
     if obstruction is not None:
         notes.append(obstruction)
     elif delta_pair_groups(shape) is not None:
-        out.extend(_build_delta(shape, fld))
+        out.extend(_build_delta(shape, fld, partials))
         notes.append(
             "delta derivations use the all-plus sign normalization with "
             f"j = {fld.fmt(fld.sqrt_minus_one())}, j^2 = -1"
         )
     tag = family_of(shape)
-    if tag.kind == "F1":
-        out.extend(_build_f1_DE(shape, fld, tag.f1))
-    elif tag.kind == "F2":
-        out.extend(_build_f2_DE(shape, fld, tag.f2))
+    view = tag.f1 or tag.f2
+    if view is not None:
+        out.extend(_build_power_one(shape, fld, partials, view))
     if fld != QQ:
         rational = {d.designator: d for d in _catalog(shape, QQ)[0]}
         for d in out:

@@ -30,16 +30,26 @@ from .shapes import (
 
 
 @dataclass(frozen=True)
-class F1View:
-    """Variable indices and exponents in x/y/z/s coordinates."""
+class PowerOneView:
+    """Variable indices and exponents in x/y/z/s coordinates; xs are the k
+    exponent-1 variables, all in the group of the ys."""
 
-    x: int
+    xs: tuple
     ys: tuple
     a: tuple
     zs: tuple
     b: tuple
     ss: tuple
     c: tuple
+
+    @property
+    def x(self):
+        (x,) = self.xs  # F1 only
+        return x
+
+    @property
+    def k(self):
+        return len(self.xs)
 
     @property
     def m(self):
@@ -59,31 +69,11 @@ class F1View:
 
 
 @dataclass(frozen=True)
-class F2View:
-    xs: tuple
-    ys: tuple
-    a: tuple
-    zs: tuple
-    b: tuple
-    ss: tuple
-    c: tuple
-
-    @property
-    def k(self):
-        return len(self.xs)
-
-    m = F1View.m
-    p = F1View.p
-    q = F1View.q
-    d = F1View.d
-
-
-@dataclass(frozen=True)
 class FamilyTag:
     kind: str  # "flexible_h" | "F1" | "F2" | "rigid" | "other"
     h_type: str = None
-    f1: F1View = None
-    f2: F2View = None
+    f1: PowerOneView = None
+    f2: PowerOneView = None
 
     def to_json(self):
         out = {"kind": self.kind}
@@ -134,26 +124,18 @@ def family_of(shape: TrinomialShape) -> FamilyTag:
     assert verdict.tag == NONRIGID_OTHER
     ones = [i for i, l in enumerate(shape.exponents) if l == 1]
     groups_of_ones = {shape.group_of(i) for i in ones}
-    if len(ones) == 1:
-        x = ones[0]
-        gx = shape.group_of(x)
-        ys = tuple(i for i in shape.group_indices(gx) if i != x)
-        a = tuple(shape.exponents[i] for i in ys)
-        zs, b, ss, c = _split_view(shape, gx)
-        return FamilyTag("F1", f1=F1View(x, ys, a, zs, b, ss, c))
-    if len(ones) > 1 and len(groups_of_ones) == 1:
+    if len(groups_of_ones) == 1:
         gx = groups_of_ones.pop()
-        xs = tuple(ones)
         ys = tuple(i for i in shape.group_indices(gx) if i not in ones)
-        a = tuple(shape.exponents[i] for i in ys)
         # an all-ones group would have matched the flexible table
-        assert ys, "k>1 with m=0 is the all-ones flexible row"
-        zs, b, ss, c = _split_view(shape, gx)
-        return FamilyTag("F2", f2=F2View(xs, ys, a, zs, b, ss, c))
+        assert ys, "m=0 is the all-ones flexible row"
+        a = tuple(shape.exponents[i] for i in ys)
+        view = PowerOneView(tuple(ones), ys, a, *_split_view(shape, gx))
+        return FamilyTag("F1", f1=view) if view.k == 1 else FamilyTag("F2", f2=view)
     return FamilyTag("other")
 
 
-def require_f1(shape: TrinomialShape) -> F1View:
+def require_f1(shape: TrinomialShape) -> PowerOneView:
     tag = family_of(shape)
     if tag.kind != "F1":
         raise UnsupportedFamily(f"family {tag.kind} where the power-one family is needed")

@@ -204,12 +204,12 @@ class PrimeField:
 
     def parse(self, s: str):
         s = s.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            return self.div(int(num) % self.modulus, int(den) % self.modulus)
         try:
+            if "/" in s:
+                num, den = s.split("/", 1)
+                return self.div(int(num) % self.modulus, int(den) % self.modulus)
             return int(s) % self.modulus
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not an element of F_{self.modulus}: {s!r}") from exc
 
     def elements(self):

@@ -537,9 +537,7 @@ def _pointwise_flows(delta, pts, point_set, sing, p):
     return off_variety, failures
 
 
-def verify_flow_regularity(
-    shape: TrinomialShape, fld, derivations, points=None
-) -> VerifyReport:
+def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyReport:
     """Flows preserve the regular locus, over every (derivation, u, point).
 
     The image of each point under each exp(u * delta), u in F_p, must sit
@@ -552,7 +550,7 @@ def verify_flow_regularity(
     pair; off_variety counts the images that left.
     """
     p = fld.modulus
-    pts = points if points is not None else enumerate_points(shape, fld)
+    pts = enumerate_points(shape, fld)
     sing = singular_set(shape, fld, pts)
     point_set = None
     runs = failures = off_variety = evaluations = 0

@@ -100,9 +100,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading_term(self):
         """(exps, coeff) maximal in graded-lex order."""
         exps = max(self.terms, key=_grlex_key)

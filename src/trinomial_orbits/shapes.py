@@ -29,11 +29,11 @@ class TrinomialShape:
 
     # -- structure -----------------------------------------------------------
 
-    @property
+    @cached_property
     def sizes(self):
         return tuple(len(g) for g in self.groups)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return sum(self.sizes)
 
@@ -41,14 +41,14 @@ class TrinomialShape:
     def is_free_term(self) -> bool:
         return len(self.groups[0]) == 0
 
-    @property
+    @cached_property
     def var_ids(self):
         """Canonical order: (group, 1-based index) pairs."""
         return tuple(
             (g, j + 1) for g in range(3) for j in range(len(self.groups[g]))
         )
 
-    @property
+    @cached_property
     def var_names(self):
         return tuple(f"T{g}_{j}" for g, j in self.var_ids)
 
@@ -70,7 +70,7 @@ class TrinomialShape:
         """Index in canonical order of T<g>_<j> (j is 1-based)."""
         if not (0 <= g <= 2 and 1 <= j <= len(self.groups[g])):
             raise ShapeError(f"no variable T{g}_{j} in this shape")
-        return sum(len(self.groups[h]) for h in range(g)) + (j - 1)
+        return self._group_ranges[g][j - 1]
 
     def group_of(self, idx: int) -> int:
         return self.var_ids[idx][0]
@@ -158,7 +158,11 @@ class TrinomialShape:
         if not isinstance(data, dict) or "groups" not in data:
             raise ShapeError("shape JSON must be an object with a 'groups' key")
         shape = validate_shape(data["groups"])
-        alias_map = data.get("aliases") or {}
+        alias_map = data.get("aliases", {})
+        if not isinstance(alias_map, dict) or not all(
+            isinstance(al, str) for al in alias_map.values()
+        ):
+            raise ShapeError("aliases must be an object of variable name -> string")
         if alias_map:
             names = shape.var_names
             unknown = set(alias_map) - set(names)
@@ -174,7 +178,7 @@ class TrinomialShape:
         return "[" + ", ".join(str(list(g)) for g in self.groups) + "]"
 
 
-def validate_shape(raw, aliases=None) -> TrinomialShape:
+def validate_shape(raw) -> TrinomialShape:
     """Validate three exponent lists into a shape.
 
     Group 0 may be empty (free term); groups 1 and 2 may not.  Degenerate
@@ -193,9 +197,7 @@ def validate_shape(raw, aliases=None) -> TrinomialShape:
         groups.append(tuple(grp))
     if not groups[1] or not groups[2]:
         raise EmptyGroup12("groups 1 and 2 must be nonempty")
-    if aliases is not None:
-        aliases = tuple(aliases)
-    return TrinomialShape(tuple(groups), aliases)
+    return TrinomialShape(tuple(groups))
 
 
 # ---------------------------------------------------------------------------

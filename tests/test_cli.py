@@ -314,3 +314,33 @@ class TestPointParsing:
             "--point", '{"nope": 1}',
         )
         assert code == 1
+
+    @pytest.mark.parametrize("bad", ["1/0", "7/7", "a/2"])
+    def test_bad_element_is_a_usage_error(self, capsys, bad):
+        code, data = run_json(
+            capsys, "orbits", "classify", "--shape", "[[1,2],[3],[3]]",
+            "--field", "Fp:7", "--point", json.dumps([bad, 0, 0, 0]),
+        )
+        assert code == 1 and data["error"] == "usage"
+
+    def test_bad_transport_endpoint_is_a_usage_error(self, capsys):
+        code, data = run_json(
+            capsys, "orbits", "transport", "--shape", "[[1,2],[3],[3]]",
+            "--field", "Fp:7", "--from", "[0,1,1,6]", "--to", '["1/0",1,1,6]',
+        )
+        assert code == 1 and data["error"] == "usage"
+
+    def test_bad_custom_coefficient_is_a_usage_error(self, capsys):
+        code, data = run_json(
+            capsys, "lnd", "check", "--shape", "[[1,2],[3],[3]]",
+            "--field", "Fp:7", "--custom", '{"T0_1": "1/7"}',
+        )
+        assert code == 1 and data["error"] == "usage"
+
+
+class TestShapeAliases:
+    @pytest.mark.parametrize("aliases", [7, {"T0_1": ["x"]}, {"T0_1": 5}, ["x"]])
+    def test_malformed_aliases_are_a_usage_error(self, capsys, aliases):
+        shape = json.dumps({"groups": [[1, 2], [3], [3]], "aliases": aliases})
+        code, data = run_json(capsys, "classify", "--shape", shape)
+        assert code == 1 and data["error"] == "usage"

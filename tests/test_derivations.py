@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from trinomial_orbits import (
     CharacteristicTooSmall,
@@ -16,8 +17,10 @@ from trinomial_orbits import (
     delta_obstruction,
     derivations,
     eta_grading,
+    family_of,
     homogeneous_split,
     lnd_catalog,
+    rigidity_classify,
     validate_shape,
 )
 from trinomial_orbits.cli import run_cli
@@ -25,7 +28,7 @@ from trinomial_orbits.derivations import catalog_index
 from trinomial_orbits.orbits import BigO, FlowStep, OMeps, classify_point, transport
 from trinomial_orbits.oracle import enumerate_points, random_points
 
-from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2
+from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, small_shapes
 
 CATALOG_SHAPES = [SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2]
 
@@ -59,6 +62,37 @@ class TestCatalog:
     def test_free_term_has_no_e_family(self, shape_e):
         designators = {d.designator for d in lnd_catalog(shape_e, QQ)}
         assert designators == {"gamma:2,1", "gamma:2,2", "D:1", "D:2"}
+
+    @pytest.mark.parametrize("raw", [SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, [[2], [3], [1, 2]]])
+    @pytest.mark.parametrize("fld", [QQ, PrimeField(5)])
+    def test_gamma_is_minus_its_power_one_partner(self, raw, fld):
+        shape = validate_shape(raw)
+        tag = family_of(shape)
+        view = tag.f1 or tag.f2
+        index = catalog_index(shape, fld)
+        gammas = [d for d in index.values() if d.family == "gamma"]
+        assert len(gammas) == view.p + view.q
+        for gamma in gammas:
+            v = shape.var_index(*gamma.params)
+            fam, idxs = ("D", view.zs) if v in view.zs else ("E", view.ss)
+            pos = idxs.index(v) + 1
+            partner = index[f"{fam}:{pos}" if view.k == 1 else f"{fam}k:1,{pos}"]
+            assert partner.images == {w: -img for w, img in gamma.images.items()}
+
+    @given(small_shapes())
+    @settings(max_examples=150, deadline=None)
+    def test_catalog_agrees_with_the_classification(self, shape):
+        verdict = rigidity_classify(shape).tag
+        kind = family_of(shape).kind
+        expected = {"rigid": {"rigid"}, "flexible": {"flexible_h"}}
+        assert kind in expected.get(verdict, {"F1", "F2", "other"})
+        assert (lnd_catalog(shape, PrimeField(13)) == []) == (verdict == "rigid")
+        for fld in (QQ, PrimeField(5), PrimeField(13)):
+            for d in lnd_catalog(shape, fld):
+                assert d.well_defined() == (True, True), (d, fld)
+        for d in lnd_catalog(shape, QQ):
+            for v in range(shape.n):
+                d.nilpotency_index(v)  # raises Diverged past NILPOTENCY_CAP
 
 
 class TestImagesShapeA:
@@ -354,10 +388,11 @@ class TestCatalogCache:
         else:
             pts = list(self._rational_points_a(rng, 60))
         builds = []
-        real = derivations._build_f1_DE
+        real = derivations._build_power_one
         monkeypatch.setattr(
-            derivations, "_build_f1_DE",
-            lambda shape, fld, view: builds.append(fld) or real(shape, fld, view),
+            derivations, "_build_power_one",
+            lambda shape, fld, partials, view: builds.append(fld)
+            or real(shape, fld, partials, view),
         )
         flows = 0
         for src, dst in self._same_orbit_pairs(shape, fld, pts, rng, 50):

@@ -121,6 +121,14 @@ class TestConstruction:
         assert fld.parse("1/2") == 4  # 2*4 = 8 = 1
         assert QQ.parse("-3/6") == Fraction(-1, 2)
 
+    @pytest.mark.parametrize("bad", ["1/0", "7/7", "a/2", "2/b", "x"])
+    def test_bad_elements_raise_field_error(self, bad):
+        with pytest.raises(FieldError):
+            PrimeField(7).parse(bad)
+        if bad != "7/7":
+            with pytest.raises(FieldError):
+                QQ.parse(bad)
+
     def test_integer_kth_root(self):
         assert integer_kth_root(27, 3) == 3
         assert integer_kth_root(28, 3) is None

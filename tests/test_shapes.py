@@ -6,6 +6,7 @@ from trinomial_orbits import (
     DegenerateShape,
     EmptyGroup12,
     NonPositiveExponent,
+    ShapeError,
     TrinomialShape,
     factoriality,
     rigidity_classify,
@@ -82,6 +83,12 @@ class TestValidation:
             flat = [i for g in range(3) for i in sh.group_indices(g)]
             assert flat == list(range(sh.n))
             assert [sh.group_of(i) for i in flat] == [g for g, _ in sh.var_ids]
+            assert [sh.var_index(g, j) for g, j in sh.var_ids] == list(range(sh.n))
+
+    @pytest.mark.parametrize("aliases", [7, None, ["x"], {"T0_1": ["x"]}, {"T0_1": 5}])
+    def test_aliases_must_be_an_object_of_strings(self, aliases):
+        with pytest.raises(ShapeError):
+            TrinomialShape.from_json({"groups": SHAPE_A, "aliases": aliases})
 
 
 class TestEquation:
