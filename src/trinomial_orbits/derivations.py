@@ -314,7 +314,7 @@ def delta_obstruction(shape: TrinomialShape, fld):
     return None
 
 
-def _build_delta(shape, fld, partials=None):
+def _build_delta(shape, fld):
     """Both sign variants of the quadratic-pair derivations, for each
     variable of the remaining group.
 
@@ -335,7 +335,7 @@ def _build_delta(shape, fld, partials=None):
     if obstruction is not None:
         raise RootUnavailable(obstruction)
     g0, g1, g2 = pair
-    partials = partials or _equation_partials(shape, fld)
+    equation = shape.equation(fld)
     ring = shape.ring(fld)
     j = fld.sqrt_minus_one()
 
@@ -352,7 +352,7 @@ def _build_delta(shape, fld, partials=None):
     B, F1 = leader_and_tail(g1)
     out = []
     for i, v in enumerate(shape.group_indices(g2), start=1):
-        dP2 = partials[v]
+        dP2 = equation.partial(v)
         for sign, fam in ((j, "delta+"), (fld.neg(j), "delta-")):
             images = {
                 A: dP2 * F1,
@@ -396,7 +396,7 @@ def _catalog(shape: TrinomialShape, fld):
     if obstruction is not None:
         notes.append(obstruction)
     elif delta_pair_groups(shape) is not None:
-        out.extend(_build_delta(shape, fld, partials))
+        out.extend(_build_delta(shape, fld))
         notes.append(
             "delta derivations use the all-plus sign normalization with "
             f"j = {fld.fmt(fld.sqrt_minus_one())}, j^2 = -1"

@@ -158,7 +158,7 @@ class TrinomialShape:
         if not isinstance(data, dict) or "groups" not in data:
             raise ShapeError("shape JSON must be an object with a 'groups' key")
         shape = validate_shape(data["groups"])
-        alias_map = data.get("aliases", {})
+        alias_map = data.get("aliases") or {}
         if not isinstance(alias_map, dict) or not all(
             isinstance(al, str) for al in alias_map.values()
         ):

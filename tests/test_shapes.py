@@ -85,10 +85,15 @@ class TestValidation:
             assert [sh.group_of(i) for i in flat] == [g for g, _ in sh.var_ids]
             assert [sh.var_index(g, j) for g, j in sh.var_ids] == list(range(sh.n))
 
-    @pytest.mark.parametrize("aliases", [7, None, ["x"], {"T0_1": ["x"]}, {"T0_1": 5}])
+    @pytest.mark.parametrize("aliases", [7, ["x"], {"T0_1": ["x"]}, {"T0_1": 5}])
     def test_aliases_must_be_an_object_of_strings(self, aliases):
         with pytest.raises(ShapeError):
             TrinomialShape.from_json({"groups": SHAPE_A, "aliases": aliases})
+
+    @pytest.mark.parametrize("aliases", [None, [], "", {}])
+    def test_empty_aliases_mean_none(self, aliases):
+        shape = TrinomialShape.from_json({"groups": SHAPE_A, "aliases": aliases})
+        assert shape == validate_shape(SHAPE_A) and shape.aliases is None
 
 
 class TestEquation:
