@@ -134,12 +134,32 @@ def random_points(shape: TrinomialShape, fld, count: int, rng) -> list:
     return out
 
 
+def _zero_mask(pt) -> int:
+    """The zero pattern of a point: bit i is set when coordinate i is 0."""
+    mask = 0
+    for i, x in enumerate(pt):
+        if not x:
+            mask |= 1 << i
+    return mask
+
+
 def singular_set(shape: TrinomialShape, fld, pts) -> set:
-    """The singular points among pts, by vanishing of all partials."""
+    """The singular points among pts, by vanishing of all partials.
+
+    Each partial of a trinomial is a single monomial (or 0), so whether it
+    vanishes at a point depends only on which coordinates are 0: the
+    Jacobian is evaluated once per zero mask, and the verdict holds for
+    every point with that mask.
+    """
     partials = strata._jacobian(shape, fld)
+    singular = {}
     out = set()
     for pt in pts:
-        if all(fld.is_zero(pp.eval(pt)) for pp in partials):
+        mask = _zero_mask(pt)
+        verdict = singular.get(mask)
+        if verdict is None:
+            verdict = singular[mask] = all(fld.is_zero(pp.eval(pt)) for pp in partials)
+        if verdict:
             out.add(pt)
     return out
 
@@ -215,7 +235,7 @@ def _desc_key(shape, fld, desc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# census: every point enumerated and classified once per (shape, field)
+# census: every point enumerated once, one point classified per residue key
 # ---------------------------------------------------------------------------
 
 
@@ -235,23 +255,72 @@ class Census:
     errors: int
 
 
+def _residue_key(shape: TrinomialShape, fld):
+    """The census key of a residue point, as a function.
+
+    The key is the point's zero mask.  For a power-one view it also carries
+    the root ratio r = prod z^(b/d) / prod s^(c/d) when some y vanishes and
+    no z or s does: there, and only there, the descriptor (OMeps, DDOMeps)
+    needs more than the mask.  r is packed above the mask bits (r >= 1).
+    """
+    tag = family_of(shape)
+    view = tag.f1 or tag.f2
+    if view is None:
+        return _zero_mask
+    p, d, n = fld.modulus, view.d, shape.n
+    y_bits = sum(1 << i for i in view.ys)
+    zs_bits = sum(1 << i for i in view.zs + view.ss)
+    num = [(i, b // d) for i, b in zip(view.zs, view.b)]
+    den = [(i, c // d) for i, c in zip(view.ss, view.c)]
+
+    def key(pt):
+        mask = _zero_mask(pt)
+        if not mask & y_bits or mask & zs_bits:
+            return mask
+        r = s = 1
+        for i, e in num:
+            r = r * pow(pt[i], e, p) % p
+        for i, e in den:
+            s = s * pow(pt[i], e, p) % p
+        return mask | (r * pow(s, p - 2, p) % p) << n
+
+    return key
+
+
 def build_census(
     shape: TrinomialShape, fld, assume_conjecture: bool = False
 ) -> Census:
-    """Enumerate the F_p-points once and classify each of them once."""
+    """Enumerate the F_p-points once and classify one point per residue key.
+
+    A descriptor is a function of the key (see _residue_key).  The
+    power-one descriptors read only which x, y, z and s coordinates vanish,
+    plus r on the component strata; torus strata read the zero set; and
+    the singular locus is a function of the zero set, because each partial
+    of a trinomial is a single monomial.  A refusal is one too: it comes
+    from the family (ConjectureNotAssumed) or the singular locus
+    (UnsupportedFamily).  So one representative per key goes through
+    classify_point, and its descriptor or refusal counts for every point
+    with that key.
+    """
     pts = enumerate_points(shape, fld)
+    key = _residue_key(shape, fld)
+    members = {}
+    for pt in pts:
+        members.setdefault(key(pt), []).append(pt)
     counts = {}
     buckets = {}
     errors = 0
-    for pt in pts:
+    for same in members.values():
         try:
-            desc = orbits.classify_point(shape, fld, pt, assume_conjecture)
+            desc = orbits.classify_point(shape, fld, same[0], assume_conjecture)
         except MathDomainError:
-            errors += 1
+            errors += len(same)
             continue
-        counts[desc] = counts.get(desc, 0) + 1
+        counts[desc] = counts.get(desc, 0) + len(same)
         if isinstance(desc, (orbits.BigO, orbits.OMeps)):
-            buckets.setdefault(desc, []).append(pt)
+            buckets.setdefault(desc, []).extend(same)
+    for bucket in buckets.values():
+        bucket.sort()  # merged keys' runs back into enumeration order
     return Census(pts, counts, buckets, errors)
 
 
@@ -679,8 +748,8 @@ def verify_all(
 ) -> VerifyReport:
     """Partition + census + invariance + transport + harness self-test.
 
-    One census serves every check: the points are enumerated once and each
-    is classified once.  Invariance samples from the census points,
+    One census serves every check: the points are enumerated once and one
+    point per residue key is classified.  Invariance samples from the census points,
     transport draws its pairs from the census buckets, and the planted
     self-test relabels the census counts.  Each check equals the one the
     standalone verify_* function reports.  A skipped check does not count

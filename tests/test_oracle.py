@@ -12,6 +12,7 @@ from trinomial_orbits import (
     Derivation,
     DifferentOrbits,
     DlogUnsolvable,
+    MathDomainError,
     PrimeField,
     RootUnavailable,
     TooLarge,
@@ -23,7 +24,7 @@ from trinomial_orbits import (
     verify_partition,
     verify_transport,
 )
-from trinomial_orbits import oracle, orbits
+from trinomial_orbits import oracle, orbits, strata
 from trinomial_orbits.oracle import build_census, random_points, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
 from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, small_shapes
@@ -378,6 +379,13 @@ class TestCensus:
         calls = {"enumerate": 0, "classify": 0}
         real_enumerate = oracle.enumerate_points
         real_classify = orbits.classify_point
+        trials, fld = 100, PrimeField(13)
+        # a point's residue key is its zero pattern, plus r on the component
+        # strata: the distinct (zero pattern, descriptor) pairs
+        keys = len({
+            (tuple(x == 0 for x in pt), real_classify(shape_a, fld, pt))
+            for pt in real_enumerate(shape_a, fld)
+        })
 
         def counted_enumerate(*args, **kwargs):
             calls["enumerate"] += 1
@@ -389,16 +397,17 @@ class TestCensus:
 
         monkeypatch.setattr(oracle, "enumerate_points", counted_enumerate)
         monkeypatch.setattr(orbits, "classify_point", counted_classify)
-        trials, fld = 100, PrimeField(13)
+        build_census(shape_a, fld)
+        assert calls["classify"] == keys
+        calls.update(enumerate=0, classify=0)
         report = verify_all(shape_a, fld, trials=trials, seed=2)
         assert report.failures == 0
         assert check(report, "selftest_planted_merge_caught").passed
         assert calls["enumerate"] == 1
-        points = check(report, "partition").details["points"]
         pairs = check(report, "transport_roundtrip").details["pairs"]
         negatives = check(report, "transport_negative").details["expected"]
-        # once per point, two per flow and per torus trial, two per transport
-        assert calls["classify"] <= points + 4 * trials + 2 * (pairs + negatives)
+        # once per key, two per flow and per torus trial, two per transport
+        assert calls["classify"] <= keys + 4 * trials + 2 * (pairs + negatives)
 
     @pytest.mark.parametrize("groups,p", [(SHAPE_A, 7), (SHAPE_D, 13), (SHAPE_E, 7)])
     @pytest.mark.parametrize("seed", [3, 8])
@@ -429,6 +438,61 @@ class TestCensus:
             counts[key] = counts.get(key, 0) + 1
         report = partition_selftest(shape, fld)
         assert check(report, "partition").details["counts"] == dict(sorted(counts.items()))
+
+
+def pointwise_census(shape, fld, assume_conjecture):
+    """The census by classifying every point: counts, buckets, errors."""
+    counts, buckets, errors = {}, {}, 0
+    for pt in enumerate_points(shape, fld):
+        try:
+            desc = orbits.classify_point(shape, fld, pt, assume_conjecture)
+        except MathDomainError:
+            errors += 1
+            continue
+        counts[desc] = counts.get(desc, 0) + 1
+        if isinstance(desc, (orbits.BigO, orbits.OMeps)):
+            buckets.setdefault(desc, []).append(pt)
+    return counts, buckets, errors
+
+
+class TestResidueKey:
+    """build_census classifies one point per residue key, singular_set
+    decides one point per zero mask; both must equal the pointwise scans."""
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7]), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_census_equals_pointwise(self, shape, p, assume_conjecture):
+        assume(oracle.point_count(shape, p) <= 3000)
+        fld = PrimeField(p)
+        census = build_census(shape, fld, assume_conjecture)
+        counts, buckets, errors = pointwise_census(shape, fld, assume_conjecture)
+        assert list(census.counts.items()) == list(counts.items())
+        assert list(census.buckets.items()) == list(buckets.items())
+        assert census.errors == errors
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7]))
+    @settings(max_examples=80, deadline=None)
+    def test_singular_set_equals_jacobian_scan(self, shape, p):
+        assume(oracle.point_count(shape, p) <= 3000)
+        fld = PrimeField(p)
+        pts = enumerate_points(shape, fld)
+        scanned = {pt for pt in pts if strata.is_singular(shape, fld, pt)}
+        assert oracle.singular_set(shape, fld, pts) == scanned
+
+    def test_root_ratio_splits_component_strata(self, shape_d):
+        # d = 3 and 13 = 1 (mod 3): r^3 = -1 has three roots, so each
+        # vanishing set M carries three OMeps labels, told apart only by r
+        fld = PrimeField(13)
+        census = build_census(shape_d, fld)
+        labels = {}
+        for desc in census.counts:
+            if isinstance(desc, orbits.OMeps):
+                labels.setdefault(desc.M, set()).add(desc.r)
+        assert sorted(map(sorted, labels)) == [[1], [1, 2], [2]]
+        assert all(len(rs) == 3 for rs in labels.values())
+        counts, buckets, errors = pointwise_census(shape_d, fld, False)
+        assert census.counts == counts and census.errors == errors == 0
+        assert list(census.buckets.items()) == list(buckets.items())
 
 
 class TestSkipped:
