@@ -301,6 +301,8 @@ def cmd_verify(args) -> int:
         )
     elif kind == "transport":
         report = oracle.verify_transport(shape, fld, pairs=args.trials, seed=args.seed)
+    elif kind == "flows":
+        report = oracle.verify_flow_regularity(shape, fld, lnd_catalog(shape, fld))
     else:
         report = oracle.verify_all(
             shape, fld, trials=args.trials, seed=args.seed,
@@ -369,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver_sub = ver.add_subparsers(dest="sub", required=True)
     for name in ("all", "partition", "invariance", "transport"):
         common(ver_sub.add_parser(name), trials=True)
+    common(ver_sub.add_parser("flows", help="flow regularity over the full catalog"))
 
     return ap
 

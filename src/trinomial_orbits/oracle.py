@@ -17,6 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import product
+from operator import mul
 
 from . import orbits, strata
 from .derivations import lnd_catalog
@@ -530,44 +531,70 @@ def verify_invariance(
     return _report(shape, fld, seed, checks)
 
 
-def _flow_step(delta, u, p):
-    """exp(u * delta) on residue points: the flow polynomials at u, compiled
-    to (coefficient, [(variable, exponent)]) terms over a power table."""
+def _flow_orbit(delta, p):
+    """The orbit map of delta on residue points: pt -> [exp(u * delta)(pt)
+    for u = 0 .. p-1], the flow_polynomial images at every u.
+
+    Each moving variable's divided powers P_0 .. P_K are compiled once to
+    (coefficient, [(variable, exponent)]) terms over one power table.  A
+    point evaluates each P_k once; image u then reads sum_k P_k(pt) * u^k
+    from a table of the u^k, so all p images cost one coefficient
+    evaluation.  Variables delta does not move keep their coordinate.
+    """
     compiled = []
-    max_exp = 1
+    max_exp = max_k = 1
     for v in delta.moving_variables():
-        terms = [
-            (c, [(i, e) for i, e in enumerate(exps) if e])
-            for exps, c in delta.flow_polynomial(v, u).terms.items()
+        series = [
+            [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms.items()]
+            for P in delta.divided_power_series(v)
         ]
-        compiled.append((v, terms))
-        max_exp = max([max_exp] + [e for _, fac in terms for _, e in fac])
+        compiled.append((v, series))
+        max_k = max(max_k, len(series))
+        max_exp = max(
+            [max_exp] + [e for terms in series for _, fac in terms for _, e in fac]
+        )
     pw = [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
+    # the column (u^k mod p, u = 0 .. p-1) packed into one integer, digit u
+    # at bit width * u: digit u of sum_k P_k(pt) * upw[k] is then
+    # sum_k P_k(pt) * u^k < max_k * p^2, with no carry into the next digit
+    width = (max_k * (p - 1) ** 2).bit_length()
+    upw = [sum(pow(u, k, p) << width * u for u in range(p)) for k in range(max_k)]
+    digit = (1 << width) - 1
+    shifts = range(0, width * p, width)
 
-    def step(pt):
-        img = list(pt)
-        for v, terms in compiled:
-            acc = 0
-            for c, fac in terms:
-                t = c
-                for i, e in fac:
-                    t = t * pw[pt[i]][e] % p
-                acc = (acc + t) % p
-            img[v] = acc
-        return tuple(img)
+    def orbit(pt):
+        rows = [pw[x] for x in pt]
+        columns = [[x] * p for x in pt]
+        for v, series in compiled:
+            coeffs = []
+            for terms in series:
+                acc = 0
+                for c, fac in terms:
+                    for i, e in fac:
+                        c *= rows[i][e]
+                    acc += c
+                coeffs.append(acc % p)
+            packed = sum(map(mul, coeffs, upw))
+            columns[v] = [(packed >> s & digit) % p for s in shifts]
+        return list(zip(*columns))
 
-    return step
+    return orbit
 
 
-def _orbit_walk(step, pts, sing, p):
-    """(evaluations, failures) of a step map of order p on pts.
+def _orbit_walk(orbit, pts, sing, p):
+    """(evaluations, failures) of the cycles of exp(delta) on pts, read
+    from the orbit map of delta.
 
-    Each cycle is walked once, each point's image computed once.  On a cycle
-    of length L with k singular points, exp(u * delta) for u in F_p visits
-    every cycle point p/L times from each source, so the cycle contributes
+    orbit(start) lists exp(u * delta)(start) for u = 0 .. p-1.  Under the
+    group law these are the iterates exp(delta)^u(start), so the cycle
+    through start is read off one orbit list: one coefficient evaluation
+    per cycle.  evaluations counts the images read, one per walked point,
+    as a step map applied once per point would.  On a cycle of length L
+    with k singular points, exp(u * delta) for u in F_p visits every cycle
+    point p/L times from each source, so the cycle contributes
     (p/L) * 2k(L-k) singular/regular mismatches.  failures is None as soon
-    as an image leaves pts (or a cycle length does not divide p): the step
-    is then no permutation of order p there, and the caller runs pointwise.
+    as an image leaves pts or revisits a walked point (or the cycle length
+    does not divide p): the caller then runs pointwise.
     """
     remaining = set(pts)
     evaluations = failures = 0
@@ -575,33 +602,33 @@ def _orbit_walk(step, pts, sing, p):
         if start not in remaining:
             continue
         remaining.discard(start)
+        images = orbit(start)
         length, k = 1, start in sing
-        cur = step(start)
-        evaluations += 1
-        while cur != start:
+        for cur in images[1:] + images[:1]:  # u = 1 .. p; u = p is u = 0
+            evaluations += 1
+            if cur == start:
+                break
             if cur not in remaining:
                 return evaluations, None
             remaining.discard(cur)
             length += 1
             k += cur in sing
-            cur = step(cur)
-            evaluations += 1
-        if p % length:
+        if p % length:  # also a list never back at start: length p + 1
             return evaluations, None
         failures += p // length * 2 * k * (length - k)
     return evaluations, failures
 
 
-def _pointwise_flows(delta, pts, point_set, sing, p):
-    """(off_variety, failures) over every (u, point) pair, one image each."""
+def _pointwise_flows(orbit, pts, point_set, sing):
+    """(off_variety, failures) over every (u, point) pair, one image each:
+    one orbit-map call per point gives its p images."""
     off_variety = failures = 0
-    for u in range(p):
-        step = _flow_step(delta, u, p)
-        for pt in pts:
-            img = step(pt)
+    for pt in pts:
+        side = pt in sing
+        for img in orbit(pt):
             if img not in point_set:
                 off_variety += 1
-            elif (img in sing) != (pt in sing):
+            elif (img in sing) != side:
                 failures += 1
     return off_variety, failures
 
@@ -611,12 +638,15 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
 
     The image of each point under each exp(u * delta), u in F_p, must sit
     on the same side of the singular locus as the source; runs counts these
-    p * |points| pairs per derivation.  Where delta.flow_group_law() holds,
+    p * |points| pairs per derivation.  Each derivation's orbit map
+    (_flow_orbit) is compiled once.  Where delta.flow_group_law() holds,
     exp(u * delta) = exp(delta)^u on the points, so the pairs are counted
-    exactly from the cycles of the one step map exp(delta): one image per
-    point (flow_evaluations) instead of p.  A derivation whose law fails,
-    or whose step leaves the points, is checked pointwise, one image per
-    pair; off_variety counts the images that left.
+    exactly from the cycles of the step map exp(delta), each read off the
+    orbit list of its first point: one coefficient evaluation per cycle,
+    and one image per point counted in flow_evaluations instead of p.  A
+    derivation whose law fails, or whose flow leaves the points, is
+    checked pointwise: one orbit list per point, its p images counted in
+    flow_evaluations; off_variety counts the images that left.
     """
     p = fld.modulus
     pts = enumerate_points(shape, fld)
@@ -625,15 +655,16 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
     runs = failures = off_variety = evaluations = 0
     for delta in derivations:
         runs += p * len(pts)
+        orbit = _flow_orbit(delta, p)
         if delta.flow_group_law():
-            walked, walk_failures = _orbit_walk(_flow_step(delta, 1, p), pts, sing, p)
+            walked, walk_failures = _orbit_walk(orbit, pts, sing, p)
             evaluations += walked
             if walk_failures is not None:
                 failures += walk_failures
                 continue
         if point_set is None:
             point_set = set(pts)
-        off, fail = _pointwise_flows(delta, pts, point_set, sing, p)
+        off, fail = _pointwise_flows(orbit, pts, point_set, sing)
         off_variety += off
         failures += fail
         evaluations += p * len(pts)

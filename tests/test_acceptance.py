@@ -273,6 +273,14 @@ def test_criterion_8_quadratic_pair_substitute():
     result = next(c for c in report.checks if c.name == "flow_regularity")
     assert result.passed
     assert result.details["runs"] == result.details["points"] * 13 * 2
+    assert result.details == {
+        "runs": 742586,
+        "failures": 0,
+        "off_variety": 0,
+        "points": 28561,
+        "singular": 625,
+        "flow_evaluations": 57122,  # one image per walked point
+    }
     announce(
         8,
         "F_3 singular strata = torus strata, no links; delta obstruction "

@@ -286,6 +286,26 @@ class TestEnumerateVerify:
         skipped = {c["name"] for c in data["checks"] if c.get("status") == "skipped"}
         assert skipped == {"flow_invariance", "torus_invariance"}
 
+    def test_verify_flows_quadratic_pair(self, capsys):
+        args = ("verify", "flows", "--shape", "[[2],[2],[3]]", "--field", "Fp:13")
+        code, data = run_json(capsys, *args)
+        assert code == 0 and data["failures"] == 0
+        details = data["checks"][0]["details"]
+        assert details["runs"] == details["points"] * 13 * 2
+        code, text = run(capsys, *args)
+        assert code == 0 and "PASS flow_regularity" in text
+
+    def test_verify_flows_failure_exits_3(self, capsys):
+        code, data = run_json(
+            capsys, "verify", "flows", "--shape", "[[2,2],[2,2],[5]]", "--field", "Fp:5"
+        )
+        assert code == 3 and data["failures"] == 1
+        assert data["checks"][0]["details"]["off_variety"] == 2560
+
+    def test_verify_flows_over_q_is_a_domain_error(self, capsys):
+        code, data = run_json(capsys, "verify", "flows", "--shape", "[[2],[2],[3]]")
+        assert code == 2 and data["error"] == "too_large"
+
     def test_human_mode_matches_json_numbers(self, capsys):
         code, text = run(
             capsys, "verify", "partition", "--shape", "[[1,2],[3],[3]]",

@@ -283,13 +283,20 @@ class TestFlowRegularity:
                 cycle, order = order[:length], order[length:]
                 step.update(zip(cycle, cycle[1:] + cycle[:1]))
             sing = {pt for pt in pts if rng.random() < 0.3}
+
+            def orbit(x):  # [step^u(x) for u = 0 .. p-1]
+                images = [x]
+                for _ in range(p - 1):
+                    images.append(step[images[-1]])
+                return images
+
             brute = 0
             for x in pts:
                 img = x
                 for _ in range(p):  # img = step^u(x), u = 0 .. p-1
                     brute += (img in sing) != (x in sing)
                     img = step[img]
-            walked = oracle._orbit_walk(step.__getitem__, pts, sing, p)
+            walked = oracle._orbit_walk(orbit, pts, sing, p)
             assert walked == (len(pts), brute)
             mismatched += brute > 0
         assert mismatched
@@ -297,10 +304,58 @@ class TestFlowRegularity:
     def test_walk_refuses_non_permutations(self):
         pts = [(0,), (1,), (2,)]
         # an image outside the points
-        assert oracle._orbit_walk(lambda pt: (pt[0] + 1,), pts, set(), 3)[1] is None
-        # a 3-cycle is not of order 2
-        cycle = oracle._orbit_walk(lambda pt: ((pt[0] + 1) % 3,), pts, set(), 2)
-        assert cycle[1] is None
+        outside = oracle._orbit_walk(
+            lambda pt: [(pt[0] + u,) for u in range(5)], pts, set(), 5
+        )
+        assert outside == (3, None)
+        # an image another cycle already walked
+        revisit = {(0,): [(0,), (1,)], (2,): [(2,), (1,)]}.__getitem__
+        assert oracle._orbit_walk(revisit, pts, set(), 2) == (3, None)
+        # a cycle of length 2 is not of order 3
+        two = oracle._orbit_walk(
+            lambda pt: [((pt[0] + u) % 2,) for u in range(3)], pts[:2], set(), 3
+        )
+        assert two == (2, None)
+        # an orbit list that never returns to its start
+        shifted = oracle._orbit_walk(
+            lambda pt: [((pt[0] + u + 1) % 4,) for u in range(3)],
+            pts + [(3,)], set(), 3,
+        )
+        assert shifted == (3, None)
+
+    @staticmethod
+    def assert_orbit_kernel(shape, fld, sample):
+        """_flow_orbit equals the flow polynomials at every u, on sample."""
+        p = fld.modulus
+        fixed = 0
+        for delta in lnd_catalog(shape, fld):
+            orbit = oracle._flow_orbit(delta, p)
+            flows = [
+                [delta.flow_polynomial(v, u) for v in range(shape.n)]
+                for u in range(p)
+            ]
+            for pt in sample:
+                expected = [tuple(f.eval(pt) for f in row) for row in flows]
+                assert orbit(pt) == expected, (delta, pt)
+                fixed += expected == [pt] * p
+        return fixed
+
+    @given(small_shapes(), st.sampled_from([5, 7, 13]), st.randoms())
+    @settings(max_examples=60, deadline=None)
+    def test_flow_orbit_equals_flow_polynomials(self, shape, p, rnd):
+        assume(oracle.point_count(shape, p) <= 30000)
+        fld = PrimeField(p)
+        pts = enumerate_points(shape, fld)
+        sample = pts[:1] + rnd.sample(pts, min(8, len(pts)))
+        self.assert_orbit_kernel(shape, fld, sample)
+
+    @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [3]]])
+    def test_flow_orbit_fixed_cases(self, groups):
+        shape, fld = validate_shape(groups), PrimeField(13)
+        pts = enumerate_points(shape, fld)
+        sample = pts[:1] + random.Random(13).sample(pts, 60)
+        # the origin is a fixed point of both delta flows
+        assert self.assert_orbit_kernel(shape, fld, sample) >= 2
 
 
 class TestClosedFormCensus:
