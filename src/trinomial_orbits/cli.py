@@ -292,6 +292,8 @@ def cmd_verify(args) -> int:
     shape = _load_shape(args.shape)
     fld = parse_field(args.field)
     kind = args.sub
+    if kind != "flows" and args.trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     if kind == "partition":
         report = oracle.verify_partition(shape, fld, args.assume_conjecture)
     elif kind == "invariance":

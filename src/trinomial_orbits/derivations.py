@@ -37,7 +37,8 @@ from .errors import (
 from .families import family_of, require_f1
 from .fields import QQ
 from .polynomials import Polynomial, PolyRing
-from .shapes import TrinomialShape, is_even_two_group
+from .shapes import TrinomialShape, nonrigidity_witnesses
+from .strata import equation_partials
 
 NILPOTENCY_CAP = 50
 
@@ -96,15 +97,18 @@ class Derivation:
         ok, _ = g.divides_into(dg)
         return ok, False
 
-    def nilpotency_index(self, v: int, cap: int = NILPOTENCY_CAP) -> int:
-        """Least k >= 1 with derivation^k(variable v) = 0 mod the equation."""
+    def nilpotency_index(self, v: int) -> int:
+        """Least k >= 1 with derivation^k(variable v) = 0 mod the equation,
+        searched up to NILPOTENCY_CAP."""
         g = self.shape.equation(self.field)
         cur = self.ring.var(v)
-        for k in range(1, cap + 1):
+        for k in range(1, NILPOTENCY_CAP + 1):
             cur = self.derive(cur).reduce_mod(g)
             if cur.is_zero():
                 return k
-        raise Diverged(f"no nilpotency on {self.ring.names[v]} within {cap} steps")
+        raise Diverged(
+            f"no nilpotency on {self.ring.names[v]} within {NILPOTENCY_CAP} steps"
+        )
 
     # -- flows ----------------------------------------------------------------
 
@@ -255,12 +259,6 @@ def _push_poly(p: Polynomial, ring) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _equation_partials(shape, fld):
-    """dF/dv for every variable v, in canonical order."""
-    equation = shape.equation(fld)
-    return [equation.partial(v) for v in range(shape.n)]
-
-
 def _elementary(shape, fld, partials, a, b, family, params):
     """The elementary derivation a -> dF/db, b -> -dF/da, for variables of
     different groups, one of exponent 1 (which makes it locally nilpotent;
@@ -286,18 +284,17 @@ def _build_gamma(shape, fld, partials):
 
 
 def delta_pair_groups(shape: TrinomialShape):
-    """First pair of distinct all-even exponent-2-led groups, or None.
+    """The groups (g, h) of the first even_pair non-rigidity witness plus
+    the third group, or None.
 
-    The pattern needs a genuine trinomial (no free term): with a free term
+    The witness search already excludes free-term shapes: with a free term
     the shape is rigid and has no such derivations.
     """
-    if shape.is_free_term:
-        return None
-    even = [g for g in range(3) if is_even_two_group(shape.groups[g])]
-    if len(even) < 2:
-        return None
-    g, h = even[:2]
-    return g, h, 3 - g - h
+    for wit in nonrigidity_witnesses(shape):
+        if wit[0] == "even_pair":
+            g, h = wit[1:3]
+            return g, h, 3 - g - h
+    return None
 
 
 def delta_obstruction(shape: TrinomialShape, fld):
@@ -389,7 +386,7 @@ def _catalog(shape: TrinomialShape, fld):
     so their divided-power series are computed once for every prime.
     """
     shape.require_nondegenerate()
-    partials = _equation_partials(shape, fld)
+    partials = equation_partials(shape, fld)
     out = _build_gamma(shape, fld, partials)
     notes = []
     obstruction = delta_obstruction(shape, fld)

@@ -430,21 +430,25 @@ class _DescriptorTally:
     """Runs and failures of a check that compares descriptors.
 
     A pair whose classification is refused (ConjectureNotAssumed,
-    UnsupportedFamily, ...) is not compared; refused counts it, and the
-    other pairs still run.  The check reads skipped, with the first
-    refusal's code, only when every pair was refused."""
+    UnsupportedFamily, ...), or whose image the field refuses (a flow
+    leaving X raises CharacteristicTooSmall), is not compared; refused
+    counts it, and the other pairs still run.  The check reads skipped,
+    with the first refusal's code, only when every pair was refused."""
 
     def __init__(self, classify):
         self.classify = classify
         self.runs = self.failures = self.refused = 0
         self.refusal = None
 
+    def refuse(self, exc: MathDomainError):
+        self.refused += 1
+        self.refusal = self.refusal or exc
+
     def compare(self, a, b):
         try:
             same = self.classify(a) == self.classify(b)
         except MathDomainError as exc:
-            self.refused += 1
-            self.refusal = self.refusal or exc
+            self.refuse(exc)
             return
         self.runs += 1
         self.failures += not same
@@ -458,9 +462,9 @@ class _DescriptorTally:
         return CheckResult(name, self.failures == 0, details)
 
 
-def _invariance_checks(
-    shape, fld, pts, trials, seed, assume_conjecture, exhaustive
-) -> list:
+def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture) -> list:
+    """The checks of verify_invariance over pts.  A flow whose image the
+    field refuses makes no component-membership run."""
     p = fld.modulus
     rng = random.Random(seed)
     catalog = lnd_catalog(shape, fld)
@@ -470,35 +474,38 @@ def _invariance_checks(
         return orbits.classify_point(shape, fld, pt, assume_conjecture)
 
     flows = _DescriptorTally(classify)
+    exhaustive = p * len(pts) * len(catalog) <= trials
     nset_fail = nset_runs = 0
-    if catalog and pts:
-        if exhaustive:
-            cases = ((pt, d, u) for d in catalog for pt in pts for u in range(p))
-        else:
-            cases = (
-                (rng.choice(pts), rng.choice(catalog), rng.randrange(p))
-                for _ in range(trials)
-            )
-        for pt, delta, u in cases:
+    if exhaustive:
+        cases = ((pt, d, u) for d in catalog for pt in pts for u in range(p))
+    else:
+        cases = (
+            (rng.choice(pts), rng.choice(catalog), rng.randrange(p))
+            for _ in range(trials)
+        )
+    for pt, delta, u in cases:
+        try:
             img = delta.exp_flow(u, pt)
-            flows.compare(img, pt)
-            support = strata.support_zero_set(shape, fld, pt)
-            if strata.n_set(shape, support):
-                nset_runs += 1
-                img_support = strata.support_zero_set(shape, fld, img)
-                before = {c.generators for c in strata.n_set(shape, support)}
-                after = {c.generators for c in strata.n_set(shape, img_support)}
-                if before != after:
-                    nset_fail += 1
+        except CharacteristicTooSmall as exc:
+            flows.refuse(exc)
+            continue
+        flows.compare(img, pt)
+        support = strata.support_zero_set(shape, fld, pt)
+        if strata.n_set(shape, support):
+            nset_runs += 1
+            img_support = strata.support_zero_set(shape, fld, img)
+            before = {c.generators for c in strata.n_set(shape, support)}
+            after = {c.generators for c in strata.n_set(shape, img_support)}
+            if before != after:
+                nset_fail += 1
 
     torus = _DescriptorTally(classify)
     if basis and pts:
-        torus_trials = trials if not exhaustive else min(trials * 5, 1000)
-        for _ in range(torus_trials):
+        for _ in range(trials):
             pt = rng.choice(pts)
             mus = [rng.randrange(1, p) for _ in basis]
-            coords = torus_scaling(shape, fld, mus)
-            torus.compare(tuple(fld.mul(c, v) for c, v in zip(coords, pt)), pt)
+            step = orbits.TorusStep(torus_scaling(shape, fld, mus))
+            torus.compare(step.apply(fld, pt), pt)
 
     return [
         flows.result("flow_invariance", exhaustive=exhaustive),
@@ -517,16 +524,15 @@ def verify_invariance(
     trials: int = 200,
     seed: int = 0,
     assume_conjecture: bool = False,
-    exhaustive: bool = False,
 ) -> VerifyReport:
     """Descriptors and singular-component membership survive the generators.
 
-    Samples (point, catalog derivation, parameter) flows and neutral-torus
-    steps; exhaustive=True runs every combination instead.
+    Runs every (point, catalog derivation, parameter) flow when there are
+    at most trials of them, and samples trials of them otherwise; the
+    flow_invariance details say which.  Samples trials neutral-torus steps.
     """
     checks = _invariance_checks(
-        shape, fld, enumerate_points(shape, fld), trials, seed,
-        assume_conjecture, exhaustive,
+        shape, fld, enumerate_points(shape, fld), trials, seed, assume_conjecture
     )
     return _report(shape, fld, seed, checks)
 
@@ -790,9 +796,7 @@ def verify_all(
     checks = _partition_checks(
         shape, fld, census.counts, len(census.points), census.errors
     )
-    checks += _invariance_checks(
-        shape, fld, census.points, trials, seed, assume_conjecture, False
-    )
+    checks += _invariance_checks(shape, fld, census.points, trials, seed, assume_conjecture)
     tag = family_of(shape)
     if tag.kind == "F1":
         checks += _transport_checks(

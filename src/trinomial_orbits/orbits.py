@@ -393,43 +393,17 @@ def label_str(label) -> str:
     return f"{kind}({body})"
 
 
-def _symmetry_actions(shape, view):
-    """Symmetry generators as actions on (M, P, Q) index sets."""
-    sym = symmetry_group(shape)
-    ypos = {v: k for k, v in enumerate(view.ys, start=1)}
-    zpos = {v: k for k, v in enumerate(view.zs, start=1)}
-    spos = {v: k for k, v in enumerate(view.ss, start=1)}
-    actions = []
-    for perm in sym.generators:
-        assert perm[view.x] == view.x, "a symmetry moved the power-one variable"
-        ymap = {k: ypos[perm[v]] for k, v in enumerate(view.ys, start=1)}
-        if view.zs and perm[view.zs[0]] in zpos:
-            zmap = {k: zpos[perm[v]] for k, v in enumerate(view.zs, start=1)}
-            smap = {k: spos[perm[v]] for k, v in enumerate(view.ss, start=1)}
-            swap = False
-        else:
-            zmap = {k: spos[perm[v]] for k, v in enumerate(view.zs, start=1)}
-            smap = {k: zpos[perm[v]] for k, v in enumerate(view.ss, start=1)}
-            swap = True
-        actions.append((ymap, zmap, smap, swap))
-    return actions
+def _act(perm, view, label):
+    """The label of the image stratum under a symmetry permutation.
 
-
-def _act(action, label):
-    ymap, zmap, smap, swap = action
-    kind = label[0]
-    if kind == "O":
-        return label
-    if kind == "O(M)":
-        (M,) = label[1:]
-        return _label("O(M)", {ymap[i] for i in M})
-    kind, M, P, Q = label
-    M = {ymap[i] for i in M}
-    if swap:
-        P, Q = {smap[l] for l in Q}, {zmap[j] for j in P}
-    else:
-        P, Q = {zmap[j] for j in P}, {smap[l] for l in Q}
-    return _label(kind, M, P, Q)
+    The label's y/z/s positions become variables, perm moves them, and the
+    images are read back as y/z/s positions; a permutation swapping the z
+    and s groups thereby sends P to Q and Q to P.
+    """
+    slots = (view.ys, view.zs, view.ss)[: len(label) - 1]
+    images = {perm[slot[k - 1]] for slot, part in zip(slots, label[1:]) for k in part}
+    parts = ({k for k, v in enumerate(slot, start=1) if v in images} for slot in slots)
+    return _label(label[0], *parts)
 
 
 def orbit_count(shape: TrinomialShape) -> OrbitCount:
@@ -463,9 +437,10 @@ def orbit_count(shape: TrinomialShape) -> OrbitCount:
     glued += singular
 
     uf = _UnionFind(glued)
-    for action in _symmetry_actions(shape, view):
+    for perm in symmetry_group(shape).generators:
+        assert perm[view.x] == view.x, "a symmetry moved the power-one variable"
         for label in glued:
-            uf.union(label, _act(action, label))
+            uf.union(label, _act(perm, view, label))
     classes = uf.classes()
     listing = sorted(
         [sorted(label_str(lb) for lb in cls) for cls in classes],
@@ -482,6 +457,10 @@ def orbit_count(shape: TrinomialShape) -> OrbitCount:
 @dataclass(frozen=True)
 class TorusStep:
     coords: tuple
+
+    def apply(self, fld, pt):
+        """The point scaled coordinatewise by the torus element."""
+        return tuple(fld.mul(c, v) for c, v in zip(self.coords, pt))
 
     def to_json(self, fld):
         return {"step": "torus", "coords": [fld.fmt(c) for c in self.coords]}
@@ -513,7 +492,7 @@ class AutWord:
         catalog = None
         for step in self.steps:
             if isinstance(step, TorusStep):
-                cur = tuple(fld.mul(c, v) for c, v in zip(step.coords, cur))
+                cur = step.apply(fld, cur)
             elif isinstance(step, FlowStep):
                 if catalog is None:
                     catalog = catalog_index(shape, fld)
@@ -610,9 +589,8 @@ def _torus_step(shape, fld, src, dst, rows):
         mus = _solve_torus_q(fld, basis, rows, ratios)
     else:
         mus = _solve_torus_fp(fld, basis, rows, ratios)
-    coords = torus_scaling(shape, fld, mus)
-    step = TorusStep(coords)
-    cur = tuple(fld.mul(c, v) for c, v in zip(coords, src))
+    step = TorusStep(torus_scaling(shape, fld, mus))
+    cur = step.apply(fld, src)
     for i in rows:
         assert cur[i] == dst[i], "torus step missed a matched coordinate"
     return step, cur

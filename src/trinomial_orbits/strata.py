@@ -48,10 +48,13 @@ def support_zero_set(shape: TrinomialShape, fld, pt) -> frozenset:
     return frozenset(i for i, v in enumerate(pt) if fld.is_zero(v))
 
 
-@lru_cache(maxsize=None)
-def _jacobian(shape: TrinomialShape, fld):
+def equation_partials(shape: TrinomialShape, fld):
+    """dF/dv for every variable v, in canonical order."""
     g = shape.equation(fld)
     return tuple(g.partial(v) for v in range(shape.n))
+
+
+_jacobian = lru_cache(maxsize=None)(equation_partials)
 
 
 def is_singular(shape: TrinomialShape, fld, pt) -> bool:

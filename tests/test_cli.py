@@ -286,6 +286,22 @@ class TestEnumerateVerify:
         skipped = {c["name"] for c in data["checks"] if c.get("status") == "skipped"}
         assert skipped == {"flow_invariance", "torus_invariance"}
 
+    @pytest.mark.parametrize("sub", ["all", "invariance"])
+    @pytest.mark.parametrize("shape", ["[[2,2],[2,2],[5]]", "[[2],[2],[6]]"])
+    def test_flows_leaving_the_variety_are_reported(self, capsys, sub, shape):
+        code, data = run_json(capsys, "verify", sub, "--shape", shape, "--field", "Fp:5")
+        assert code in (0, 3) and "error" not in data
+        flows = next(c for c in data["checks"] if c["name"] == "flow_invariance")
+        assert flows["details"]["refused"] > 0
+
+    @pytest.mark.parametrize("sub", ["all", "invariance", "transport", "partition"])
+    def test_negative_trials_is_a_usage_error(self, capsys, sub):
+        code, data = run_json(
+            capsys, "verify", sub, "--shape", "[[1,2],[3],[3]]",
+            "--field", "Fp:7", "--trials", "-1",
+        )
+        assert code == 1 and data["error"] == "usage"
+
     def test_verify_flows_quadratic_pair(self, capsys):
         args = ("verify", "flows", "--shape", "[[2],[2],[3]]", "--field", "Fp:13")
         code, data = run_json(capsys, *args)

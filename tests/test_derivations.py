@@ -162,7 +162,7 @@ class TestNilpotency:
         )
         # t.(x,z,s) scaling direction: well-defined but never nilpotent
         with pytest.raises(Diverged):
-            euler.nilpotency_index(2, cap=20)
+            euler.nilpotency_index(2)
 
 
 class TestFlows:

@@ -179,15 +179,22 @@ class TestInvariance:
         assert check(report, "flow_invariance").details["runs"] == 500
 
     def test_exhaustive_f3(self, shape_a, f3):
-        report = verify_invariance(shape_a, f3, exhaustive=True)
+        report = verify_invariance(shape_a, f3, trials=324)
         assert report.failures == 0
         details = check(report, "flow_invariance").details
         assert details["runs"] == 27 * 4 * 3  # points x derivations x parameters
 
+    def test_trials_rule(self, shape_a, f3):
+        # 27 points x 4 derivations x 3 parameters = 324 flow cases
+        full = check(verify_invariance(shape_a, f3, trials=324), "flow_invariance")
+        assert full.details["runs"] == 324 and full.details["exhaustive"]
+        drawn = check(verify_invariance(shape_a, f3, trials=323), "flow_invariance")
+        assert drawn.details["runs"] == 323 and not drawn.details["exhaustive"]
+
     def test_f2_singular_flows_stay_in_component_class(self, shape_c, f3):
         # exhaustive over X(F_3): points never leave their N(S)-intersection
         report = verify_invariance(
-            shape_c, f3, seed=1, assume_conjecture=True, exhaustive=True
+            shape_c, f3, trials=1458, seed=1, assume_conjecture=True
         )
         assert report.failures == 0
         assert check(report, "component_membership").details["runs"] > 0
@@ -590,6 +597,35 @@ class TestSkipped:
             c.to_json() for c in report.checks
             if c.name in ("flow_invariance", "component_membership", "torus_invariance")
         ]
+
+    @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
+    def test_flows_leaving_the_variety_are_refused(self, groups):
+        # over F_5 some delta images leave X: those trials are refused and
+        # make no component-membership run, the others still compare
+        shape, f5 = validate_shape(groups), PrimeField(5)
+        report = verify_all(shape, f5)
+        flows = check(report, "flow_invariance")
+        assert flows.passed and not flows.skipped
+        assert flows.details["refused"] > 0
+        membership = check(report, "component_membership").details["runs"]
+        assert flows.details["runs"] + flows.details["refused"] == 200
+        assert membership <= flows.details["runs"]
+        standalone = verify_invariance(shape, f5)
+        assert [c.to_json() for c in standalone.checks] == [
+            c.to_json() for c in report.checks
+            if c.name in ("flow_invariance", "component_membership", "torus_invariance")
+        ]
+
+    def test_tally_skips_when_every_trial_is_refused(self):
+        tally = oracle._DescriptorTally(lambda pt: "O")
+        tally.refuse(CharacteristicTooSmall("first"))
+        tally.refuse(RootUnavailable("second"))
+        result = tally.result("flow_invariance")
+        assert result.skipped and result.details["code"] == "characteristic_too_small"
+        tally.compare((0,), (1,))
+        result = tally.result("flow_invariance")
+        assert result.passed and not result.skipped
+        assert result.details == {"runs": 1, "failures": 0, "refused": 2}
 
     def test_tally_compares_around_refusals(self):
         answers = iter([None, "O", "O1", "O", None, "O", "O"])

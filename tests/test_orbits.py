@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,7 @@ from trinomial_orbits.orbits import (
     AutWord,
 )
 from trinomial_orbits.oracle import enumerate_points
+from trinomial_orbits.shapes import symmetry_group
 from conftest import small_shapes
 
 
@@ -275,6 +277,67 @@ class TestCounts:
     def test_unsupported_for_rigid(self, shape_b):
         with pytest.raises(UnsupportedFamily):
             orbit_count(shape_b)
+
+
+def _symmetry_classes(shape, labels):
+    """The classes of listing labels under every symmetry group element,
+    acting on the variables each label names."""
+    view = family_of(shape).f1
+    slots = {"M": view.ys, "P": view.zs, "Q": view.ss}
+
+    def variables(label):
+        parts = re.findall(r"([MPQ])=\{([\d,]+)\}", label)
+        names = frozenset(
+            slots[name][int(k) - 1] for name, body in parts for k in body.split(",")
+        )
+        return label.split("(")[0], names
+
+    by_variables = {variables(label): label for label in labels}
+    classes = set()
+    for label in labels:
+        kind, names = variables(label)
+        classes.add(
+            frozenset(
+                by_variables[kind, frozenset(perm[v] for v in names)]
+                for perm in symmetry_group(shape).elements
+            )
+        )
+    return classes
+
+
+class TestGluingUnderSymmetries:
+    """orbit_count's listing equals the label classes of the whole
+    symmetry group, computed here from the labels' variables."""
+
+    @staticmethod
+    def check_listing(shape):
+        oc, view = orbit_count(shape), family_of(shape).f1
+        labels = [label for cls in oc.listing for label in cls]
+        # one O(M) label stands for the d component strata of each M
+        assert len(labels) == oc.aut_alg - (2**view.m - 1) * (view.d - 1)
+        assert {frozenset(cls) for cls in oc.listing} == _symmetry_classes(shape, labels)
+
+    @given(small_shapes())
+    @settings(max_examples=80, deadline=None)
+    def test_generated_power_one_shapes(self, shape):
+        assume(family_of(shape).kind == "F1")
+        self.check_listing(shape)
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [[1, 2], [3, 3], [3, 3]],
+            [[1, 2, 2], [2, 3], [3, 2]],
+            [[3, 3], [1, 2], [3, 3]],
+            [[1, 2, 2], [3, 3, 5], [5, 3, 3]],
+        ],
+    )
+    def test_z_s_swap_shapes(self, groups):
+        shape = validate_shape(groups)
+        view = family_of(shape).f1
+        gens = symmetry_group(shape).generators
+        assert any(perm[view.zs[0]] in view.ss for perm in gens)
+        self.check_listing(shape)
 
 
 class TestTransport:
