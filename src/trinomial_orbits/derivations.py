@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .errors import (
     CharacteristicTooSmall,
@@ -70,13 +71,24 @@ class Derivation:
         return self.images.get(v, self.ring.zero)
 
     def derive(self, f: Polynomial) -> Polynomial:
-        """Leibniz extension: sum over v of (df/dv) * image(v)."""
-        out = self.ring.zero
-        for v, img in self.images.items():
-            part = f.partial(v)
-            if not part.is_zero():
-                out = out + part * img
-        return out
+        """Leibniz extension: sum over v of (df/dv) * image(v), in one pass
+        over the terms of f."""
+        ring = self.ring
+        if f.ring is not ring and f.ring != ring:
+            raise ValueError("mixed rings")
+        images = [(v, img.terms.items()) for v, img in self.images.items()]
+        out: dict = {}
+        get = out.get
+        for e, c in f.terms.items():
+            for v, img in images:
+                k = e[v]
+                if k:
+                    ck = c * k
+                    de = e[:v] + (k - 1,) + e[v + 1:]
+                    for ie, ic in img:
+                        te = tuple(map(add, de, ie))
+                        out[te] = get(te, 0) + ck * ic
+        return ring.from_terms(out)
 
     def is_zero(self) -> bool:
         return not self.images

@@ -3,7 +3,9 @@
 Every value handled by this package is exact.  Rational elements are
 `fractions.Fraction` (canonical: gcd-reduced, positive denominator);
 prime-field elements are plain ints in ``[0, p)``.  A field object bundles
-the arithmetic so that the polynomial layer can stay generic.
+the arithmetic so that the polynomial layer can stay generic.  That layer
+sums and multiplies elements with their own + and *, and each field's
+`normalize` turns the accumulated values back into canonical elements.
 
 Prime fields are capped at p <= 10^5: root extraction and discrete
 logarithms are done by exhaustive scan, which is the whole point of the
@@ -107,6 +109,11 @@ class Rationals:
     def is_zero(self, a) -> bool:
         return a == 0
 
+    def normalize(self, acc: dict) -> dict:
+        """The nonzero entries of natively accumulated values.  Fractions
+        are kept in lowest terms, so each value is already canonical."""
+        return {k: v for k, v in acc.items() if v}
+
     def fmt(self, a) -> str:
         return str(a)
 
@@ -198,6 +205,12 @@ class PrimeField:
 
     def is_zero(self, a) -> bool:
         return a % self.modulus == 0
+
+    def normalize(self, acc: dict) -> dict:
+        """The nonzero entries of natively accumulated integers, each
+        reduced to its residue in [0, p)."""
+        p = self.modulus
+        return {k: r for k, v in acc.items() if (r := v % p)}
 
     def fmt(self, a) -> str:
         return str(a % self.modulus)

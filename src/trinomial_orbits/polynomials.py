@@ -7,10 +7,17 @@ canonical string form and a deterministic single-divisor division.
 
 Division by one divisor decides principal-ideal membership exactly:
 f is a multiple of g iff the division remainder vanishes.
+
+Sums and products accumulate with the coefficients' own + and * (ints for
+F_p, Fractions for Q), and each result passes once through the field's
+`normalize`, which drops the zeros and brings every value to its canonical
+element.  Polynomials are never mutated after construction, so a cached
+one may be shared.
 """
 
 from __future__ import annotations
 
+from operator import add, ge, sub
 from typing import Iterable
 
 
@@ -65,9 +72,7 @@ class PolyRing:
         return self.const(self.field.one)
 
     def const(self, c) -> "Polynomial":
-        if self.field.is_zero(c):
-            return Polynomial(self, {})
-        return Polynomial(self, {(0,) * self.nvars: c})
+        return self.from_terms({(0,) * self.nvars: c})
 
     def var(self, i: int) -> "Polynomial":
         exps = [0] * self.nvars
@@ -75,14 +80,12 @@ class PolyRing:
         return Polynomial(self, {tuple(exps): self.field.one})
 
     def monomial(self, exps, coeff=None) -> "Polynomial":
-        coeff = self.field.one if coeff is None else coeff
-        if self.field.is_zero(coeff):
-            return self.zero
-        return Polynomial(self, {tuple(exps): coeff})
+        return self.from_terms({tuple(exps): self.field.one if coeff is None else coeff})
 
     def from_terms(self, terms: dict) -> "Polynomial":
-        clean = {tuple(e): c for e, c in terms.items() if not self.field.is_zero(c)}
-        return Polynomial(self, clean)
+        """The polynomial of exponent tuples to natively accumulated
+        coefficients, brought to canonical nonzero elements by the field."""
+        return Polynomial(self, self.field.normalize(terms))
 
     def parse(self, text: str) -> "Polynomial":
         return _parse_poly(self, text)
@@ -112,28 +115,23 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed rings")
             return other
         return self.ring.const(self.ring.field.from_int(other) if isinstance(other, int) else other)
 
     def __add__(self, other):
         other = self._coerce(other)
-        fld = self.ring.field
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = fld.add(out.get(e, fld.zero), c)
-            if fld.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return Polynomial(self.ring, out)
+            out[e] = get(e, 0) + c
+        return self.ring.from_terms(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        fld = self.ring.field
-        return Polynomial(self.ring, {e: fld.neg(c) for e, c in self.terms.items()})
+        return self.ring.from_terms({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -143,17 +141,14 @@ class Polynomial:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        fld = self.ring.field
         out: dict = {}
+        get = out.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = fld.add(out.get(e, fld.zero), fld.mul(c1, c2))
-                if fld.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Polynomial(self.ring, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return self.ring.from_terms(out)
 
     __rmul__ = __mul__
 
@@ -170,10 +165,7 @@ class Polynomial:
         return result
 
     def scale(self, c):
-        fld = self.ring.field
-        if fld.is_zero(c):
-            return self.ring.zero
-        return Polynomial(self.ring, {e: fld.mul(c, v) for e, v in self.terms.items()})
+        return self.ring.from_terms({e: c * v for e, v in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
@@ -187,18 +179,12 @@ class Polynomial:
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative in the i-th variable."""
-        fld = self.ring.field
         out: dict = {}
         for e, c in self.terms.items():
             k = e[i]
-            if k == 0:
-                continue
-            ne = list(e)
-            ne[i] = k - 1
-            nc = fld.mul(c, fld.from_int(k))
-            if not fld.is_zero(nc):
-                out[tuple(ne)] = nc
-        return Polynomial(self.ring, out)
+            if k:
+                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return self.ring.from_terms(out)
 
     def eval(self, point) -> object:
         """Evaluate at a full point (sequence of field values, canonical order)."""
@@ -222,23 +208,20 @@ class Polynomial:
         images holds one polynomial per variable, all in one ring over the
         same field; the result lives in that ring."""
         ring = images[0].ring
-        fld = ring.field
+        one = ring.one
         powers = {}
         out: dict = {}
+        get = out.get
         for e, c in self.terms.items():
-            term = ring.const(c)
+            term = one
             for i, k in enumerate(e):
                 if k:
                     if (i, k) not in powers:
                         powers[i, k] = images[i] ** k
                     term = term * powers[i, k]
             for te, tc in term.terms.items():
-                s = fld.add(out.get(te, fld.zero), tc)
-                if fld.is_zero(s):
-                    out.pop(te, None)
-                else:
-                    out[te] = s
-        return Polynomial(ring, out)
+                out[te] = get(te, 0) + c * tc
+        return ring.from_terms(out)
 
     def rename(self, perm) -> "Polynomial":
         """Apply the variable permutation i -> perm[i] to every exponent."""
@@ -259,28 +242,26 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         fld = self.ring.field
         g_exps, g_lead = g.leading_term()
-        q = self.ring.zero
+        tail = [(e, c) for e, c in g.terms.items() if e != g_exps]
+        q: dict = {}
         r: dict = {}
         h = dict(self.terms)
         while h:
             e = max(h, key=_grlex_key)
             c = h.pop(e)
-            if all(a >= b for a, b in zip(e, g_exps)):
-                qe = tuple(a - b for a, b in zip(e, g_exps))
-                qc = fld.div(c, g_lead)
-                q = q + Polynomial(self.ring, {qe: qc})
-                for ge, gc in g.terms.items():
-                    if ge == g_exps:
-                        continue
-                    te = tuple(a + b for a, b in zip(qe, ge))
-                    s = fld.sub(h.get(te, fld.zero), fld.mul(qc, gc))
-                    if fld.is_zero(s):
-                        h.pop(te, None)
-                    else:
-                        h[te] = s
+            if all(map(ge, e, g_exps)):
+                # each step's leading exponent is below the last, so every
+                # quotient term is new
+                qe = tuple(map(sub, e, g_exps))
+                qc = q[qe] = fld.div(c, g_lead)
+                step = {}
+                for g_e, g_c in tail:
+                    te = tuple(map(add, qe, g_e))
+                    step[te] = h.pop(te, 0) - qc * g_c
+                h.update(fld.normalize(step))
             else:
                 r[e] = c
-        return q, Polynomial(self.ring, r)
+        return Polynomial(self.ring, q), Polynomial(self.ring, r)
 
     def reduce_mod(self, g: "Polynomial") -> "Polynomial":
         return self.divmod_single(g)[1]

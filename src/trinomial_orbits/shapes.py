@@ -109,7 +109,8 @@ class TrinomialShape:
     # -- equation ------------------------------------------------------------
 
     def ring(self, fld) -> PolyRing:
-        return PolyRing(fld, self.var_names)
+        """The coordinate ring over fld, shared with the cached equation."""
+        return _equation(self, fld).ring
 
     def monomial_exps(self, g: int):
         """Exponent tuple of the g-th monomial (all-zero for the free term)."""
@@ -119,11 +120,10 @@ class TrinomialShape:
         return tuple(exps)
 
     def equation(self, fld) -> Polynomial:
-        ring = self.ring(fld)
-        out = ring.monomial(self.monomial_exps(0))
-        out = out + ring.monomial(self.monomial_exps(1))
-        out = out + ring.monomial(self.monomial_exps(2))
-        return out
+        """The trinomial over fld, built once per (shape, field) while it is
+        among the EQUATION_CACHE_SIZE most recently used pairs.  It is shared
+        by every caller: do not mutate its terms."""
+        return _equation(self, fld)
 
     def monomial_value(self, fld, pt, g: int):
         """Value of the g-th monomial at a point (1 for the free term)."""
@@ -176,6 +176,17 @@ class TrinomialShape:
 
     def __str__(self):
         return "[" + ", ".join(str(list(g)) for g in self.groups) + "]"
+
+
+EQUATION_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=EQUATION_CACHE_SIZE)
+def _equation(shape: TrinomialShape, fld) -> Polynomial:
+    """TrinomialShape.equation, cached.  Bounded, because a survey of many
+    shapes uses each (shape, field) pair only for a short while."""
+    ring = PolyRing(fld, shape.var_names)
+    return ring.from_terms({shape.monomial_exps(g): fld.one for g in range(3)})
 
 
 def validate_shape(raw) -> TrinomialShape:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import assume, strategies as st
 
-from trinomial_orbits import PrimeField, QQ, derivations, validate_shape
+from trinomial_orbits import PrimeField, QQ, derivations, family_of, validate_shape
 
 # the recurring cast of shapes
 SHAPE_A = [[1, 2], [3], [3]]        # x*y^2 + z^3 + s^3
@@ -77,4 +77,23 @@ def small_shapes(draw):
     ]
     shape = validate_shape(groups)
     assume(shape.degenerate_group() is None)
+    return shape
+
+
+@st.composite
+def power_one_shapes(draw):
+    """The F1 shapes among small_shapes, drawn directly: exactly one
+    exponent-1 variable x, next to one exponent 2-5 in its group.  Filtering
+    small_shapes for F1 discards most draws, enough to fail Hypothesis's
+    filter_too_much health check on some runs."""
+    exps = st.integers(2, 5)
+    groups = [
+        draw(st.lists(exps, min_size=0, max_size=2)),
+        draw(st.lists(exps, min_size=1, max_size=2)),
+        draw(st.lists(exps, min_size=1, max_size=2)),
+    ]
+    pair = [1, draw(exps)]
+    groups[draw(st.integers(0, 2))] = pair if draw(st.booleans()) else pair[::-1]
+    shape = validate_shape(groups)
+    assume(family_of(shape).kind == "F1")  # a flexible H-type match wins over F1
     return shape

@@ -34,16 +34,18 @@ from trinomial_orbits.orbits import (
     DDBigO,
     DDOMeps,
     FixedPoint,
+    FlowStep,
     LineOrbit,
     RegularFlex,
     Sheet,
     SingTorus,
+    TorusStep,
     TorusStratum,
     AutWord,
 )
-from trinomial_orbits.oracle import enumerate_points
+from trinomial_orbits.oracle import build_census, enumerate_points, point_count
 from trinomial_orbits.shapes import symmetry_group
-from conftest import small_shapes
+from conftest import power_one_shapes, small_shapes
 
 
 class TestFamilies:
@@ -317,10 +319,9 @@ class TestGluingUnderSymmetries:
         assert len(labels) == oc.aut_alg - (2**view.m - 1) * (view.d - 1)
         assert {frozenset(cls) for cls in oc.listing} == _symmetry_classes(shape, labels)
 
-    @given(small_shapes())
+    @given(power_one_shapes())
     @settings(max_examples=80, deadline=None)
     def test_generated_power_one_shapes(self, shape):
-        assume(family_of(shape).kind == "F1")
         self.check_listing(shape)
 
     @pytest.mark.parametrize(
@@ -419,6 +420,33 @@ class TestTransport:
                     ]
                     assert scales[0] == scales[1] == scales[2] != 0
         assert seen_torus > 0
+
+    @staticmethod
+    def inverse_word(word, fld):
+        """The steps undone in reverse order: exp(-u delta) undoes
+        exp(u delta), the inverse torus element undoes a torus step."""
+        steps = []
+        for step in reversed(word.steps):
+            if isinstance(step, TorusStep):
+                steps.append(TorusStep(tuple(fld.inv(c) for c in step.coords)))
+            else:
+                assert isinstance(step, FlowStep), step
+                steps.append(FlowStep(step.designator, fld.neg(step.u)))
+        return AutWord(tuple(steps))
+
+    @given(power_one_shapes(), st.sampled_from([7, 13]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_generated(self, shape, p, data):
+        assume(point_count(shape, p) <= 30000)
+        fld = PrimeField(p)
+        buckets = list(build_census(shape, fld).buckets.values())
+        bucket = data.draw(st.sampled_from(buckets))
+        src = data.draw(st.sampled_from(bucket))
+        dst = data.draw(st.sampled_from(bucket))
+        word = transport(shape, fld, src, dst)
+        assert word.apply(shape, fld, src) == dst
+        assert self.inverse_word(word, fld).apply(shape, fld, dst) == src
+        assert transport(shape, fld, dst, src).apply(shape, fld, dst) == src
 
     def test_word_json_roundtrip(self, shape_a, f7):
         word = transport(shape_a, f7, (5, 0, 6, 1), (0, 0, 6, 1))

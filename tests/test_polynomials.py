@@ -4,12 +4,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trinomial_orbits.derivations import lnd_catalog
 from trinomial_orbits.fields import PrimeField, QQ
 from trinomial_orbits.polynomials import (
     MissingCoordinate,
     PolyParseError,
     PolyRing,
+    Polynomial,
 )
+from trinomial_orbits.shapes import symmetry_group
+from trinomial_orbits.strata import singular_components
+from conftest import small_shapes
 
 RING = PolyRing(QQ, ("x", "y", "z", "s"))
 X, Y, Z, S = (RING.var(i) for i in range(4))
@@ -169,3 +174,166 @@ class TestRename:
     def test_rename_moves_variables(self):
         perm = (1, 0, 2, 3)
         assert X.rename(perm) == Y
+
+
+# -- the kernel against a naive reference ------------------------------------
+#
+# The reference works on plain term dicts with the field's own methods, one
+# coefficient operation at a time, dropping each zero as it appears.
+
+KERNEL_FIELDS = (QQ, PrimeField(2), PrimeField(5), PrimeField(13))
+
+
+def ref_add(fld, f, g):
+    out = dict(f)
+    for e, c in g.items():
+        s = fld.add(out.get(e, fld.zero), c)
+        if fld.is_zero(s):
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def ref_neg(fld, f):
+    return {e: fld.neg(c) for e, c in f.items()}
+
+
+def ref_mul(fld, f, g):
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out = ref_add(fld, out, {e: fld.mul(c1, c2)})
+    return out
+
+
+def ref_pow(fld, nvars, f, k):
+    out = {(0,) * nvars: fld.one}
+    for _ in range(k):
+        out = ref_mul(fld, out, f)
+    return out
+
+
+def ref_partial(fld, f, v):
+    out = {}
+    for e, c in f.items():
+        if e[v]:
+            out = ref_add(
+                fld, out, {e[:v] + (e[v] - 1,) + e[v + 1:]: fld.mul(c, fld.from_int(e[v]))}
+            )
+    return out
+
+
+def ref_substitute(fld, f, images, nvars):
+    out = {}
+    for e, c in f.items():
+        term = {(0,) * nvars: c}
+        for i, k in enumerate(e):
+            term = ref_mul(fld, term, ref_pow(fld, nvars, images[i], k))
+        out = ref_add(fld, out, term)
+    return out
+
+
+@st.composite
+def rings(draw, max_vars=4):
+    fld = draw(st.sampled_from(KERNEL_FIELDS))
+    return PolyRing(fld, "xyzs"[: draw(st.integers(1, max_vars))])
+
+
+@st.composite
+def polys(draw, ring, max_terms=5, max_exp=3):
+    fld = ring.field
+    if fld.modulus is None:
+        coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    else:
+        coeffs = st.integers(0, fld.modulus - 1)
+    exps = st.tuples(*[st.integers(0, max_exp)] * ring.nvars)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=max_terms))
+    return Polynomial(ring, {e: c for e, c in terms.items() if not fld.is_zero(c)})
+
+
+class TestKernelAgainstReference:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ring_operations(self, data):
+        ring = data.draw(rings())
+        fld = ring.field
+        f, g = data.draw(polys(ring)), data.draw(polys(ring))
+        k = data.draw(st.integers(0, 3))
+        # term dicts compare coefficients as values: over F_p each must be
+        # the canonical residue, and no zero may be kept
+        assert (f + g).terms == ref_add(fld, f.terms, g.terms)
+        assert (-f).terms == ref_neg(fld, f.terms)
+        assert (f - g).terms == ref_add(fld, f.terms, ref_neg(fld, g.terms))
+        assert (f * g).terms == ref_mul(fld, f.terms, g.terms)
+        assert (f**k).terms == ref_pow(fld, ring.nvars, f.terms, k)
+        for v in range(ring.nvars):
+            assert f.partial(v).terms == ref_partial(fld, f.terms, v)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_substitute(self, data):
+        src = data.draw(rings())
+        dst = PolyRing(src.field, "abc"[: data.draw(st.integers(1, 3))])
+        f = data.draw(polys(src, max_terms=4, max_exp=2))
+        images = [data.draw(polys(dst, max_terms=3, max_exp=2)) for _ in range(src.nvars)]
+        composed = f.substitute(images)
+        assert composed.ring == dst
+        assert composed.terms == ref_substitute(
+            src.field, f.terms, [img.terms for img in images], dst.nvars
+        )
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_divmod_single(self, data):
+        ring = data.draw(rings())
+        fld = ring.field
+        f = data.draw(polys(ring, max_terms=6))
+        g = data.draw(polys(ring, max_terms=3).filter(lambda p: not p.is_zero()))
+        q, r = f.divmod_single(g)
+        assert ref_add(fld, ref_mul(fld, q.terms, g.terms), r.terms) == f.terms
+        lead = g.leading_term()[0]
+        for e in r.terms:
+            assert not all(a >= b for a, b in zip(e, lead))
+
+
+class TestDeriveAgainstPartials:
+    @given(small_shapes(), st.sampled_from([QQ, PrimeField(5), PrimeField(13)]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_catalog_derivations(self, shape, fld, data):
+        f = data.draw(polys(shape.ring(fld), max_terms=4))
+        for d in lnd_catalog(shape, fld):
+            expected = {}
+            for v in range(shape.n):
+                part = ref_partial(fld, f.terms, v)
+                expected = ref_add(fld, expected, ref_mul(fld, part, d.image(v).terms))
+            assert d.derive(f).terms == expected, d
+
+    def test_mixed_rings_rejected(self, shape_a):
+        (d, *_) = lnd_catalog(shape_a, QQ)
+        with pytest.raises(ValueError, match="mixed rings"):
+            d.derive(PolyRing(QQ, ("a",)).var(0))
+
+
+class TestEquationCache:
+    @given(small_shapes())
+    @settings(max_examples=40, deadline=None)
+    def test_shared_and_untouched_by_a_survey(self, shape):
+        fields = (QQ, PrimeField(101))
+        cached = {fld: shape.equation(fld) for fld in fields}
+        for fld, eq in cached.items():
+            assert shape.equation(fld) is eq
+            assert shape.ring(fld) is eq.ring
+        # everything the survey benchmark asks of a shape
+        symmetry_group(shape)
+        singular_components(shape)
+        for fld in fields:
+            for d in lnd_catalog(shape, fld):
+                assert d.well_defined() == (True, True)
+                for v in range(shape.n):
+                    d.nilpotency_index(v)
+        for fld, eq in cached.items():
+            assert shape.equation(fld) is eq
+            fresh = {shape.monomial_exps(g): fld.one for g in range(3)}
+            assert eq.terms == fresh
