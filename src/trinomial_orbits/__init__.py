@@ -29,7 +29,15 @@ from .errors import (
     UnsupportedFamily,
 )
 from .families import FamilyTag, family_of
-from .fields import PrimeField, QQ, Rationals, field_designator, parse_field
+from .fields import (
+    GaussianRationals,
+    PrimeField,
+    QI,
+    QQ,
+    Rationals,
+    field_designator,
+    parse_field,
+)
 from .oracle import (
     Census,
     VerifyReport,

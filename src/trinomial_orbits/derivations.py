@@ -11,20 +11,21 @@ equation F, for an exponent-1 variable and a variable of another group:
 * Dk:i,j / Ek:i,j - on (x_i, z_j) / (x_i, s_j), for x_1..x_k of exponent 1.
 * delta+:i / delta-:i - two all-even groups led by exponent 2.  Under the
                 all-plus sign convention these need a square root of -1 in
-                the coefficient field (RootUnavailable otherwise); the two
-                variants differ by the sign of that root.
+                the coefficient field (RootUnavailable otherwise, as over Q);
+                the two variants differ by the sign of that root.
 
-Flows exp(u*delta) are exact truncated exponentials.  Integer-coefficient
-catalog derivations carry a rational twin, and their flows are computed as
-divided powers over Q and reduced into the field; this is what makes flows
-over tiny prime fields exact (the k! divisions happen upstairs where they
-are exact divisions of integer polynomials).
+Flows exp(u*delta) are exact truncated exponentials.  Every catalog
+derivation over F_p carries a characteristic-0 twin: the derivation of the
+same designator over Q, or over the Gaussian rationals Q(i) for delta.  Its
+flows are computed as divided powers upstairs and reduced into the field
+(i to the field's sqrt(-1)); this is what makes flows over tiny prime fields
+exact (the k! divisions happen upstairs where they are exact divisions of
+p-integral polynomials), and what proves their group law once for every p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -36,8 +37,8 @@ from .errors import (
     RootUnavailable,
 )
 from .families import family_of, require_f1
-from .fields import QQ
-from .polynomials import Polynomial, PolyRing
+from .fields import QI, QQ
+from .polynomials import Polynomial
 from .shapes import TrinomialShape, nonrigidity_witnesses
 from .strata import equation_partials
 
@@ -54,9 +55,9 @@ class Derivation:
         self.images = {v: p for v, p in images.items() if not p.is_zero()}
         self.family = family
         self.params = tuple(params)
-        self.qlift = None  # rational twin for exact divided-power flows
+        self._qlift = None
+        self._twin_field = None  # the catalog field of a twin not yet looked up
         self._series = {}
-        self._group_law = None  # flow_group_law, proved once
 
     @property
     def designator(self) -> str:
@@ -66,6 +67,22 @@ class Derivation:
 
     def __repr__(self):
         return f"Derivation({self.designator})"
+
+    @property
+    def qlift(self):
+        """The characteristic-0 twin whose divided powers the flows reduce,
+        or None.  A catalog derivation over F_p looks it up on first use, in
+        the cached catalog over Q (over Q(i) for delta): catalogs that are
+        never flowed never build the twin's catalog."""
+        if self._twin_field is not None:
+            twins = _catalog(self.shape, self._twin_field)[0]
+            self._qlift = next(d for d in twins if d.designator == self.designator)
+            self._twin_field = None
+        return self._qlift
+
+    @qlift.setter
+    def qlift(self, twin):
+        self._qlift, self._twin_field = twin, None
 
     def image(self, v: int) -> Polynomial:
         return self.images.get(v, self.ring.zero)
@@ -127,25 +144,26 @@ class Derivation:
     def moving_variables(self):
         """The variables a flow can move, in canonical order.
 
-        The rational twin may move a variable whose first-order image
-        vanishes mod p while higher divided powers survive."""
+        The twin may move a variable whose first-order image vanishes mod p
+        while higher divided powers survive."""
         moving = set(self.images)
-        if self.qlift is not None:
-            moving |= set(self.qlift.images)
+        twin = self.qlift
+        if twin is not None:
+            moving |= set(twin.images)
         return sorted(moving)
 
     def divided_power_series(self, v: int):
         """[P_0, P_1, ...] with P_k = delta^k(v)/k!, P_k = 0 beyond the list.
 
-        Computed over Q through the rational twin when available (exact in
-        every characteristic); otherwise in-field, refusing a division by a
-        multiple of the characteristic.
+        Computed over Q or Q(i) through the twin when there is one (exact
+        in every characteristic); otherwise in-field, refusing a division by
+        a multiple of the characteristic.
         """
         if v in self._series:
             return self._series[v]
-        if self.qlift is not None:
-            q_series = self.qlift.divided_power_series(v)
-            series = [_push_poly(p, self.ring) for p in q_series]
+        twin = self.qlift
+        if twin is not None:
+            series = [_push_poly(p, self.ring) for p in twin.divided_power_series(v)]
         else:
             series = self._series_in_field(v)
         self._series[v] = series
@@ -211,59 +229,51 @@ class Derivation:
 
     def flow_group_law(self) -> bool:
         """Does exp(delta) o exp(u*delta) = exp((u+1)*delta) hold modulo the
-        equation, with u an extra ring variable?
+        equation F, with u an extra ring variable?
 
-        The flow maps are the flow_polynomial images.  Over F_p the identity
-        gives, by induction on u, exp(u*delta) = exp(delta)^u on X(F_p) for
-        every u in F_p, and exp(delta)^p = exp(0) = id; so every cycle of
-        exp(delta) on the rational points has length 1 or p.  The law is
-        checked, not assumed: over F_p it rests on the divided powers the
-        characteristic allows.  The answer is kept on the derivation, next
-        to its divided-power series.
+        True, without computation, when the flows are the reductions of a
+        twin's (qlift is set); False for a derivation with no twin (custom
+        derivations, graded parts), which the oracle then checks pointwise.
+
+        Why a twin proves it.  Over K = Q or Q(i) the twin is a locally
+        nilpotent derivation killing F, so s*delta and t*delta commute and
+        exp(s*delta) o exp(t*delta) = exp((s+t)*delta) holds modulo F in
+        K[x, s, t].  The twin's divided powers delta^k(v)/k!, reduced mod F,
+        have p-integral coefficients: their push into F_p refused none.
+        Every coefficient of F is 1, so division by F keeps p-integral
+        polynomials p-integral, and the identity reduces mod p, through
+        i -> sqrt(-1) for Q(i).  Where a denominator is divisible by p the
+        push raises CharacteristicTooSmall: exactly where the argument would
+        fail.
+
+        Over F_p the law gives, by induction on u, exp(u*delta) =
+        exp(delta)^u on X(F_p) for every u in F_p, and exp(delta)^p =
+        exp(0) = id; so every cycle of exp(delta) on the rational points
+        has length 1 or p.  The oracle's orbit walk still gives up when an
+        image leaves the points or a cycle length does not divide p.
         """
-        if self._group_law is None:
-            self._group_law = self._prove_group_law()
-        return self._group_law
-
-    def _prove_group_law(self) -> bool:
-        n = self.ring.nvars
-        ring = PolyRing(self.field, self.ring.names + ("u",))
-        xs = [ring.var(i) for i in range(n)]
-        u = ring.var(n)
-        g = self.shape.equation(self.field).substitute(xs)
-        series = {v: self.divided_power_series(v) for v in self.moving_variables()}
-        flow = list(xs)  # exp(u*delta) on each variable
-        for v, polys in series.items():
-            acc, upow = ring.zero, ring.one
-            for P in polys:
-                acc = acc + P.substitute(xs) * upow
-                upow = upow * u
-            flow[v] = acc.reduce_mod(g)
-        shifted = xs + [u + ring.one]
-        for v, polys in series.items():
-            stepped = ring.zero  # exp(delta) applied after exp(u*delta)
-            for P in polys:
-                stepped = stepped + P.substitute(flow)
-            if not (stepped - flow[v].substitute(shifted)).reduce_mod(g).is_zero():
-                return False
-        return True
+        return self.qlift is not None
 
 
 def _push_poly(p: Polynomial, ring) -> Polynomial:
-    """Map a rational-coefficient polynomial into another ring's field."""
+    """Map a polynomial over Q or Q(i) into another ring's field F_p,
+    sending a + b*i to a + b*j mod p with j = sqrt_minus_one() of F_p."""
     fld = ring.field
-    out = {}
-    for e, c in p.terms.items():
-        c = Fraction(c)
-        den = fld.from_int(c.denominator)
-        if fld.is_zero(den):
+
+    def residue(c, q):
+        if fld.is_zero(q.denominator):
             raise CharacteristicTooSmall(
                 f"coefficient {c} does not reduce into {fld!r}"
             )
-        val = fld.div(fld.from_int(c.numerator), den)
-        if not fld.is_zero(val):
-            out[e] = val
-    return Polynomial(ring, out)
+        return q.numerator * fld.inv(q.denominator)
+
+    out = {}
+    for e, c in p.terms.items():
+        val = residue(c, c.real)
+        if c.imag:
+            val += residue(c, c.imag) * fld.sqrt_minus_one()
+        out[e] = val
+    return ring.from_terms(out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +321,14 @@ def delta_pair_groups(shape: TrinomialShape):
 
 def delta_obstruction(shape: TrinomialShape, fld):
     """Why the delta family cannot be built over fld, or None if it can."""
-    if delta_pair_groups(shape) is None:
+    if delta_pair_groups(shape) is None or fld.sqrt_minus_one() is not None:
         return None
     if fld.modulus is None:
         return "delta derivations need a square root of -1; Q has none"
-    if fld.sqrt_minus_one() is None:
-        return (
-            f"delta derivations need a square root of -1; "
-            f"F_{fld.modulus} has none (p = 3 mod 4)"
-        )
-    return None
+    return (
+        f"delta derivations need a square root of -1; "
+        f"F_{fld.modulus} has none (p = 3 mod 4)"
+    )
 
 
 def _build_delta(shape, fld):
@@ -394,8 +402,9 @@ def _catalog(shape: TrinomialShape, fld):
     """The catalog over fld as (derivations, notes) tuples, built once per
     (shape, field) while it is among the most recently used pairs.
 
-    Over F_p the rational twins are the derivations of the cached Q entry,
-    so their divided-power series are computed once for every prime.
+    Over F_p the twins are the derivations of the cached Q entry (Q(i) for
+    delta), looked up on first use, so their divided-power series are
+    computed once for every prime.
     """
     shape.require_nondegenerate()
     partials = equation_partials(shape, fld)
@@ -414,11 +423,9 @@ def _catalog(shape: TrinomialShape, fld):
     view = tag.f1 or tag.f2
     if view is not None:
         out.extend(_build_power_one(shape, fld, partials, view))
-    if fld != QQ:
-        rational = {d.designator: d for d in _catalog(shape, QQ)[0]}
+    if fld.modulus is not None:
         for d in out:
-            if d.family in ("gamma", "D", "E", "Dk", "Ek"):
-                d.qlift = rational[d.designator]
+            d._twin_field = QI if d.family in ("delta+", "delta-") else QQ
     return tuple(out), tuple(notes)
 
 

@@ -1,11 +1,18 @@
-"""Exact coefficient fields: arbitrary-precision rationals and prime fields F_p.
+"""Exact coefficient fields: the rationals Q, the Gaussian rationals Q(i)
+and prime fields F_p.
 
 Every value handled by this package is exact.  Rational elements are
 `fractions.Fraction` (canonical: gcd-reduced, positive denominator);
-prime-field elements are plain ints in ``[0, p)``.  A field object bundles
-the arithmetic so that the polynomial layer can stay generic.  That layer
-sums and multiplies elements with their own + and *, and each field's
-`normalize` turns the accumulated values back into canonical elements.
+Gaussian-rational elements are `GaussianRational` pairs a + b*i of
+Fractions; prime-field elements are plain ints in ``[0, p)``.  A field
+object bundles the arithmetic so that the polynomial layer can stay
+generic.  That layer sums and multiplies elements with their own + and *,
+and each field's `normalize` turns the accumulated values back into
+canonical elements.
+
+Q(i) is the characteristic-0 home of the derivations that need a square
+root of -1: Q has none, so over F_p those derivations take their exact
+divided powers from a twin over Q(i), reduced through i -> sqrt(-1) mod p.
 
 Prime fields are capped at p <= 10^5: root extraction and discrete
 logarithms are done by exhaustive scan, which is the whole point of the
@@ -126,6 +133,10 @@ class Rationals:
     def elements(self):
         raise FieldError("Q is infinite; cannot enumerate")
 
+    def sqrt_minus_one(self):
+        """None: -1 is not a rational square."""
+        return None
+
     def kth_roots(self, a, k: int) -> set:
         """All rational x with x^k = a.  Perfect-power detection only."""
         if k < 1:
@@ -147,6 +158,143 @@ class Rationals:
         return set() if k % 2 == 0 else {-r}
 
 
+class GaussianRational:
+    """a + b*i with Fraction parts a = real, b = imag, and i^2 = -1.
+
+    Mixed arithmetic with ints and Fractions gives GaussianRationals, so the
+    polynomial kernel accumulates these with their own + and *."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real=0, imag=0):
+        self.real = Fraction(real)
+        self.imag = Fraction(imag)
+
+    def __add__(self, other):
+        if isinstance(other, GaussianRational):
+            return GaussianRational(self.real + other.real, self.imag + other.imag)
+        return GaussianRational(self.real + other, self.imag)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.real, -self.imag)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, GaussianRational):
+            a, b, c, d = self.real, self.imag, other.real, other.imag
+            return GaussianRational(a * c - b * d, a * d + b * c)
+        return GaussianRational(self.real * other, self.imag * other)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.real or self.imag)
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return self.real == other.real and self.imag == other.imag
+        if isinstance(other, (int, Fraction)):
+            return not self.imag and self.real == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.real) if not self.imag else hash((self.real, self.imag))
+
+    def __str__(self):
+        a, b = self.real, self.imag
+        if not b:
+            return str(a)
+        im = {1: "i", -1: "-i"}.get(b, f"{b}*i")
+        if not a:
+            return im
+        return f"({a} - {im[1:]})" if im.startswith("-") else f"({a} + {im})"
+
+    def __repr__(self):
+        return f"GaussianRational({self})"
+
+
+class GaussianRationals:
+    """The field Q(i).  Elements are GaussianRational; i = sqrt_minus_one()."""
+
+    kind = "Qi"
+    modulus = None
+
+    def __repr__(self):
+        return "Q(i)"
+
+    def __eq__(self, other):
+        return isinstance(other, GaussianRationals)
+
+    def __hash__(self):
+        return hash("Qi")
+
+    @property
+    def zero(self):
+        return GaussianRational()
+
+    @property
+    def one(self):
+        return GaussianRational(1)
+
+    def from_int(self, n: int):
+        return GaussianRational(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        norm = a.real * a.real + a.imag * a.imag
+        if not norm:
+            raise ZeroDivisionError("inverse of 0")
+        return GaussianRational(a.real / norm, -a.imag / norm)
+
+    def div(self, a, b):
+        return a * self.inv(b)
+
+    def pow(self, a, k: int):
+        out = self.one
+        while k:
+            if k & 1:
+                out = out * a
+            a = a * a
+            k >>= 1
+        return out
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+    def normalize(self, acc: dict) -> dict:
+        """The nonzero entries of natively accumulated values.  Their
+        Fraction parts are kept in lowest terms, so each is canonical."""
+        return {k: v for k, v in acc.items() if v}
+
+    def fmt(self, a) -> str:
+        return str(a)
+
+    def elements(self):
+        raise FieldError("Q(i) is infinite; cannot enumerate")
+
+    def sqrt_minus_one(self):
+        """i."""
+        return GaussianRational(0, 1)
+
+
 class PrimeField:
     """The field F_p for prime p <= 10^5.  Elements are ints in [0, p)."""
 
@@ -159,6 +307,7 @@ class PrimeField:
             raise FieldError(f"modulus {p} exceeds the scan cap {PRIME_FIELD_CAP}")
         self.modulus = p
         self._dlog_table = None
+        self._sqrt_minus_one = False  # not searched yet; None when p = 3 (mod 4)
 
     def __repr__(self):
         return f"F{self.modulus}"
@@ -238,9 +387,12 @@ class PrimeField:
         return {x for x in range(self.modulus) if pow(x, k, self.modulus) == a}
 
     def sqrt_minus_one(self):
-        """Smallest j with j^2 = -1, or None when p = 3 (mod 4)."""
-        roots = self.kth_roots(self.modulus - 1, 2)
-        return min(roots) if roots else None
+        """Smallest j with j^2 = -1, or None when p = 3 (mod 4); searched
+        once per field."""
+        if self._sqrt_minus_one is False:
+            roots = self.kth_roots(self.modulus - 1, 2)
+            self._sqrt_minus_one = min(roots) if roots else None
+        return self._sqrt_minus_one
 
     def primitive_root(self) -> int:
         p = self.modulus
@@ -285,6 +437,7 @@ def factor(n: int) -> dict:
 
 
 QQ = Rationals()
+QI = GaussianRationals()
 
 
 def parse_field(designator: str):
@@ -302,4 +455,4 @@ def parse_field(designator: str):
 
 
 def field_designator(field) -> str:
-    return "Q" if field.modulus is None else f"Fp:{field.modulus}"
+    return field.kind if field.modulus is None else f"Fp:{field.modulus}"

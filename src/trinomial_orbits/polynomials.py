@@ -202,27 +202,6 @@ class Polynomial:
             acc = fld.add(acc, v)
         return acc
 
-    def substitute(self, images) -> "Polynomial":
-        """The composition self(images[0], ..., images[n-1]).
-
-        images holds one polynomial per variable, all in one ring over the
-        same field; the result lives in that ring."""
-        ring = images[0].ring
-        one = ring.one
-        powers = {}
-        out: dict = {}
-        get = out.get
-        for e, c in self.terms.items():
-            term = one
-            for i, k in enumerate(e):
-                if k:
-                    if (i, k) not in powers:
-                        powers[i, k] = images[i] ** k
-                    term = term * powers[i, k]
-            for te, tc in term.terms.items():
-                out[te] = get(te, 0) + c * tc
-        return ring.from_terms(out)
-
     def rename(self, perm) -> "Polynomial":
         """Apply the variable permutation i -> perm[i] to every exponent."""
         out: dict = {}

@@ -288,7 +288,7 @@ class TestEnumerateVerify:
 
     @pytest.mark.parametrize("sub", ["all", "invariance"])
     @pytest.mark.parametrize("shape", ["[[2,2],[2,2],[5]]", "[[2],[2],[6]]"])
-    def test_flows_leaving_the_variety_are_reported(self, capsys, sub, shape):
+    def test_flows_leaving_the_variety_are_reported(self, capsys, twinless_delta, sub, shape):
         code, data = run_json(capsys, "verify", sub, "--shape", shape, "--field", "Fp:5")
         assert code in (0, 3) and "error" not in data
         flows = next(c for c in data["checks"] if c["name"] == "flow_invariance")
@@ -311,12 +311,26 @@ class TestEnumerateVerify:
         code, text = run(capsys, *args)
         assert code == 0 and "PASS flow_regularity" in text
 
-    def test_verify_flows_failure_exits_3(self, capsys):
+    def test_verify_flows_failure_exits_3(self, capsys, twinless_delta):
         code, data = run_json(
             capsys, "verify", "flows", "--shape", "[[2,2],[2,2],[5]]", "--field", "Fp:5"
         )
         assert code == 3 and data["failures"] == 1
         assert data["checks"][0]["details"]["off_variety"] == 2560
+
+    @pytest.mark.parametrize(
+        "shape,points,evaluations",
+        [("[[2,2],[2,2],[5]]", 625, 1250), ("[[2],[2],[6]]", 25, 50)],
+    )
+    def test_delta_flows_over_f5_stay_on_the_variety(self, capsys, shape, points, evaluations):
+        code, data = run_json(capsys, "verify", "flows", "--shape", shape, "--field", "Fp:5")
+        assert code == 0 and data["failures"] == 0
+        details = data["checks"][0]["details"]
+        assert details["off_variety"] == 0 and details["points"] == points
+        assert details["flow_evaluations"] == evaluations  # one per walked point
+        code, data = run_json(capsys, "verify", "all", "--shape", shape, "--field", "Fp:5")
+        flows = next(c for c in data["checks"] if c["name"] == "flow_invariance")
+        assert flows["passed"] and "refused" not in flows["details"]
 
     def test_verify_flows_over_q_is_a_domain_error(self, capsys):
         code, data = run_json(capsys, "verify", "flows", "--shape", "[[2],[2],[3]]")

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from trinomial_orbits import (
     CharacteristicTooSmall,
@@ -24,11 +24,20 @@ from trinomial_orbits import (
     validate_shape,
 )
 from trinomial_orbits.cli import run_cli
-from trinomial_orbits.derivations import catalog_index
+from trinomial_orbits.derivations import catalog_index, delta_pair_groups
+from trinomial_orbits.fields import QI
 from trinomial_orbits.orbits import BigO, FlowStep, OMeps, classify_point, transport
-from trinomial_orbits.oracle import enumerate_points, random_points
+from trinomial_orbits.oracle import enumerate_points, random_points, verify_flow_regularity
 
-from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, small_shapes
+from conftest import (
+    SHAPE_A,
+    SHAPE_C,
+    SHAPE_D,
+    SHAPE_E,
+    SHAPE_H2,
+    prove_group_law,
+    small_shapes,
+)
 
 CATALOG_SHAPES = [SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2]
 
@@ -251,18 +260,22 @@ class TestFlowGroupLaw:
         d.qlift = D1.qlift
         series = d.divided_power_series(0)  # x + 3u z^2 - 3u^2 z y^2 + u^3 y^4
         assert len(series) == 4
+        assert prove_group_law(d)
         d._series[0] = series[:-1]
-        assert not d.flow_group_law()
+        assert not prove_group_law(d)
 
-    def test_law_proved_once_per_derivation(self, monkeypatch, shape_a, f7):
-        d = catalog_derivation(shape_a, f7, "D:1")
-        proofs = []
-        prove = Derivation._prove_group_law
-        monkeypatch.setattr(
-            Derivation, "_prove_group_law", lambda self: proofs.append(1) or prove(self)
-        )
-        assert d.flow_group_law() and d.flow_group_law()
-        assert len(proofs) == 1
+    @given(small_shapes(), st.sampled_from([5, 7, 13]))
+    @settings(max_examples=40, deadline=None)
+    def test_shortcut_agrees_with_the_proof(self, shape, p):
+        for d in lnd_catalog(shape, PrimeField(p)):
+            assert d.flow_group_law() == prove_group_law(d), d
+
+    def test_twinless_derivations_claim_no_law(self, shape_a, f7):
+        D1 = catalog_derivation(shape_a, f7, "D:1")
+        raw = Derivation(shape_a, f7, dict(D1.images))
+        assert D1.flow_group_law() and not raw.flow_group_law()
+        graded = homogeneous_split(D1, eta_grading(shape_a, 1))
+        assert [part.flow_group_law() for _, part in graded] == [False]
 
 
 class TestGradings:
@@ -353,6 +366,83 @@ class TestDeltaFlows:
             from trinomial_orbits.derivations import _build_delta
 
             _build_delta(shape_h2, QQ)
+
+    def test_fp_deltas_have_gaussian_twins(self, shape_h2):
+        f13 = PrimeField(13)
+        twins = catalog_index(shape_h2, QI)
+        for d in lnd_catalog(shape_h2, f13):
+            assert d.qlift is twins[d.designator]
+            for v, img in d.qlift.images.items():
+                assert derivations._push_poly(img, d.ring) == d.image(v)
+
+    def test_twin_looked_up_on_first_flow(self, monkeypatch, shape_h2):
+        built = []
+        real = derivations._build_delta
+        monkeypatch.setattr(
+            derivations, "_build_delta",
+            lambda shape, fld: built.append(fld) or real(shape, fld),
+        )
+        f101 = PrimeField(101)
+        (d, *_) = lnd_catalog(shape_h2, f101)
+        d.well_defined()
+        d.nilpotency_index(0)
+        assert built == [f101]
+        d.divided_power_series(0)
+        assert built == [f101, QI]
+
+    @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
+    def test_flows_stay_on_the_variety_over_f5(self, groups):
+        # p = 5 is at most an exponent of the third group: the divided powers
+        # computed in F_5 were no flow, the pushed Q(i) series is one
+        shape, f5 = validate_shape(groups), PrimeField(5)
+        for d in lnd_catalog(shape, f5):
+            for pt in enumerate_points(shape, f5):
+                for u in range(5):
+                    assert shape.on_variety(f5, d.exp_flow(u, pt))
+
+
+@st.composite
+def delta_shapes(draw, max_vars=5):
+    """Shapes with two even groups led by exponent 2, in any group order,
+    and a third group of exponents 1-8 (so some exceed p = 5)."""
+    even = st.lists(st.sampled_from([2, 4]), max_size=1).map(lambda t: [2] + t)
+    groups = [draw(even), draw(even), draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))]
+    groups = draw(st.permutations(groups))
+    shape = validate_shape(groups)
+    assume(shape.n <= max_vars and shape.degenerate_group() is None)
+    assume(delta_pair_groups(shape) is not None)
+    return shape
+
+
+class TestGaussianTwins:
+    """Delta is exact over Q(i), and its F_p flows are the twin's, reduced."""
+
+    @given(delta_shapes())
+    @settings(max_examples=30, deadline=None)
+    def test_delta_is_locally_nilpotent_over_qi(self, shape):
+        deltas = [d for d in lnd_catalog(shape, QI) if d.family.startswith("delta")]
+        assert deltas
+        for d in deltas:
+            assert d.well_defined() == (True, True)
+            for v in range(shape.n):
+                d.nilpotency_index(v)  # raises Diverged past the cap
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_flows_stay_on_the_variety(self, data):
+        p = data.draw(st.sampled_from([5, 13]))
+        shape = data.draw(delta_shapes(max_vars=5 if p == 5 else 4))
+        fld = PrimeField(p)
+        deltas = [d for d in lnd_catalog(shape, fld) if d.family.startswith("delta")]
+        walked = verify_flow_regularity(shape, fld, deltas).checks[0]
+        assert walked.passed and walked.details["off_variety"] == 0
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Derivation, "flow_group_law", lambda self: False)
+            pointwise = verify_flow_regularity(shape, fld, deltas).checks[0]
+        assert pointwise.details["flow_evaluations"] == pointwise.details["runs"]
+        walked.details.pop("flow_evaluations")
+        pointwise.details.pop("flow_evaluations")
+        assert walked.details == pointwise.details
 
 
 class TestCatalogCache:

@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from trinomial_orbits.fields import (
     FieldError,
+    GaussianRational,
     PrimeField,
+    QI,
     QQ,
     factor,
     field_designator,
@@ -88,12 +90,66 @@ class TestArithmetic:
         assert PrimeField(13).sqrt_minus_one() == 5
         assert PrimeField(3).sqrt_minus_one() is None
         assert PrimeField(7).sqrt_minus_one() is None
+        assert QQ.sqrt_minus_one() is None
+        i = QI.sqrt_minus_one()
+        assert i * i == QI.from_int(-1) == -1
+
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_sqrt_minus_one_searched_once(self, monkeypatch, p):
+        fld = PrimeField(p)
+        scans = []
+        real = PrimeField.kth_roots
+        monkeypatch.setattr(
+            PrimeField, "kth_roots", lambda self, a, k: scans.append(a) or real(self, a, k)
+        )
+        assert fld.sqrt_minus_one() == fld.sqrt_minus_one() == {7: None, 13: 5}[p]
+        assert scans == [p - 1]
 
     def test_dlog(self):
         fld = PrimeField(13)
         g = fld.primitive_root()
         for a in range(1, 13):
             assert pow(g, fld.dlog(a), 13) == a
+
+
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+gaussian = st.builds(GaussianRational, rationals, rationals)
+
+
+class TestGaussianRationals:
+    @given(gaussian, gaussian, gaussian)
+    def test_field_axioms(self, a, b, c):
+        assert QI.add(a, b) == QI.add(b, a) and QI.mul(a, b) == QI.mul(b, a)
+        assert QI.mul(a, QI.add(b, c)) == QI.add(QI.mul(a, b), QI.mul(a, c))
+        assert QI.sub(QI.add(a, b), b) == a
+        if not QI.is_zero(b):
+            assert QI.div(QI.mul(a, b), b) == a
+            assert QI.mul(b, QI.inv(b)) == QI.one
+
+    @given(gaussian, st.integers(0, 6))
+    def test_pow(self, a, k):
+        expected = QI.one
+        for _ in range(k):
+            expected = expected * a
+        assert QI.pow(a, k) == expected
+
+    def test_fmt(self):
+        parts = [(3, 0), (0, 1), (0, -1), (0, Fraction(1, 2)), (1, -2)]
+        assert [QI.fmt(GaussianRational(*ab)) for ab in parts] == [
+            "3", "i", "-i", "1/2*i", "(1 - 2*i)",
+        ]
+
+    def test_mixed_arithmetic_and_equality(self):
+        i = QI.sqrt_minus_one()
+        assert 0 + i == i and 2 * i == i + i and 1 - i == GaussianRational(1, -1)
+        assert GaussianRational(3) == 3 == Fraction(3) and hash(GaussianRational(3)) == hash(3)
+        assert QI != QQ and QI == type(QI)() and field_designator(QI) == "Qi"
+
+    def test_inverse_of_zero_and_infinite(self):
+        with pytest.raises(ZeroDivisionError):
+            QI.inv(QI.zero)
+        with pytest.raises(FieldError):
+            QI.elements()
 
 
 class TestConstruction:

@@ -265,14 +265,15 @@ class TestFlowRegularity:
         pointwise.details.pop("flow_evaluations")
         assert walked.details == pointwise.details
 
-    def test_step_leaving_the_variety_falls_back(self, shape_h2):
-        # over F_5 the delta flows leave X: the walk stops at the first such
-        # image and the pointwise loop counts every one of them
+    def test_step_leaving_the_variety_falls_back(self, monkeypatch, shape_h2):
+        # twinless copies of the deltas take their divided powers in F_5,
+        # where they are no flow and leave X; even under a claimed law the
+        # walk stops at the first such image and the pointwise loop counts
+        # every one of them
         fld = PrimeField(5)
-        result = check(
-            verify_flow_regularity(shape_h2, fld, lnd_catalog(shape_h2, fld)),
-            "flow_regularity",
-        )
+        raw = [Derivation(shape_h2, fld, dict(d.images)) for d in lnd_catalog(shape_h2, fld)]
+        monkeypatch.setattr(Derivation, "flow_group_law", lambda self: True)
+        result = check(verify_flow_regularity(shape_h2, fld, raw), "flow_regularity")
         assert not result.passed
         assert (result.details["off_variety"], result.details["runs"]) == (2560, 6250)
         assert result.details["flow_evaluations"] > result.details["runs"]
@@ -599,9 +600,10 @@ class TestSkipped:
         ]
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
-    def test_flows_leaving_the_variety_are_refused(self, groups):
-        # over F_5 some delta images leave X: those trials are refused and
-        # make no component-membership run, the others still compare
+    def test_flows_leaving_the_variety_are_refused(self, twinless_delta, groups):
+        # without their twins some delta images leave X over F_5: those
+        # trials are refused and make no component-membership run, the
+        # others still compare
         shape, f5 = validate_shape(groups), PrimeField(5)
         report = verify_all(shape, f5)
         flows = check(report, "flow_invariance")
