@@ -12,7 +12,11 @@ equation F, for an exponent-1 variable and a variable of another group:
 * delta+:i / delta-:i - two all-even groups led by exponent 2.  Under the
                 all-plus sign convention these need a square root of -1 in
                 the coefficient field (RootUnavailable otherwise, as over Q);
-                the two variants differ by the sign of that root.
+                the two variants differ by the sign of that root (over F_2,
+                where it is 1 = -1, only delta+:i is built).
+
+Nilpotency and the in-field divided powers read one sequence, the reduced
+powers delta^k(v) mod F from the image of v, under one NILPOTENCY_CAP.
 
 Flows exp(u*delta) are exact truncated exponentials.  Every catalog
 derivation over F_p carries a characteristic-0 twin: the derivation of the
@@ -53,6 +57,7 @@ class Derivation:
         self.field = fld
         self.ring = next(iter(images.values())).ring if images else shape.ring(fld)
         self.images = {v: p for v, p in images.items() if not p.is_zero()}
+        self._image_terms = [(v, p.terms.items()) for v, p in self.images.items()]
         self.family = family
         self.params = tuple(params)
         self._qlift = None
@@ -93,11 +98,10 @@ class Derivation:
         ring = self.ring
         if f.ring is not ring and f.ring != ring:
             raise ValueError("mixed rings")
-        images = [(v, img.terms.items()) for v, img in self.images.items()]
         out: dict = {}
         get = out.get
         for e, c in f.terms.items():
-            for v, img in images:
+            for v, img in self._image_terms:
                 k = e[v]
                 if k:
                     ck = c * k
@@ -126,18 +130,28 @@ class Derivation:
         ok, _ = g.divides_into(dg)
         return ok, False
 
+    def _reduced_powers(self, v: int):
+        """Yield delta^k(v) mod the equation for k = 1, 2, ... while it is
+        nonzero, starting from the image of v: an unmoved variable yields
+        nothing.  Raises Diverged if delta^NILPOTENCY_CAP(v) is nonzero."""
+        if v not in self.images:
+            return
+        g = self.shape.equation(self.field)
+        cur = self.images[v].reduce_mod(g)
+        for _ in range(1, NILPOTENCY_CAP):
+            if cur.is_zero():
+                return
+            yield cur
+            cur = self.derive(cur).reduce_mod(g)
+        if not cur.is_zero():
+            raise Diverged(
+                f"no nilpotency on {self.ring.names[v]} within {NILPOTENCY_CAP} steps"
+            )
+
     def nilpotency_index(self, v: int) -> int:
         """Least k >= 1 with derivation^k(variable v) = 0 mod the equation,
         searched up to NILPOTENCY_CAP."""
-        g = self.shape.equation(self.field)
-        cur = self.ring.var(v)
-        for k in range(1, NILPOTENCY_CAP + 1):
-            cur = self.derive(cur).reduce_mod(g)
-            if cur.is_zero():
-                return k
-        raise Diverged(
-            f"no nilpotency on {self.ring.names[v]} within {NILPOTENCY_CAP} steps"
-        )
+        return 1 + sum(1 for _ in self._reduced_powers(v))
 
     # -- flows ----------------------------------------------------------------
 
@@ -171,24 +185,17 @@ class Derivation:
 
     def _series_in_field(self, v: int):
         fld = self.field
-        g = self.shape.equation(fld)
         out = [self.ring.var(v)]
-        k = 1
-        while True:
-            nxt = self.derive(out[-1]).reduce_mod(g)
-            if nxt.is_zero():
-                return out
-            if k > NILPOTENCY_CAP:
-                raise Diverged(
-                    f"flow series on {self.ring.names[v]} exceeds cap {NILPOTENCY_CAP}"
-                )
+        inv_factorial = fld.one
+        for k, power in enumerate(self._reduced_powers(v), start=1):
             kk = fld.from_int(k)
             if fld.is_zero(kk):
                 raise CharacteristicTooSmall(
                     f"divided power {k} needs division by the characteristic"
                 )
-            out.append(nxt.scale(fld.inv(kk)))
-            k += 1
+            inv_factorial = fld.mul(inv_factorial, fld.inv(kk))
+            out.append(power.scale(inv_factorial))
+        return out
 
     def flow_polynomial(self, v: int, u) -> Polynomial:
         """The image of variable v under exp(u * derivation), as a polynomial:
@@ -333,7 +340,7 @@ def delta_obstruction(shape: TrinomialShape, fld):
 
 def _build_delta(shape, fld):
     """Both sign variants of the quadratic-pair derivations, for each
-    variable of the remaining group.
+    variable of the remaining group; over F_2, where j = -j, only delta+.
 
     With the all-plus equation convention the images are, writing A, B for
     the exponent-2 leaders, F0, F1 for the half-exponent tails and j^2 = -1:
@@ -367,10 +374,11 @@ def _build_delta(shape, fld):
 
     A, F0 = leader_and_tail(g0)
     B, F1 = leader_and_tail(g1)
+    signs = (j,) if fld.neg(j) == j else (j, fld.neg(j))  # F_2: j = -j
     out = []
     for i, v in enumerate(shape.group_indices(g2), start=1):
         dP2 = equation.partial(v)
-        for sign, fam in ((j, "delta+"), (fld.neg(j), "delta-")):
+        for sign, fam in zip(signs, ("delta+", "delta-")):
             images = {
                 A: dP2 * F1,
                 B: (dP2 * F0).scale(sign),
@@ -434,6 +442,7 @@ def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
 
     Field-obstructed families (delta over fields without sqrt(-1)) are
     skipped; pass with_notes=True to also receive the obstruction messages.
+    Over F_2, where j = -j, delta is one derivation per variable (delta+:i).
     Rigid shapes give an empty catalog.
 
     The catalog is built once per (shape, field) and kept for the process,

@@ -92,7 +92,7 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -104,9 +104,13 @@ class Polynomial:
         return not self.terms
 
     def leading_term(self):
-        """(exps, coeff) maximal in graded-lex order."""
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
+        """(exps, coeff) maximal in graded-lex order, found once per polynomial."""
+        try:
+            return self._lead
+        except AttributeError:
+            exps = max(self.terms, key=_grlex_key)
+            self._lead = exps, self.terms[exps]
+            return self._lead
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -219,8 +223,10 @@ class Polynomial:
         and no term of r divisible by the leading term of g."""
         if g.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        fld = self.ring.field
         g_exps, g_lead = g.leading_term()
+        if not any(all(map(ge, e, g_exps)) for e in self.terms):
+            return self.ring.zero, self
+        fld = self.ring.field
         tail = [(e, c) for e, c in g.terms.items() if e != g_exps]
         q: dict = {}
         r: dict = {}

@@ -28,6 +28,7 @@ from trinomial_orbits.derivations import catalog_index, delta_pair_groups
 from trinomial_orbits.fields import QI
 from trinomial_orbits.orbits import BigO, FlowStep, OMeps, classify_point, transport
 from trinomial_orbits.oracle import enumerate_points, random_points, verify_flow_regularity
+from trinomial_orbits.polynomials import Polynomial
 
 from conftest import (
     SHAPE_A,
@@ -35,6 +36,7 @@ from conftest import (
     SHAPE_D,
     SHAPE_E,
     SHAPE_H2,
+    power_one_shapes,
     prove_group_law,
     small_shapes,
 )
@@ -53,6 +55,19 @@ class TestCatalog:
     def test_h2_has_delta_pair(self, shape_h2):
         cat = lnd_catalog(shape_h2, PrimeField(101))
         assert {d.designator for d in cat} == {"delta+:1", "delta-:1"}
+
+    @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [1, 3]]])
+    def test_f2_lists_one_delta_per_variable(self, groups):
+        # over F_2, j = -j: delta-:i would repeat delta+:i
+        shape, f2 = validate_shape(groups), PrimeField(2)
+        cat = lnd_catalog(shape, f2)
+        third = shape.group_indices(delta_pair_groups(shape)[2])
+        assert [d.designator for d in cat if d.family.startswith("delta")] == [
+            f"delta+:{i}" for i in range(1, len(third) + 1)
+        ]
+        walked = verify_flow_regularity(shape, f2, cat).checks[0]
+        assert walked.passed
+        assert walked.details["runs"] == walked.details["points"] * 2 * len(cat)
 
     def test_delta_needs_sqrt_minus_one(self, shape_h2):
         assert delta_obstruction(shape_h2, QQ) is not None
@@ -172,6 +187,114 @@ class TestNilpotency:
         # t.(x,z,s) scaling direction: well-defined but never nilpotent
         with pytest.raises(Diverged):
             euler.nilpotency_index(2)
+        with pytest.raises(Diverged):
+            euler.divided_power_series(2)
+
+    def test_one_cap_for_index_and_series(self, monkeypatch, shape_a, qq):
+        # x has index 4 under D:1: a cap of 4 admits it, 3 refuses it, for
+        # the index and the series alike (fresh copies: no shared cache)
+        images = dict(catalog_derivation(shape_a, qq, "D:1").images)
+        monkeypatch.setattr(derivations, "NILPOTENCY_CAP", 4)
+        d = Derivation(shape_a, qq, images)
+        assert d.nilpotency_index(0) == 4
+        assert len(d.divided_power_series(0)) == 4
+        monkeypatch.setattr(derivations, "NILPOTENCY_CAP", 3)
+        d = Derivation(shape_a, qq, images)
+        with pytest.raises(Diverged):
+            d.nilpotency_index(0)
+        with pytest.raises(Diverged):
+            d.divided_power_series(0)
+
+
+# -- the reduced powers against the naive loops ------------------------------
+
+
+def ref_nilpotency_index(d, v):
+    """The Leibniz pass from the bare variable, reduced at every step."""
+    g = d.shape.equation(d.field)
+    cur = d.ring.var(v)
+    for k in range(1, derivations.NILPOTENCY_CAP + 1):
+        cur = d.derive(cur).reduce_mod(g)
+        if cur.is_zero():
+            return k
+    raise Diverged(v)
+
+
+def ref_series_in_field(d, v):
+    """delta^k(v)/k! in the derivation's own field, each term the reduced
+    derivative of the one before divided by k."""
+    fld = d.field
+    g = d.shape.equation(fld)
+    out = [d.ring.var(v)]
+    for k in range(1, derivations.NILPOTENCY_CAP + 1):
+        nxt = d.derive(out[-1]).reduce_mod(g)
+        if nxt.is_zero():
+            return out
+        if k == derivations.NILPOTENCY_CAP:
+            raise Diverged(v)
+        kk = fld.from_int(k)
+        if fld.is_zero(kk):
+            raise CharacteristicTooSmall(k)
+        out.append(nxt.scale(fld.inv(kk)))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the refusal it raised."""
+    try:
+        return fn(*args)
+    except (CharacteristicTooSmall, Diverged) as exc:
+        return type(exc)
+
+
+def ref_series(d, v):
+    """The reference for divided_power_series: in-field, or the twin's
+    series pushed into the field."""
+    if d.qlift is None:
+        return ref_series_in_field(d, v)
+    return [derivations._push_poly(p, d.ring) for p in ref_series_in_field(d.qlift, v)]
+
+
+def assert_agrees_with_reference(d):
+    for v in range(d.shape.n):
+        assert outcome(d.nilpotency_index, v) == outcome(ref_nilpotency_index, d, v), (d, v)
+        assert outcome(d.divided_power_series, v) == outcome(ref_series, d, v), (d, v)
+
+
+REFERENCE_FIELDS = (QQ, QI, PrimeField(2), PrimeField(5), PrimeField(13))
+
+
+class TestReducedPowersAgainstReference:
+    @given(small_shapes(), st.sampled_from(REFERENCE_FIELDS))
+    @settings(max_examples=60, deadline=None)
+    def test_catalog_derivations(self, shape, fld):
+        for d in lnd_catalog(shape, fld):
+            assert (d.qlift is None) == (fld.modulus is None)
+            assert_agrees_with_reference(d)
+
+    @given(small_shapes(), st.sampled_from(REFERENCE_FIELDS))
+    @settings(max_examples=60, deadline=None)
+    def test_custom_derivations(self, shape, fld):
+        # the catalog images with no twin: the in-field series, refusals
+        # included (over F_2 and F_5 some divided powers need 1/p)
+        for d in lnd_catalog(shape, fld):
+            custom = Derivation(shape, fld, dict(d.images))
+            assert custom.qlift is None
+            assert_agrees_with_reference(custom)
+
+    @given(power_one_shapes(), st.sampled_from(REFERENCE_FIELDS))
+    @settings(max_examples=30, deadline=None)
+    def test_graded_parts(self, shape, fld):
+        eta = eta_grading(shape, 1)
+        for d in lnd_catalog(shape, fld):
+            for _, part in homogeneous_split(d, eta):
+                assert_agrees_with_reference(part)
+
+    def test_unmoved_variable_costs_no_arithmetic(self, monkeypatch, shape_a, qq):
+        D1 = Derivation(shape_a, qq, dict(catalog_derivation(shape_a, qq, "D:1").images))
+        monkeypatch.setattr(Derivation, "derive", None)
+        monkeypatch.setattr(Polynomial, "reduce_mod", None)
+        assert D1.nilpotency_index(1) == 1
+        assert D1.divided_power_series(1) == [shape_a.ring(qq).var(1)]
 
 
 class TestFlows:

@@ -302,6 +302,24 @@ class TestKernelAgainstReference:
         for e in r.terms:
             assert not all(a >= b for a, b in zip(e, lead))
 
+    @pytest.mark.parametrize("fld", KERNEL_FIELDS)
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_divmod_single_with_nothing_to_divide(self, fld, data):
+        ring = PolyRing(fld, "xyzs"[: data.draw(st.integers(1, 4))])
+        g = data.draw(polys(ring, max_terms=3).filter(lambda p: not p.is_zero()))
+        lead = max(g.terms, key=lambda e: (sum(e), e))
+        drawn = data.draw(polys(ring, max_terms=6))
+        f = Polynomial(ring, {
+            e: c for e, c in drawn.terms.items() if not all(a >= b for a, b in zip(e, lead))
+        })
+        q, r = f.divmod_single(g)
+        assert q.is_zero() and r == f
+        assert ref_add(fld, ref_mul(fld, q.terms, g.terms), r.terms) == f.terms
+        # the leading term found once on g is that of a freshly built copy
+        for p in (g, g, Polynomial(ring, dict(g.terms))):
+            assert p.leading_term() == (lead, g.terms[lead])
+
 
 class TestDeriveAgainstPartials:
     @given(small_shapes(), st.sampled_from([QQ, PrimeField(5), PrimeField(13)]), st.data())
