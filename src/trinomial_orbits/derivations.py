@@ -63,6 +63,7 @@ class Derivation:
         self._qlift = None
         self._twin_field = None  # the catalog field of a twin not yet looked up
         self._series = {}
+        self._flow = None
 
     @property
     def designator(self) -> str:
@@ -156,18 +157,21 @@ class Derivation:
     # -- flows ----------------------------------------------------------------
 
     def moving_variables(self):
-        """The variables a flow can move, in canonical order.
+        """The variables a flow moves, in canonical order: those whose
+        divided powers P_k, k >= 1, are not all zero.
 
         The twin may move a variable whose first-order image vanishes mod p
-        while higher divided powers survive."""
-        moving = set(self.images)
+        while higher divided powers survive; a variable whose pushed powers
+        all vanish mod p does not move."""
+        candidates = set(self.images)
         twin = self.qlift
         if twin is not None:
-            moving |= set(twin.images)
-        return sorted(moving)
+            candidates |= set(twin.images)
+        return [v for v in sorted(candidates) if len(self.divided_power_series(v)) > 1]
 
     def divided_power_series(self, v: int):
-        """[P_0, P_1, ...] with P_k = delta^k(v)/k!, P_k = 0 beyond the list.
+        """[P_0, P_1, ...] with P_k = delta^k(v)/k!, P_k = 0 beyond the list;
+        the list never ends in a zero polynomial.
 
         Computed over Q or Q(i) through the twin when there is one (exact
         in every characteristic); otherwise in-field, refusing a division by
@@ -178,6 +182,8 @@ class Derivation:
         twin = self.qlift
         if twin is not None:
             series = [_push_poly(p, self.ring) for p in twin.divided_power_series(v)]
+            while series[-1].is_zero():  # P_0 = v never vanishes
+                series.pop()
         else:
             series = self._series_in_field(v)
         self._series[v] = series
@@ -208,25 +214,37 @@ class Derivation:
             upow = fld.mul(upow, u)
         return out
 
+    def _flow_terms(self):
+        """[(v, terms)] for each moving variable v, where terms compile
+        sum_k u^k P_k for the fields' eval_terms at the point with u
+        appended as one more coordinate; built once per derivation."""
+        if self._flow is None:
+            u = self.ring.nvars
+            self._flow = [
+                (v, [
+                    (c, factors + ((u, k),) if k else factors)
+                    for k, P in enumerate(self.divided_power_series(v))
+                    for c, factors in P.point_terms()
+                ])
+                for v in self.moving_variables()
+            ]
+        return self._flow
+
     def exp_flow(self, u, pt):
         """Image of a variety point under exp(u * derivation).
 
-        The result satisfies the equation exactly; if an in-field series
-        terminated early because of the characteristic, the equation check
-        catches it and raises CharacteristicTooSmall.
+        Each moved coordinate is sum_k u^k P_k(pt), accumulated natively and
+        reduced once.  The result satisfies the equation exactly; if an
+        in-field series terminated early because of the characteristic, the
+        equation check catches it and raises CharacteristicTooSmall.
         """
         fld = self.field
         if not self.shape.on_variety(fld, pt):
             raise PointNotOnVariety("flow source does not satisfy the equation")
         out = list(pt)
-        for v in self.moving_variables():
-            series = self.divided_power_series(v)
-            acc = fld.zero
-            upow = fld.one
-            for P in series:
-                acc = fld.add(acc, fld.mul(upow, P.eval(pt)))
-                upow = fld.mul(upow, u)
-            out[v] = acc
+        at = (*pt, u)
+        for v, terms in self._flow_terms():
+            out[v] = fld.eval_terms(terms, at)
         out = tuple(out)
         if not self.shape.on_variety(fld, out):
             raise CharacteristicTooSmall(

@@ -8,7 +8,11 @@ Fractions; prime-field elements are plain ints in ``[0, p)``.  A field
 object bundles the arithmetic so that the polynomial layer can stay
 generic.  That layer sums and multiplies elements with their own + and *,
 and each field's `normalize` turns the accumulated values back into
-canonical elements.
+canonical elements.  Point evaluation goes through one hook,
+`eval_terms(terms, point)`: the value of sum c * prod x_i^k over compiled
+(c, ((i, k), ...)) terms, accumulated natively and normalised once per value.
+Coordinates (and coefficients) may also be plain ints: any int over F_p,
+whatever its residue, and ints next to Fractions over Q and Q(i).
 
 Q(i) is the characteristic-0 home of the derivations that need a square
 root of -1: Q has none, so over F_p those derivations take their exact
@@ -121,6 +125,22 @@ class Rationals:
         are kept in lowest terms, so each value is already canonical."""
         return {k: v for k, v in acc.items() if v}
 
+    def eval_terms(self, terms, point):
+        """sum c * prod x_i^k over (c, ((i, k), ...)) terms, as numerator
+        and denominator ints: one Fraction, and so one gcd, per value."""
+        num, den = 0, 1
+        for c, factors in terms:
+            n, d = c.numerator, c.denominator
+            for i, k in factors:
+                x = point[i]
+                n *= x.numerator**k
+                d *= x.denominator**k
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+        return Fraction(num, den)
+
     def fmt(self, a) -> str:
         return str(a)
 
@@ -193,6 +213,19 @@ class GaussianRational:
         return GaussianRational(self.real * other, self.imag * other)
 
     __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        out = GaussianRational(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def __bool__(self):
         return bool(self.real or self.imag)
@@ -268,13 +301,7 @@ class GaussianRationals:
         return a * self.inv(b)
 
     def pow(self, a, k: int):
-        out = self.one
-        while k:
-            if k & 1:
-                out = out * a
-            a = a * a
-            k >>= 1
-        return out
+        return a**k
 
     def is_zero(self, a) -> bool:
         return not a
@@ -283,6 +310,16 @@ class GaussianRationals:
         """The nonzero entries of natively accumulated values.  Their
         Fraction parts are kept in lowest terms, so each is canonical."""
         return {k: v for k, v in acc.items() if v}
+
+    def eval_terms(self, terms, point):
+        """sum c * prod x_i^k over (c, ((i, k), ...)) terms, with the
+        elements' own + and *."""
+        acc = GaussianRational()
+        for c, factors in terms:
+            for i, k in factors:
+                c = c * point[i] ** k
+            acc = acc + c
+        return acc
 
     def fmt(self, a) -> str:
         return str(a)
@@ -360,6 +397,17 @@ class PrimeField:
         reduced to its residue in [0, p)."""
         p = self.modulus
         return {k: r for k, v in acc.items() if (r := v % p)}
+
+    def eval_terms(self, terms, point):
+        """sum c * prod x_i^k over (c, ((i, k), ...)) terms, as ints: each
+        power is a residue, and the sum is reduced once."""
+        p = self.modulus
+        acc = 0
+        for c, factors in terms:
+            for i, k in factors:
+                c *= pow(point[i], k, p)
+            acc += c
+        return acc % p
 
     def fmt(self, a) -> str:
         return str(a % self.modulus)

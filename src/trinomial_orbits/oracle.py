@@ -541,19 +541,17 @@ def _flow_orbit(delta, p):
     """The orbit map of delta on residue points: pt -> [exp(u * delta)(pt)
     for u = 0 .. p-1], the flow_polynomial images at every u.
 
-    Each moving variable's divided powers P_0 .. P_K are compiled once to
-    (coefficient, [(variable, exponent)]) terms over one power table.  A
-    point evaluates each P_k once; image u then reads sum_k P_k(pt) * u^k
-    from a table of the u^k, so all p images cost one coefficient
-    evaluation.  Variables delta does not move keep their coordinate.
+    Each moving variable's divided powers P_0 .. P_K are read as their
+    compiled point terms, (coefficient, ((variable, exponent), ...)) pairs,
+    over one power table.  A point evaluates each P_k once; image u then
+    reads sum_k P_k(pt) * u^k from a table of the u^k, so all p images cost
+    one coefficient evaluation.  Variables delta does not move keep their
+    coordinate.
     """
     compiled = []
     max_exp = max_k = 1
     for v in delta.moving_variables():
-        series = [
-            [(c, [(i, e) for i, e in enumerate(exps) if e]) for exps, c in P.terms.items()]
-            for P in delta.divided_power_series(v)
-        ]
+        series = [P.point_terms() for P in delta.divided_power_series(v)]
         compiled.append((v, series))
         max_k = max(max_k, len(series))
         max_exp = max(

@@ -11,8 +11,11 @@ f is a multiple of g iff the division remainder vanishes.
 Sums and products accumulate with the coefficients' own + and * (ints for
 F_p, Fractions for Q), and each result passes once through the field's
 `normalize`, which drops the zeros and brings every value to its canonical
-element.  Polynomials are never mutated after construction, so a cached
-one may be shared.
+element.  Evaluation at a point works the same way: the terms are compiled
+once per polynomial to (coefficient, ((variable, exponent), ...)) pairs,
+and the field's `eval_terms` accumulates their values natively and
+normalises once per value.  Polynomials are never mutated after
+construction, so a cached one, and its compiled terms, may be shared.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms", "_lead", "_point_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -190,21 +193,26 @@ class Polynomial:
                 out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
         return self.ring.from_terms(out)
 
+    def point_terms(self):
+        """The terms as (coeff, ((variable, exponent), ...)) pairs, nonzero
+        exponents only: the form the field's eval_terms reads, compiled once
+        per polynomial."""
+        try:
+            return self._point_terms
+        except AttributeError:
+            self._point_terms = [
+                (c, tuple((i, k) for i, k in enumerate(e) if k))
+                for e, c in self.terms.items()
+            ]
+            return self._point_terms
+
     def eval(self, point) -> object:
         """Evaluate at a full point (sequence of field values, canonical order)."""
-        fld = self.ring.field
         if len(point) != self.ring.nvars:
             raise MissingCoordinate(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars}"
             )
-        acc = fld.zero
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                if k:
-                    v = fld.mul(v, fld.pow(point[i], k))
-            acc = fld.add(acc, v)
-        return acc
+        return self.ring.field.eval_terms(self.point_terms(), point)
 
     def rename(self, perm) -> "Polynomial":
         """Apply the variable permutation i -> perm[i] to every exponent."""

@@ -125,19 +125,23 @@ class TrinomialShape:
         by every caller: do not mutate its terms."""
         return _equation(self, fld)
 
+    @cached_property
+    def _monomial_terms(self):
+        """Each monomial as a one-term list for the fields' eval_terms,
+        coefficient 1 (the free term has no factors)."""
+        exps = self.exponents
+        return tuple(
+            [(1, tuple((idx, exps[idx]) for idx in idxs))] for idxs in self._group_ranges
+        )
+
     def monomial_value(self, fld, pt, g: int):
         """Value of the g-th monomial at a point (1 for the free term)."""
-        acc = fld.one
-        exps = self.exponents
-        for idx in self._group_ranges[g]:
-            acc = fld.mul(acc, fld.pow(pt[idx], exps[idx]))
-        return acc
+        return fld.eval_terms(self._monomial_terms[g], pt)
 
     def on_variety(self, fld, pt) -> bool:
-        total = fld.zero
-        for g in range(3):
-            total = fld.add(total, self.monomial_value(fld, pt, g))
-        return fld.is_zero(total)
+        """Does the point satisfy the equation?  A point with the wrong
+        number of coordinates raises MissingCoordinate."""
+        return fld.is_zero(self.equation(fld).eval(pt))
 
     # -- serialization ---------------------------------------------------------
 

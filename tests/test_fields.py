@@ -145,6 +145,18 @@ class TestGaussianRationals:
         assert GaussianRational(3) == 3 == Fraction(3) and hash(GaussianRational(3)) == hash(3)
         assert QI != QQ and QI == type(QI)() and field_designator(QI) == "Qi"
 
+    @given(st.integers(-9, 9), st.integers(-9, 9), st.integers(0, 7))
+    def test_power_is_repeated_product(self, a, b, k):
+        z = GaussianRational(Fraction(a, 3), b)
+        product = QI.one
+        for _ in range(k):
+            product = product * z
+        assert z**k == product and QI.pow(z, k) == product
+
+    def test_negative_power_refused(self):
+        with pytest.raises(ValueError, match="negative power"):
+            QI.sqrt_minus_one() ** -1
+
     def test_inverse_of_zero_and_infinite(self):
         with pytest.raises(ZeroDivisionError):
             QI.inv(QI.zero)

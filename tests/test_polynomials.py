@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trinomial_orbits.derivations import lnd_catalog
+from trinomial_orbits.errors import CharacteristicTooSmall
 from trinomial_orbits.fields import GaussianRational, GaussianRationals, PrimeField, QQ
 from trinomial_orbits.polynomials import (
     MissingCoordinate,
@@ -12,6 +13,7 @@ from trinomial_orbits.polynomials import (
     PolyRing,
     Polynomial,
 )
+from trinomial_orbits.oracle import random_points
 from trinomial_orbits.shapes import symmetry_group
 from trinomial_orbits.strata import singular_components
 from conftest import small_shapes, substitute
@@ -227,6 +229,33 @@ def ref_partial(fld, f, v):
     return out
 
 
+def ref_value(fld, c, factors, point):
+    """c * prod point[i]^k, one field multiplication per factor."""
+    for i, k in factors:
+        for _ in range(k):
+            c = fld.mul(c, point[i])
+    return c
+
+
+def ref_eval(fld, f, point):
+    acc = fld.zero
+    for e, c in f.items():
+        acc = fld.add(acc, ref_value(fld, c, [(i, k) for i, k in enumerate(e) if k], point))
+    return acc
+
+
+def ref_monomial_value(shape, fld, pt, g):
+    idxs = shape.group_indices(g)
+    return ref_value(fld, fld.one, [(i, shape.exponents[i]) for i in idxs], pt)
+
+
+def ref_on_variety(shape, fld, pt):
+    total = fld.zero
+    for g in range(3):
+        total = fld.add(total, ref_monomial_value(shape, fld, pt, g))
+    return fld.is_zero(total)
+
+
 def ref_substitute(fld, f, images, nvars):
     out = {}
     for e, c in f.items():
@@ -235,6 +264,21 @@ def ref_substitute(fld, f, images, nvars):
             term = ref_mul(fld, term, ref_pow(fld, nvars, images[i], k))
         out = ref_add(fld, out, term)
     return out
+
+
+def rational_point(shape, rng):
+    """A point of X over Q, solved for its first exponent-1 variable, which
+    every shape with a nonempty catalog over Q has."""
+    v = shape.exponents.index(1)
+    gv = shape.group_of(v)
+    while True:
+        pt = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(shape.n)]
+        pt[v] = Fraction(1)
+        cofactor = ref_monomial_value(shape, QQ, pt, gv)
+        if cofactor:
+            rest = sum(ref_monomial_value(shape, QQ, pt, g) for g in range(3) if g != gv)
+            pt[v] = -rest / cofactor
+            return tuple(pt)
 
 
 @st.composite
@@ -258,7 +302,71 @@ def polys(draw, ring, max_terms=5, max_exp=3):
     return Polynomial(ring, {e: c for e, c in terms.items() if not fld.is_zero(c)})
 
 
+def coordinates(fld):
+    """Point coordinates the evaluation must accept: over F_p any int,
+    canonical or not; over Q Fractions and plain ints; over Q(i) Gaussian
+    rationals, Fractions and ints."""
+    ints = st.integers(-5, 5)
+    rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    if fld == QQ:
+        return st.one_of(rationals, ints)
+    if fld.modulus is None:
+        return st.one_of(st.builds(GaussianRational, rationals, rationals), rationals, ints)
+    p = fld.modulus
+    return st.one_of(st.integers(0, p - 1), st.sampled_from([-1, p, p + 3, -p - 2, 7 * p + 1]))
+
+
+def same_value(fld, value, ref):
+    """Equal and of the same type; over F_p also the canonical residue."""
+    return value == ref and type(value) is type(ref) and (
+        fld.modulus is None or 0 <= value < fld.modulus
+    )
+
+
 class TestKernelAgainstReference:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_eval(self, data):
+        ring = data.draw(rings())
+        fld = ring.field
+        f = data.draw(polys(ring))
+        pt = data.draw(st.lists(coordinates(fld), min_size=ring.nvars, max_size=ring.nvars))
+        assert same_value(fld, f.eval(pt), ref_eval(fld, f.terms, pt))
+        assert same_value(fld, f.eval(pt), ref_eval(fld, f.terms, pt))  # compiled terms reused
+
+    @given(small_shapes(), st.sampled_from(KERNEL_FIELDS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_shape_evaluation(self, shape, fld, data):
+        pt = data.draw(st.lists(coordinates(fld), min_size=shape.n, max_size=shape.n))
+        if fld.modulus is not None and data.draw(st.booleans()):
+            pt = list(random_points(shape, fld, 1, random.Random(data.draw(st.integers())))[0])
+        assert shape.on_variety(fld, pt) == ref_on_variety(shape, fld, pt)
+        for g in range(3):
+            value = shape.monomial_value(fld, pt, g)
+            assert same_value(fld, value, ref_monomial_value(shape, fld, pt, g))
+
+    @given(small_shapes(), st.sampled_from([QQ, PrimeField(2), PrimeField(5), PrimeField(13)]),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_exp_flow_is_the_flow_polynomials(self, shape, fld, data):
+        catalog = lnd_catalog(shape, fld)
+        assume(catalog)
+        rng = random.Random(data.draw(st.integers()))
+        if fld.modulus is None:
+            pt = rational_point(shape, rng)
+            u = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        else:
+            pt = random_points(shape, fld, 1, rng)[0]
+            u = rng.randrange(fld.modulus)
+        for d in catalog:
+            try:
+                expected = tuple(d.flow_polynomial(v, u).eval(pt) for v in range(shape.n))
+            except CharacteristicTooSmall:  # the twin's series does not reduce mod p
+                with pytest.raises(CharacteristicTooSmall):
+                    d.exp_flow(u, pt)
+                continue
+            assert d.exp_flow(u, pt) == expected, d
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_ring_operations(self, data):

@@ -15,6 +15,7 @@ from trinomial_orbits import (
     validate_shape,
 )
 from trinomial_orbits.intlinalg import invariant_factors, mat_vec
+from trinomial_orbits.polynomials import MissingCoordinate
 from trinomial_orbits.shapes import (
     apply_permutation_to_point,
     constraint_rows,
@@ -106,6 +107,12 @@ class TestEquation:
 
     def test_shape_c(self, shape_c, qq):
         assert str(shape_c.equation(qq)) == "T0_1*T0_2*T0_3^2 + T1_1^3 + T2_1^3"
+
+    @pytest.mark.parametrize("pt", [(1, 1, 1, 1, 1), (0, 0, 0)])
+    def test_on_variety_refuses_a_point_of_the_wrong_length(self, shape_a, qq, f7, pt):
+        for fld in (qq, f7):
+            with pytest.raises(MissingCoordinate):
+                shape_a.on_variety(fld, pt)
 
 
 class TestRigidity:
