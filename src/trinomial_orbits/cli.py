@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 mathematical-domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -320,7 +321,10 @@ def cmd_verify(args) -> int:
     return 3 if report.failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args does not
+    change it."""
     ap = argparse.ArgumentParser(
         prog="trinomial-orbits",
         description="Classification and orbit stratification of trinomial hypersurfaces",

@@ -21,6 +21,7 @@ from math import gcd
 
 from .errors import UnsupportedFamily
 from .shapes import (
+    EQUATION_CACHE_SIZE,
     FLEXIBLE,
     NONRIGID_OTHER,
     RIGID,
@@ -113,7 +114,7 @@ def _split_view(shape: TrinomialShape, ones_group: int):
     return tuple(zs), b, tuple(ss), c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EQUATION_CACHE_SIZE)
 def family_of(shape: TrinomialShape) -> FamilyTag:
     """Classify into flexible-table / F1 / F2 / rigid / other."""
     verdict = rigidity_classify(shape)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import product
 from operator import mul
 
 from . import orbits, strata
@@ -65,25 +64,16 @@ def point_count(shape: TrinomialShape, p: int) -> int:
     )
 
 
-def _value_table(exps, p) -> dict:
-    """Monomial value -> the coordinate sub-tuples of one group giving it."""
-    table = {}
-    for sub in product(range(p), repeat=len(exps)):
-        m = 1
-        for x, e in zip(sub, exps):
-            m = m * pow(x, e, p) % p
-        table.setdefault(m, []).append(sub)
-    return table
+def _residue_blocks(shape: TrinomialShape, fld) -> list:
+    """Per group: monomial value -> zero mask -> (sub-tuples, factors).
 
-
-def enumerate_points(shape: TrinomialShape, fld):
-    """All F_p-points of the hypersurface, lexicographically ordered.
-
-    Each group's monomial is tabulated once (value -> coordinate
-    sub-tuples); a point joins sub-tuples of groups 0 and 1 with one of
-    group 2 whose monomial is -(m0 + m1).  The value counts give the exact
-    number of points before any is built: more than POINT_CAP raises
-    TooLarge.
+    A point's zero mask (bit i set when coordinate i is 0) is the OR of its
+    sub-tuples' masks.  On a power-one view a sub-tuple's factor of the
+    root ratio r = prod z^(b/d) / prod s^(c/d) is the product of z^(b/d)
+    over its z and s^(-(c/d) mod (p-1)) over its s coordinates, so r is the
+    product of a point's three factors wherever no s vanishes.  The value
+    counts give the exact number of points before any table is built: more
+    than POINT_CAP raises TooLarge.
     """
     p = fld.modulus
     if p is None:
@@ -91,7 +81,45 @@ def enumerate_points(shape: TrinomialShape, fld):
     total = point_count(shape, p)
     if total > POINT_CAP:
         raise TooLarge(f"{total} points exceed the enumeration cap {POINT_CAP}")
-    t0, t1, t2 = (_value_table(grp, p) for grp in shape.groups)
+    tag = family_of(shape)
+    view = tag.f1 or tag.f2
+    ratio = {}
+    if view is not None:
+        ratio.update((i, b // view.d) for i, b in zip(view.zs, view.b))
+        ratio.update((i, -(c // view.d) % (p - 1)) for i, c in zip(view.ss, view.c))
+    return [_group_blocks(shape, g, p, ratio) for g in range(3)]
+
+
+def _group_blocks(shape: TrinomialShape, g: int, p: int, ratio: dict) -> dict:
+    """One group's residue blocks, its sub-tuples built coordinate by
+    coordinate in lexicographic order; ratio maps a coordinate to the
+    exponent of its root-ratio factor (absent: factor 1)."""
+    rows = [((), 1, 1, 0)]  # (sub-tuple, monomial, factor, zero mask)
+    for i in shape.group_indices(g):
+        e, r = shape.exponents[i], ratio.get(i, 0)
+        coord = [((x,), pow(x, e, p), pow(x, r, p), 0 if x else 1 << i) for x in range(p)]
+        rows = [(sub + s, m * w % p, f * h % p, mask | z)
+                for sub, m, f, mask in rows for s, w, h, z in coord]
+    table = {}
+    for sub, m, f, mask in rows:
+        subs, factors = table.setdefault(m, {}).setdefault(mask, ([], []))
+        subs.append(sub)
+        factors.append(f)
+    return table
+
+
+def enumerate_points(shape: TrinomialShape, fld):
+    """All F_p-points of the hypersurface, lexicographically ordered.
+
+    Each group's monomial is tabulated once (_residue_blocks); a point
+    joins sub-tuples of groups 0 and 1 with one of group 2 whose monomial
+    is -(m0 + m1).
+    """
+    p = fld.modulus
+    t0, t1, t2 = (
+        {m: sorted(s for subs, _ in blocks.values() for s in subs) for m, blocks in table.items()}
+        for table in _residue_blocks(shape, fld)
+    )
     pts = []
     for m0, subs0 in t0.items():
         for m1, subs1 in t1.items():
@@ -105,10 +133,13 @@ def enumerate_points(shape: TrinomialShape, fld):
 def random_points(shape: TrinomialShape, fld, count: int, rng) -> list:
     """Random F_p-points by rejection: draw all coordinates but one and
     solve the last power by root extraction (always solvable through an
-    exponent-1 variable when the shape has one)."""
+    exponent-1 variable when the shape has one).  A variety with no
+    F_p-points raises MathDomainError before any draw."""
     p = fld.modulus
     if p is None:
         raise TooLarge("random sampling needs a prime field")
+    if not point_count(shape, p):
+        raise MathDomainError(f"the variety has no points over F_{p}")
     exps = shape.exponents
     ones = [i for i, l in enumerate(exps) if l == 1]
     v = ones[0] if ones else 0
@@ -256,64 +287,60 @@ class Census:
     errors: int
 
 
-def _residue_key(shape: TrinomialShape, fld):
-    """The census key of a residue point, as a function.
-
-    The key is the point's zero mask.  For a power-one view it also carries
-    the root ratio r = prod z^(b/d) / prod s^(c/d) when some y vanishes and
-    no z or s does: there, and only there, the descriptor (OMeps, DDOMeps)
-    needs more than the mask.  r is packed above the mask bits (r >= 1).
-    """
-    tag = family_of(shape)
-    view = tag.f1 or tag.f2
-    if view is None:
-        return _zero_mask
-    p, d, n = fld.modulus, view.d, shape.n
-    y_bits = sum(1 << i for i in view.ys)
-    zs_bits = sum(1 << i for i in view.zs + view.ss)
-    num = [(i, b // d) for i, b in zip(view.zs, view.b)]
-    den = [(i, c // d) for i, c in zip(view.ss, view.c)]
-
-    def key(pt):
-        mask = _zero_mask(pt)
-        if not mask & y_bits or mask & zs_bits:
-            return mask
-        r = s = 1
-        for i, e in num:
-            r = r * pow(pt[i], e, p) % p
-        for i, e in den:
-            s = s * pow(pt[i], e, p) % p
-        return mask | (r * pow(s, p - 2, p) % p) << n
-
-    return key
-
-
 def build_census(
     shape: TrinomialShape, fld, assume_conjecture: bool = False
 ) -> Census:
     """Enumerate the F_p-points once and classify one point per residue key.
 
-    A descriptor is a function of the key (see _residue_key).  The
-    power-one descriptors read only which x, y, z and s coordinates vanish,
-    plus r on the component strata; torus strata read the zero set; and
-    the singular locus is a function of the zero set, because each partial
-    of a trinomial is a single monomial.  A refusal is one too: it comes
-    from the family (ConjectureNotAssumed) or the singular locus
-    (UnsupportedFamily).  So one representative per key goes through
-    classify_point, and its descriptor or refusal counts for every point
-    with that key.
+    A point's key is its zero mask, plus, for a power-one view, the root
+    ratio r (packed above the mask bits) when some y vanishes and no z or s
+    does: there, and only there, the descriptor (OMeps, DDOMeps) needs
+    more than the mask.  The points are joined from the residue blocks: a
+    block off those component strata is one key, and only the blocks on
+    them key their points one by one, by the product of three factors.
+
+    A descriptor is a function of the key.  The power-one descriptors read
+    only which x, y, z and s coordinates vanish, plus r on the component
+    strata; torus strata read the zero set; and the singular locus is a
+    function of the zero set, because each partial of a trinomial is a
+    single monomial.  A refusal is one too: it comes from the family
+    (ConjectureNotAssumed) or the singular locus (UnsupportedFamily).  So
+    the first point of each key goes through classify_point, keys in the
+    order of their first points, and its descriptor or refusal counts for
+    every point with that key.
     """
-    pts = enumerate_points(shape, fld)
-    key = _residue_key(shape, fld)
+    b0, b1, b2 = _residue_blocks(shape, fld)
+    p, n = fld.modulus, shape.n
+    tag = family_of(shape)
+    view = tag.f1 or tag.f2
+    y_bits = sum(1 << i for i in view.ys) if view else 0
+    zs_bits = sum(1 << i for i in view.zs + view.ss) if view else 0
+    pts = []
     members = {}
-    for pt in pts:
-        members.setdefault(key(pt), []).append(pt)
+    for m0, blocks0 in b0.items():
+        for m1, blocks1 in b1.items():
+            blocks2 = b2.get(-(m0 + m1) % p)
+            if not blocks2:
+                continue
+            for k0, (s0, f0) in blocks0.items():
+                for k1, (s1, f1) in blocks1.items():
+                    for k2, (s2, f2) in blocks2.items():
+                        mask = k0 | k1 | k2
+                        block = [a + b + c for a in s0 for b in s1 for c in s2]
+                        pts += block
+                        if not mask & y_bits or mask & zs_bits:
+                            members.setdefault(mask, []).extend(block)
+                            continue
+                        ratios = (fa * fb * fc % p for fa in f0 for fb in f1 for fc in f2)
+                        for pt, r in zip(block, ratios):
+                            members.setdefault(mask | r << n, []).append(pt)
+    pts.sort()
     counts = {}
     buckets = {}
     errors = 0
-    for same in members.values():
+    for first, same in sorted((min(same), same) for same in members.values()):
         try:
-            desc = orbits.classify_point(shape, fld, same[0], assume_conjecture)
+            desc = orbits.classify_point(shape, fld, first, assume_conjecture)
         except MathDomainError:
             errors += len(same)
             continue
@@ -321,7 +348,7 @@ def build_census(
         if isinstance(desc, (orbits.BigO, orbits.OMeps)):
             buckets.setdefault(desc, []).extend(same)
     for bucket in buckets.values():
-        bucket.sort()  # merged keys' runs back into enumeration order
+        bucket.sort()  # merged blocks back into enumeration order
     return Census(pts, counts, buckets, errors)
 
 

@@ -182,7 +182,7 @@ class TrinomialShape:
         return "[" + ", ".join(str(list(g)) for g in self.groups) + "]"
 
 
-EQUATION_CACHE_SIZE = 8
+EQUATION_CACHE_SIZE = 8  # entries kept by each per-shape cache
 
 
 @lru_cache(maxsize=EQUATION_CACHE_SIZE)
@@ -391,7 +391,7 @@ def constraint_rows(shape: TrinomialShape):
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EQUATION_CACHE_SIZE)
 def torus_lattice(shape: TrinomialShape) -> LatticeBasis:
     """Saturated basis of the one-parameter-subgroup lattice of the torus.
 
@@ -452,7 +452,7 @@ def _closure(generators, n: int):
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EQUATION_CACHE_SIZE)
 def symmetry_group(shape: TrinomialShape) -> SymmetryGroup:
     """Variable permutations stabilizing the equation.
 

@@ -16,7 +16,7 @@ from itertools import product
 from math import gcd
 
 from .errors import EmptyStratum, PointNotOnVariety
-from .shapes import TrinomialShape
+from .shapes import EQUATION_CACHE_SIZE, TrinomialShape
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def equation_partials(shape: TrinomialShape, fld):
     return tuple(g.partial(v) for v in range(shape.n))
 
 
-_jacobian = lru_cache(maxsize=None)(equation_partials)
+_jacobian = lru_cache(maxsize=EQUATION_CACHE_SIZE)(equation_partials)
 
 
 def is_singular(shape: TrinomialShape, fld, pt) -> bool:
@@ -72,7 +72,7 @@ def is_singular(shape: TrinomialShape, fld, pt) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=EQUATION_CACHE_SIZE)
 def singular_components(shape: TrinomialShape):
     """All irreducible components of the singular locus.
 

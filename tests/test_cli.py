@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from trinomial_orbits.cli import run_cli
+import trinomial_orbits
+from trinomial_orbits.cli import build_parser, run_cli
 
 SHAPE_A_JSON = '{"groups": [[1,2],[3],[3]], "aliases": {"T0_1":"x","T0_2":"y","T1_1":"z","T2_1":"s"}}'
 
@@ -394,3 +398,35 @@ class TestShapeAliases:
         shape = json.dumps({"groups": [[1, 2], [3], [3]], "aliases": aliases})
         code, data = run_json(capsys, "classify", "--shape", shape)
         assert code == 1 and data["error"] == "usage"
+
+
+class TestParserReuse:
+    """The parser is built once per process and serves every run_cli call."""
+
+    COMMANDS = [
+        ["verify", "partition", "--shape", "[[1,2],[3],[3]]", "--field", "Fp:5", "--json"],
+        ["classify", "--shape", "[[1,2,2],[3],[3]]", "--json"],
+        ["verify", "all", "--field", "Fp:5"],  # usage error: no --shape
+        ["orbits", "classify", "--shape", "[[1,2],[3],[3]]", "--field", "Fp:7",
+         "--point", "[0,1,3,4]", "--json"],
+        ["verify", "partition", "--shape", "[[1,2],[3],[3]]", "--field", "Fp:5", "--json"],
+    ]
+
+    def test_in_process_runs_match_fresh_processes(self, capsys):
+        src = os.path.dirname(os.path.dirname(trinomial_orbits.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        in_process = []
+        for argv in self.COMMANDS:
+            code = run_cli(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        fresh = []
+        for argv in self.COMMANDS:
+            done = subprocess.run(
+                [sys.executable, "-m", "trinomial_orbits.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            fresh.append((done.returncode, done.stdout, done.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0]
+        assert build_parser() is build_parser()

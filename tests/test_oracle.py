@@ -73,7 +73,7 @@ class TestEnumeration:
         def no_tables(*args):
             raise AssertionError("tables built for a refused enumeration")
 
-        monkeypatch.setattr(oracle, "_value_table", no_tables)
+        monkeypatch.setattr(oracle, "_group_blocks", no_tables)
         with pytest.raises(TooLarge, match="993012997 points"):
             enumerate_points(shape_a, PrimeField(997))
 
@@ -94,7 +94,7 @@ class TestEnumeration:
 
         shape = validate_shape(groups)
         assert oracle.point_count(shape, p) == points <= oracle.POINT_CAP
-        monkeypatch.setattr(oracle, "_value_table", tables_reached)
+        monkeypatch.setattr(oracle, "_group_blocks", tables_reached)
         with pytest.raises(Tabulating):
             enumerate_points(shape, PrimeField(p))
 
@@ -102,7 +102,7 @@ class TestEnumeration:
         def no_tables(*args):
             raise AssertionError("tables built for a refused enumeration")
 
-        monkeypatch.setattr(oracle, "_value_table", no_tables)
+        monkeypatch.setattr(oracle, "_group_blocks", no_tables)
         assert oracle.POINT_CAP < oracle.point_count(shape_a, 223) == 11188579
         with pytest.raises(TooLarge, match="11188579 points"):
             enumerate_points(shape_a, PrimeField(223))
@@ -121,6 +121,20 @@ class TestEnumeration:
         pts = random_points(shape_h2, fld, 25, random.Random(0))
         assert len(pts) == 25
         assert all(shape_h2.on_variety(fld, pt) for pt in pts)
+
+    def test_random_points_on_an_empty_variety_refuse_at_once(self):
+        # fourth powers mod 5 are 0 or 1, so 1 + y^4 + z^4 is 1, 2 or 3
+        shape, fld = validate_shape([[], [4], [4]]), PrimeField(5)
+        assert oracle.point_count(shape, 5) == 0
+
+        class NoDraws:
+            def randrange(self, *args):
+                raise AssertionError("a coordinate was drawn")
+
+            choice = randrange
+
+        with pytest.raises(MathDomainError, match="no points over F_5"):
+            random_points(shape, fld, 1, NoDraws())
 
 
 class TestPartition:
@@ -439,8 +453,9 @@ class TestCensus:
                    for desc, bucket in census.buckets.items() for pt in bucket)
 
     def test_verify_all_enumerates_and_classifies_once(self, monkeypatch, shape_a):
-        calls = {"enumerate": 0, "classify": 0}
+        calls = {"tables": 0, "classify": 0}
         real_enumerate = oracle.enumerate_points
+        real_blocks = oracle._residue_blocks
         real_classify = orbits.classify_point
         trials, fld = 100, PrimeField(13)
         # a point's residue key is its zero pattern, plus r on the component
@@ -450,23 +465,23 @@ class TestCensus:
             for pt in real_enumerate(shape_a, fld)
         })
 
-        def counted_enumerate(*args, **kwargs):
-            calls["enumerate"] += 1
-            return real_enumerate(*args, **kwargs)
+        def counted_blocks(*args, **kwargs):
+            calls["tables"] += 1
+            return real_blocks(*args, **kwargs)
 
         def counted_classify(*args, **kwargs):
             calls["classify"] += 1
             return real_classify(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "enumerate_points", counted_enumerate)
+        monkeypatch.setattr(oracle, "_residue_blocks", counted_blocks)
         monkeypatch.setattr(orbits, "classify_point", counted_classify)
         build_census(shape_a, fld)
         assert calls["classify"] == keys
-        calls.update(enumerate=0, classify=0)
+        calls.update(tables=0, classify=0)
         report = verify_all(shape_a, fld, trials=trials, seed=2)
         assert report.failures == 0
         assert check(report, "selftest_planted_merge_caught").passed
-        assert calls["enumerate"] == 1
+        assert calls["tables"] == 1
         pairs = check(report, "transport_roundtrip").details["pairs"]
         negatives = check(report, "transport_negative").details["expected"]
         # once per key, two per flow and per torus trial, two per transport
@@ -522,12 +537,14 @@ class TestResidueKey:
     """build_census classifies one point per residue key, singular_set
     decides one point per zero mask; both must equal the pointwise scans."""
 
-    @given(small_shapes(), st.sampled_from([2, 3, 5, 7]), st.booleans())
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_census_equals_pointwise(self, shape, p, assume_conjecture):
+        # 7 and 13 are 1 (mod 3): d = 3 shapes carry several r labels per M
         assume(oracle.point_count(shape, p) <= 3000)
         fld = PrimeField(p)
         census = build_census(shape, fld, assume_conjecture)
+        assert census.points == enumerate_points(shape, fld)
         counts, buckets, errors = pointwise_census(shape, fld, assume_conjecture)
         assert list(census.counts.items()) == list(counts.items())
         assert list(census.buckets.items()) == list(buckets.items())

@@ -1,22 +1,30 @@
 import json
+import random
 
 import pytest
 
 from trinomial_orbits import (
+    QQ,
     DegenerateShape,
     EmptyGroup12,
     NonPositiveExponent,
+    PrimeField,
     ShapeError,
     TrinomialShape,
     factoriality,
+    family_of,
+    lnd_catalog,
     rigidity_classify,
     symmetry_group,
     torus_lattice,
     validate_shape,
 )
+from trinomial_orbits import strata
 from trinomial_orbits.intlinalg import invariant_factors, mat_vec
+from trinomial_orbits.oracle import point_count, random_points, singular_set
 from trinomial_orbits.polynomials import MissingCoordinate
 from trinomial_orbits.shapes import (
+    EQUATION_CACHE_SIZE,
     apply_permutation_to_point,
     constraint_rows,
     match_h_type,
@@ -258,3 +266,36 @@ class TestSymmetry:
         for perm in symmetry_group(shape_d).elements:
             for pt in pts:
                 assert shape_d.on_variety(f7, apply_permutation_to_point(perm, pt))
+
+
+class TestPerShapeCaches:
+    """Each per-shape cache keeps at most EQUATION_CACHE_SIZE entries, so a
+    process that surveys many shapes does not keep every one."""
+
+    def test_three_survey_rounds_stay_bounded(self):
+        caches = [torus_lattice, symmetry_group, family_of,
+                  strata.singular_components, strata._jacobian]
+        rng, f101 = random.Random(9), PrimeField(101)
+        for _ in range(3):
+            surveyed = 0
+            while surveyed < 30:
+                groups = [[rng.randint(1, 5) for _ in range(rng.randint(lo, 2))]
+                          for lo in (0, 1, 1)]
+                shape = validate_shape(groups)
+                if shape.degenerate_group() is not None:
+                    continue
+                surveyed += 1
+                rigidity_classify(shape)
+                family_of(shape)
+                factoriality(shape)
+                torus_lattice(shape)
+                symmetry_group(shape)
+                strata.singular_components(shape)
+                for fld in (QQ, f101):
+                    for d in lnd_catalog(shape, fld):
+                        d.well_defined()
+                if point_count(shape, 101):
+                    singular_set(shape, f101, random_points(shape, f101, 3, rng))
+            sizes = [fn.cache_info().currsize for fn in caches]
+            assert max(sizes) <= EQUATION_CACHE_SIZE
+        assert sizes == [EQUATION_CACHE_SIZE] * len(caches)
