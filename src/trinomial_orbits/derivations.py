@@ -43,8 +43,7 @@ from .errors import (
 from .families import family_of, require_f1
 from .fields import QI, QQ
 from .polynomials import Polynomial
-from .shapes import TrinomialShape, nonrigidity_witnesses
-from .strata import equation_partials
+from .shapes import EQUATION_CACHE_SIZE, TrinomialShape, nonrigidity_witnesses
 
 NILPOTENCY_CAP = 50
 
@@ -377,7 +376,7 @@ def _build_delta(shape, fld):
     if obstruction is not None:
         raise RootUnavailable(obstruction)
     g0, g1, g2 = pair
-    equation = shape.equation(fld)
+    partials = shape.partials(fld)
     ring = shape.ring(fld)
     j = fld.sqrt_minus_one()
 
@@ -395,7 +394,7 @@ def _build_delta(shape, fld):
     signs = (j,) if fld.neg(j) == j else (j, fld.neg(j))  # F_2: j = -j
     out = []
     for i, v in enumerate(shape.group_indices(g2), start=1):
-        dP2 = equation.partial(v)
+        dP2 = partials[v]
         for sign, fam in zip(signs, ("delta+", "delta-")):
             images = {
                 A: dP2 * F1,
@@ -420,20 +419,18 @@ def _build_power_one(shape, fld, partials, view):
     ]
 
 
-CATALOG_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=CATALOG_CACHE_SIZE)
+@lru_cache(maxsize=EQUATION_CACHE_SIZE)
 def _catalog(shape: TrinomialShape, fld):
     """The catalog over fld as (derivations, notes) tuples, built once per
-    (shape, field) while it is among the most recently used pairs.
+    (shape, field) while the pair is among the EQUATION_CACHE_SIZE most
+    recently used, like the equation and partials it reads.
 
     Over F_p the twins are the derivations of the cached Q entry (Q(i) for
     delta), looked up on first use, so their divided-power series are
     computed once for every prime.
     """
     shape.require_nondegenerate()
-    partials = equation_partials(shape, fld)
+    partials = shape.partials(fld)
     out = _build_gamma(shape, fld, partials)
     notes = []
     obstruction = delta_obstruction(shape, fld)
@@ -463,10 +460,11 @@ def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
     Over F_2, where j = -j, delta is one derivation per variable (delta+:i).
     Rigid shapes give an empty catalog.
 
-    The catalog is built once per (shape, field) and kept for the process,
-    for the CATALOG_CACHE_SIZE most recently used pairs.  The lists returned
-    are fresh, but the derivations in them are shared by every caller, with
-    their divided-power series: do not mutate them.
+    The catalog is built once per (shape, field) and kept while the pair is
+    among the shapes.EQUATION_CACHE_SIZE most recently used, the one bound of
+    every (shape, field) cache.  The lists returned are fresh, but the
+    derivations in them are shared by every caller, with their divided-power
+    series: do not mutate them.
     """
     derivations, notes = _catalog(shape, fld)
     return (list(derivations), list(notes)) if with_notes else list(derivations)

@@ -16,17 +16,16 @@ Detection priority: flexible table match > F1 > F2 > rigid > other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .errors import UnsupportedFamily
 from .shapes import (
-    EQUATION_CACHE_SIZE,
     FLEXIBLE,
     NONRIGID_OTHER,
     RIGID,
     TrinomialShape,
     rigidity_classify,
+    shape_fact,
 )
 
 
@@ -114,7 +113,7 @@ def _split_view(shape: TrinomialShape, ones_group: int):
     return tuple(zs), b, tuple(ss), c
 
 
-@lru_cache(maxsize=EQUATION_CACHE_SIZE)
+@shape_fact
 def family_of(shape: TrinomialShape) -> FamilyTag:
     """Classify into flexible-table / F1 / F2 / rigid / other."""
     verdict = rigidity_classify(shape)

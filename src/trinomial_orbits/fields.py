@@ -66,31 +66,17 @@ def integer_kth_root(n: int, k: int):
     return lo if lo**k == n else None
 
 
-class Rationals:
-    """The field Q.  Elements are Fraction; overflow is impossible."""
+class _CharZeroField:
+    """Arithmetic shared by Q and Q(i): elements add, multiply and test zero
+    natively, and are canonical as computed."""
 
-    kind = "Q"
     modulus = None
 
-    def __repr__(self):
-        return "Q"
-
     def __eq__(self, other):
-        return isinstance(other, Rationals)
+        return isinstance(other, type(self))
 
     def __hash__(self):
-        return hash("Q")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
-    def from_int(self, n: int):
-        return Fraction(n)
+        return hash(self.kind)
 
     def add(self, a, b):
         return a + b
@@ -104,6 +90,44 @@ class Rationals:
     def neg(self, a):
         return -a
 
+    def pow(self, a, k: int):
+        return a**k
+
+    def is_zero(self, a) -> bool:
+        return not a
+
+    def normalize(self, acc: dict) -> dict:
+        """The nonzero entries of natively accumulated values.  Fractions
+        (and the parts of Gaussian rationals) are kept in lowest terms, so
+        each value is already canonical."""
+        return {k: v for k, v in acc.items() if v}
+
+    def fmt(self, a) -> str:
+        return str(a)
+
+    def elements(self):
+        raise FieldError(f"{self!r} is infinite; cannot enumerate")
+
+
+class Rationals(_CharZeroField):
+    """The field Q.  Elements are Fraction; overflow is impossible."""
+
+    kind = "Q"
+
+    def __repr__(self):
+        return "Q"
+
+    @property
+    def zero(self):
+        return Fraction(0)
+
+    @property
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n: int):
+        return Fraction(n)
+
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -113,17 +137,6 @@ class Rationals:
         if b == 0:
             raise ZeroDivisionError("division by 0")
         return a / b
-
-    def pow(self, a, k: int):
-        return a**k
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def normalize(self, acc: dict) -> dict:
-        """The nonzero entries of natively accumulated values.  Fractions
-        are kept in lowest terms, so each value is already canonical."""
-        return {k: v for k, v in acc.items() if v}
 
     def eval_terms(self, terms, point):
         """sum c * prod x_i^k over (c, ((i, k), ...)) terms, as numerator
@@ -141,17 +154,11 @@ class Rationals:
                 num, den = num * d + n * den, den * d
         return Fraction(num, den)
 
-    def fmt(self, a) -> str:
-        return str(a)
-
     def parse(self, s: str):
         try:
             return Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational: {s!r}") from exc
-
-    def elements(self):
-        raise FieldError("Q is infinite; cannot enumerate")
 
     def sqrt_minus_one(self):
         """None: -1 is not a rational square."""
@@ -253,20 +260,13 @@ class GaussianRational:
         return f"GaussianRational({self})"
 
 
-class GaussianRationals:
+class GaussianRationals(_CharZeroField):
     """The field Q(i).  Elements are GaussianRational; i = sqrt_minus_one()."""
 
     kind = "Qi"
-    modulus = None
 
     def __repr__(self):
         return "Q(i)"
-
-    def __eq__(self, other):
-        return isinstance(other, GaussianRationals)
-
-    def __hash__(self):
-        return hash("Qi")
 
     @property
     def zero(self):
@@ -279,18 +279,6 @@ class GaussianRationals:
     def from_int(self, n: int):
         return GaussianRational(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         norm = a.real * a.real + a.imag * a.imag
         if not norm:
@@ -299,17 +287,6 @@ class GaussianRationals:
 
     def div(self, a, b):
         return a * self.inv(b)
-
-    def pow(self, a, k: int):
-        return a**k
-
-    def is_zero(self, a) -> bool:
-        return not a
-
-    def normalize(self, acc: dict) -> dict:
-        """The nonzero entries of natively accumulated values.  Their
-        Fraction parts are kept in lowest terms, so each is canonical."""
-        return {k: v for k, v in acc.items() if v}
 
     def eval_terms(self, terms, point):
         """sum c * prod x_i^k over (c, ((i, k), ...)) terms, with the
@@ -320,12 +297,6 @@ class GaussianRationals:
                 c = c * point[i] ** k
             acc = acc + c
         return acc
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def elements(self):
-        raise FieldError("Q(i) is infinite; cannot enumerate")
 
     def sqrt_minus_one(self):
         """i."""

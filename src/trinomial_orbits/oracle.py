@@ -183,7 +183,7 @@ def singular_set(shape: TrinomialShape, fld, pts) -> set:
     Jacobian is evaluated once per zero mask, and the verdict holds for
     every point with that mask.
     """
-    partials = strata._jacobian(shape, fld)
+    partials = shape.partials(fld)
     singular = {}
     out = set()
     for pt in pts:

@@ -7,14 +7,18 @@ with coordinates named T<group>_<index>.
 
 This module owns validation, the equation, the rigidity/flexibility
 classification, factoriality, the character lattice of the big torus, and
-the permutation symmetry group of the equation.
+the permutation symmetry group of the equation.  A fact of the shape alone
+is kept on the shape object (shape_fact); a fact of a (shape, field) pair,
+such as the equation with its partials, in a cache of EQUATION_CACHE_SIZE
+pairs.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import gcd
 
 from . import intlinalg
@@ -110,7 +114,7 @@ class TrinomialShape:
 
     def ring(self, fld) -> PolyRing:
         """The coordinate ring over fld, shared with the cached equation."""
-        return _equation(self, fld).ring
+        return _equation(self, fld)[0].ring
 
     def monomial_exps(self, g: int):
         """Exponent tuple of the g-th monomial (all-zero for the free term)."""
@@ -120,10 +124,15 @@ class TrinomialShape:
         return tuple(exps)
 
     def equation(self, fld) -> Polynomial:
-        """The trinomial over fld, built once per (shape, field) while it is
-        among the EQUATION_CACHE_SIZE most recently used pairs.  It is shared
-        by every caller: do not mutate its terms."""
-        return _equation(self, fld)
+        """The trinomial over fld, built with its partials once per (shape,
+        field) while the pair is among the EQUATION_CACHE_SIZE most recently
+        used.  It is shared by every caller: do not mutate its terms."""
+        return _equation(self, fld)[0]
+
+    def partials(self, fld):
+        """dF/dv for every variable v in canonical order, from the cached
+        equation's entry."""
+        return _equation(self, fld)[1]
 
     @cached_property
     def _monomial_terms(self):
@@ -182,15 +191,36 @@ class TrinomialShape:
         return "[" + ", ".join(str(list(g)) for g in self.groups) + "]"
 
 
-EQUATION_CACHE_SIZE = 8  # entries kept by each per-shape cache
+EQUATION_CACHE_SIZE = 8  # entries kept by each (shape, field) cache
 
 
 @lru_cache(maxsize=EQUATION_CACHE_SIZE)
-def _equation(shape: TrinomialShape, fld) -> Polynomial:
-    """TrinomialShape.equation, cached.  Bounded, because a survey of many
-    shapes uses each (shape, field) pair only for a short while."""
+def _equation(shape: TrinomialShape, fld):
+    """(equation, partials) of TrinomialShape.equation and .partials, cached.
+    Bounded, because a survey of many shapes uses each (shape, field) pair
+    only for a short while."""
     ring = PolyRing(fld, shape.var_names)
-    return ring.from_terms({shape.monomial_exps(g): fld.one for g in range(3)})
+    eq = ring.from_terms({shape.monomial_exps(g): fld.one for g in range(3)})
+    return eq, tuple(eq.partial(v) for v in range(shape.n))
+
+
+def shape_fact(fn):
+    """Decorator: fn(shape) is computed once per shape object and kept in
+    its __dict__, as cached_property keeps sizes and exponents, so the fact
+    lives exactly as long as the shape."""
+    key = f"{fn.__module__}.{fn.__name__}"
+
+    @wraps(fn)
+    def fact(shape):
+        facts = shape.__dict__
+        if key not in facts:
+            facts[key] = fn(shape)
+        return facts[key]
+
+    return fact
+
+
+_LIVE_SHAPES = weakref.WeakValueDictionary()  # groups -> the live plain shape
 
 
 def validate_shape(raw) -> TrinomialShape:
@@ -199,6 +229,9 @@ def validate_shape(raw) -> TrinomialShape:
     Group 0 may be empty (free term); groups 1 and 2 may not.  Degenerate
     shapes (some group is a single exponent-1 variable, so X is an affine
     space) validate fine but are flagged by degenerate_group().
+
+    While a shape of these groups is alive it is returned again, so shapes
+    parsed twice (one per CLI run, say) share their facts.
     """
     if not isinstance(raw, (list, tuple)) or len(raw) != 3:
         raise ShapeError("a shape is three lists of exponents")
@@ -212,7 +245,8 @@ def validate_shape(raw) -> TrinomialShape:
         groups.append(tuple(grp))
     if not groups[1] or not groups[2]:
         raise EmptyGroup12("groups 1 and 2 must be nonempty")
-    return TrinomialShape(tuple(groups))
+    groups = tuple(groups)
+    return _LIVE_SHAPES.setdefault(groups, TrinomialShape(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +425,7 @@ def constraint_rows(shape: TrinomialShape):
     return rows
 
 
-@lru_cache(maxsize=EQUATION_CACHE_SIZE)
+@shape_fact
 def torus_lattice(shape: TrinomialShape) -> LatticeBasis:
     """Saturated basis of the one-parameter-subgroup lattice of the torus.
 
@@ -452,7 +486,7 @@ def _closure(generators, n: int):
     return tuple(sorted(seen))
 
 
-@lru_cache(maxsize=EQUATION_CACHE_SIZE)
+@shape_fact
 def symmetry_group(shape: TrinomialShape) -> SymmetryGroup:
     """Variable permutations stabilizing the equation.
 

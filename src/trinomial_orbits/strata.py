@@ -11,12 +11,11 @@ which singular torus strata cannot be separated by component membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import gcd
 
 from .errors import EmptyStratum, PointNotOnVariety
-from .shapes import EQUATION_CACHE_SIZE, TrinomialShape
+from .shapes import TrinomialShape, shape_fact
 
 
 @dataclass(frozen=True)
@@ -48,15 +47,6 @@ def support_zero_set(shape: TrinomialShape, fld, pt) -> frozenset:
     return frozenset(i for i, v in enumerate(pt) if fld.is_zero(v))
 
 
-def equation_partials(shape: TrinomialShape, fld):
-    """dF/dv for every variable v, in canonical order."""
-    g = shape.equation(fld)
-    return tuple(g.partial(v) for v in range(shape.n))
-
-
-_jacobian = lru_cache(maxsize=EQUATION_CACHE_SIZE)(equation_partials)
-
-
 def is_singular(shape: TrinomialShape, fld, pt) -> bool:
     """All partials of the equation vanish at the point.
 
@@ -66,13 +56,13 @@ def is_singular(shape: TrinomialShape, fld, pt) -> bool:
     """
     if not shape.on_variety(fld, pt):
         raise PointNotOnVariety("point does not satisfy the equation")
-    for partial in _jacobian(shape, fld):
+    for partial in shape.partials(fld):
         if not fld.is_zero(partial.eval(pt)):
             return False
     return True
 
 
-@lru_cache(maxsize=EQUATION_CACHE_SIZE)
+@shape_fact
 def singular_components(shape: TrinomialShape):
     """All irreducible components of the singular locus.
 

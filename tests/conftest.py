@@ -8,6 +8,7 @@ from trinomial_orbits import (
     QQ,
     derivations,
     family_of,
+    shapes,
     validate_shape,
 )
 
@@ -21,11 +22,17 @@ SHAPE_E_BASE = [[], [3, 3], [3, 3]]
 SHAPE_H2 = [[2, 2], [2, 2], [5]]
 
 
+# every cache keyed by a (shape, field) pair, each of EQUATION_CACHE_SIZE entries
+SHAPE_FIELD_CACHES = (shapes._equation, derivations._catalog)
+
+
 @pytest.fixture(autouse=True)
 def fresh_catalog_cache():
-    """Start every test from an empty derivation catalog cache, so that no
-    test sees derivations, series or group laws another test left behind."""
-    derivations._catalog.cache_clear()
+    """Start every test from empty (shape, field) caches, so that no test
+    sees equations, derivations, series or group laws another test left
+    behind."""
+    for cache in SHAPE_FIELD_CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture

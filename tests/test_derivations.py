@@ -29,12 +29,14 @@ from trinomial_orbits.fields import QI
 from trinomial_orbits.orbits import BigO, FlowStep, OMeps, classify_point, transport
 from trinomial_orbits.oracle import enumerate_points, random_points, verify_flow_regularity
 from trinomial_orbits.polynomials import Polynomial
+from trinomial_orbits.shapes import EQUATION_CACHE_SIZE
 
 from conftest import (
     SHAPE_A,
     SHAPE_C,
     SHAPE_D,
     SHAPE_E,
+    SHAPE_FIELD_CACHES,
     SHAPE_H2,
     power_one_shapes,
     prove_group_law,
@@ -645,13 +647,13 @@ class TestCatalogCache:
             assert all(t is q for t, q in zip(per_prime, rational))
 
     def test_cache_stays_bounded(self):
-        for k in range(2, 4 + derivations.CATALOG_CACHE_SIZE):
+        for k in range(2, 4 + EQUATION_CACHE_SIZE):
             shape = validate_shape([[1, k], [3], [3]])
             for fld in (QQ, PrimeField(101)):
                 lnd_catalog(shape, fld)
                 info = derivations._catalog.cache_info()
-                assert info.currsize <= derivations.CATALOG_CACHE_SIZE
-        assert info.currsize == derivations.CATALOG_CACHE_SIZE
+                assert info.currsize <= EQUATION_CACHE_SIZE
+        assert info.currsize == EQUATION_CACHE_SIZE
 
     def test_returned_containers_are_fresh(self, shape_a, f7):
         first, notes = lnd_catalog(shape_a, f7, with_notes=True)
@@ -676,17 +678,19 @@ class TestCatalogCache:
              "--from", "[-2,1,1,1,1]", "--to", "[-9,1,1,2,1]"),
             ("lnd", "list", "--field", "Fp:13"),
             ("lnd", "check", "--field", "Fp:7"),
+            ("report", "--field", "Q"),
         ]
 
         def outputs(shape):
             out = []
             for cmd in commands:
-                code = run_cli([*cmd[:2], "--shape", shape, *cmd[2:], "--json"])
+                code = run_cli([*cmd, "--shape", shape, "--json"])
                 out.append((code, capsys.readouterr().out))
             return out
 
         cold = outputs(plain)
-        derivations._catalog.cache_clear()
+        for cache in SHAPE_FIELD_CACHES:
+            cache.cache_clear()
         cold_aliased = outputs(aliased)
         assert outputs(plain) == cold  # warm, from the aliased shape's entries
         assert outputs(aliased) == cold_aliased

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -31,7 +33,9 @@ from trinomial_orbits.shapes import (
     nonrigidity_witnesses,
     torus_scaling,
 )
-from conftest import SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_E_BASE, SHAPE_H2
+from conftest import (
+    SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_E_BASE, SHAPE_FIELD_CACHES, SHAPE_H2,
+)
 
 CURATED = [SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2,
            [[1, 1], [1, 1, 4], [7]], [[1, 2], [1, 3], [4]]]
@@ -268,34 +272,80 @@ class TestSymmetry:
                 assert shape_d.on_variety(f7, apply_permutation_to_point(perm, pt))
 
 
+SHAPE_FACTS = (torus_lattice, symmetry_group, family_of, strata.singular_components)
+
+
 class TestPerShapeCaches:
-    """Each per-shape cache keeps at most EQUATION_CACHE_SIZE entries, so a
-    process that surveys many shapes does not keep every one."""
+    """A fact of the shape alone is kept on the shape object; a fact of a
+    (shape, field) pair is kept in a cache of EQUATION_CACHE_SIZE entries,
+    so a process that surveys many shapes does not keep every one."""
+
+    @staticmethod
+    def _new_shapes(rng):
+        """Distinct random nondegenerate shapes, each never seen before."""
+        seen = set()
+        while True:
+            groups = tuple(tuple(rng.randint(1, 5) for _ in range(rng.randint(lo, 2)))
+                           for lo in (0, 1, 1))
+            shape = validate_shape(groups)
+            if groups not in seen and shape.degenerate_group() is None:
+                seen.add(groups)
+                yield shape
+
+    @staticmethod
+    def _survey(shape, rng, f101=PrimeField(101)):
+        rigidity_classify(shape)
+        factoriality(shape)
+        for fact in SHAPE_FACTS:
+            fact(shape)
+        for fld in (QQ, f101):
+            for d in lnd_catalog(shape, fld):
+                d.well_defined()
+        if point_count(shape, 101):
+            singular_set(shape, f101, random_points(shape, f101, 3, rng))
+
+    @pytest.mark.parametrize("raw", CURATED)
+    def test_fact_computed_once_per_shape(self, raw):
+        shape = validate_shape(raw)
+        for fact in SHAPE_FACTS:
+            assert fact(shape) is fact(shape)
+
+    def test_shape_parsed_twice_shares_its_facts(self):
+        shape = validate_shape(SHAPE_D)
+        again = TrinomialShape.from_json(json.dumps({"groups": SHAPE_D}))
+        assert again is shape
+        assert symmetry_group(again) is symmetry_group(shape)
+
+    def test_surveyed_shape_is_collected(self):
+        rng = random.Random(9)
+        shapes = self._new_shapes(rng)
+        first = next(shapes)
+        self._survey(first, rng)
+        ref = weakref.ref(first)
+        del first
+        for _ in range(EQUATION_CACHE_SIZE):
+            self._survey(next(shapes), rng)
+        gc.collect()
+        assert ref() is None
 
     def test_three_survey_rounds_stay_bounded(self):
-        caches = [torus_lattice, symmetry_group, family_of,
-                  strata.singular_components, strata._jacobian]
-        rng, f101 = random.Random(9), PrimeField(101)
+        rng = random.Random(9)
+        shapes = self._new_shapes(rng)
         for _ in range(3):
-            surveyed = 0
-            while surveyed < 30:
-                groups = [[rng.randint(1, 5) for _ in range(rng.randint(lo, 2))]
-                          for lo in (0, 1, 1)]
-                shape = validate_shape(groups)
-                if shape.degenerate_group() is not None:
-                    continue
-                surveyed += 1
-                rigidity_classify(shape)
-                family_of(shape)
-                factoriality(shape)
-                torus_lattice(shape)
-                symmetry_group(shape)
-                strata.singular_components(shape)
-                for fld in (QQ, f101):
-                    for d in lnd_catalog(shape, fld):
-                        d.well_defined()
-                if point_count(shape, 101):
-                    singular_set(shape, f101, random_points(shape, f101, 3, rng))
-            sizes = [fn.cache_info().currsize for fn in caches]
+            for _ in range(30):
+                self._survey(next(shapes), rng)
+            sizes = [cache.cache_info().currsize for cache in SHAPE_FIELD_CACHES]
             assert max(sizes) <= EQUATION_CACHE_SIZE
-        assert sizes == [EQUATION_CACHE_SIZE] * len(caches)
+        assert sizes == [EQUATION_CACHE_SIZE] * len(SHAPE_FIELD_CACHES)
+
+    def test_aliased_shape_facts_agree_with_plain(self):
+        plain = validate_shape(SHAPE_D)
+        aliased = TrinomialShape.from_json(
+            {"groups": SHAPE_D, "aliases": {"T0_1": "x", "T1_1": "z"}})
+        assert aliased == plain and aliased is not plain
+        assert torus_lattice(aliased) == torus_lattice(plain)
+        sym, plain_sym = symmetry_group(aliased), symmetry_group(plain)
+        assert (sym.order, sym.elements) == (plain_sym.order, plain_sym.elements)
+        assert family_of(aliased) == family_of(plain)
+        assert [c.generators for c in strata.singular_components(aliased)] == [
+            c.generators for c in strata.singular_components(plain)]
