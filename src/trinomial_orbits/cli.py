@@ -55,6 +55,15 @@ def _load_shape(arg: str) -> TrinomialShape:
     return TrinomialShape.from_json(data)
 
 
+def _point_field(arg: str):
+    """--field for strata and orbits, whose point arithmetic needs Q or F_p:
+    Qi is a usage error there."""
+    fld = parse_field(arg)
+    if fld.kind == "Qi":
+        raise UsageError("strata and orbits take --field Q or Fp:<prime>, not Qi")
+    return fld
+
+
 def _load_point(shape: TrinomialShape, fld, arg: str):
     if arg is None:
         raise UsageError("--point is required")
@@ -216,7 +225,7 @@ def _custom_derivation(shape: TrinomialShape, fld, text: str):
 
 def cmd_strata(args) -> int:
     shape = _load_shape(args.shape)
-    fld = parse_field(args.field)
+    fld = _point_field(args.field)
     if args.point:
         pt = _load_point(shape, fld, args.point)
         S = strata.support_zero_set(shape, fld, pt)
@@ -245,7 +254,7 @@ def cmd_strata(args) -> int:
 
 def cmd_orbits(args) -> int:
     shape = _load_shape(args.shape)
-    fld = parse_field(args.field)
+    fld = _point_field(args.field)
     if args.sub == "count":
         _emit(orbits.orbit_count(shape).to_json(), args.json)
         return 0
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, point=False, trials=False):
         p.add_argument("--shape", required=True, help="shape JSON file or literal")
-        p.add_argument("--field", default="Q", help="Q or Fp:<prime> (default Q)")
+        p.add_argument("--field", default="Q", help="Q, Fp:<prime>, or Qi for lnd (default Q)")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
         p.add_argument("--assume-conjecture", action="store_true", dest="assume_conjecture")
         p.add_argument("--seed", type=int, default=0)

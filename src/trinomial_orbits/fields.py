@@ -288,6 +288,10 @@ class GaussianRationals(_CharZeroField):
     def div(self, a, b):
         return a * self.inv(b)
 
+    def parse(self, s: str):
+        """A rational, such as a coefficient of a polynomial's text."""
+        return GaussianRational(QQ.parse(s))
+
     def eval_terms(self, terms, point):
         """sum c * prod x_i^k over (c, ((i, k), ...)) terms, with the
         elements' own + and *."""
@@ -314,6 +318,7 @@ class PrimeField:
         if p > PRIME_FIELD_CAP:
             raise FieldError(f"modulus {p} exceeds the scan cap {PRIME_FIELD_CAP}")
         self.modulus = p
+        self._hash = hash(("Fp", p))  # every (shape, field) cache lookup hashes it
         self._dlog_table = None
         self._sqrt_minus_one = False  # not searched yet; None when p = 3 (mod 4)
 
@@ -324,7 +329,7 @@ class PrimeField:
         return isinstance(other, PrimeField) and other.modulus == self.modulus
 
     def __hash__(self):
-        return hash(("Fp", self.modulus))
+        return self._hash
 
     @property
     def zero(self):
@@ -460,17 +465,20 @@ QI = GaussianRationals()
 
 
 def parse_field(designator: str):
-    """Build a field from 'Q' or 'Fp:<prime>'."""
+    """Build a field from 'Q', 'Qi' or 'Fp:<prime>' (field_designator's
+    inverse)."""
     s = designator.strip()
     if s == "Q":
         return QQ
+    if s == "Qi":
+        return QI
     if s.startswith("Fp:"):
         try:
             p = int(s[3:])
         except ValueError as exc:
             raise FieldError(f"bad field designator {designator!r}") from exc
         return PrimeField(p)
-    raise FieldError(f"bad field designator {designator!r} (want 'Q' or 'Fp:<prime>')")
+    raise FieldError(f"bad field designator {designator!r} (want 'Q', 'Qi' or 'Fp:<prime>')")
 
 
 def field_designator(field) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import mul
 
 from . import orbits, strata
@@ -108,25 +109,47 @@ def _group_blocks(shape: TrinomialShape, g: int, p: int, ratio: dict) -> dict:
     return table
 
 
+def _lex_rows(blocks) -> list:
+    """One group's (sub-tuple, monomial) rows, from its residue blocks, in
+    lexicographic order."""
+    return sorted(
+        (s, m) for m, by_mask in blocks.items() for subs, _ in by_mask.values() for s in subs
+    )
+
+
+def _join(heads, tails, p) -> list:
+    """The (head + tail, monomial sum) rows of two groups, in lexicographic
+    order."""
+    return [(a + b, (ma + mb) % p) for a, ma in heads for b, mb in tails]
+
+
 def enumerate_points(shape: TrinomialShape, fld):
     """All F_p-points of the hypersurface, lexicographically ordered.
 
-    Each group's monomial is tabulated once (_residue_blocks); a point
-    joins sub-tuples of groups 0 and 1 with one of group 2 whose monomial
-    is -(m0 + m1).
+    Each group's monomial is tabulated once (_residue_blocks).  The groups
+    hold contiguous coordinates, so lexicographic order is the order of
+    (head, tail) pairs: the tails are tabulated in order, keyed by their
+    monomial, and each head a, in order, emits a + tail for the tails whose
+    monomial is -m(a).  No sort of the points is needed.  Either group 0
+    heads the join of groups 1 and 2, or the join of groups 0 and 1 heads
+    group 2; the split whose two-group join is smaller is taken (a free
+    term makes group 0 a single row, and joining groups 1 and 2 would
+    tabulate p times as many tails as there are points).
     """
     p = fld.modulus
-    t0, t1, t2 = (
-        {m: sorted(s for subs, _ in blocks.values() for s in subs) for m, blocks in table.items()}
-        for table in _residue_blocks(shape, fld)
-    )
+    r0, r1, r2 = map(_lex_rows, _residue_blocks(shape, fld))
+    if len(r2) <= len(r0):
+        heads, tails = r0, _join(r1, r2, p)
+    else:
+        heads, tails = _join(r0, r1, p), r2
+    table = {}
+    for t, m in tails:
+        table.setdefault(m, []).append(t)
     pts = []
-    for m0, subs0 in t0.items():
-        for m1, subs1 in t1.items():
-            subs2 = t2.get(-(m0 + m1) % p)
-            if subs2:
-                pts.extend(a + b + c for a in subs0 for b in subs1 for c in subs2)
-    pts.sort()
+    for a, m in heads:
+        subs = table.get(-m % p)
+        if subs:
+            pts += [a + t for t in subs]
     return pts
 
 
@@ -181,13 +204,14 @@ def singular_set(shape: TrinomialShape, fld, pts) -> set:
     Each partial of a trinomial is a single monomial (or 0), so whether it
     vanishes at a point depends only on which coordinates are 0: the
     Jacobian is evaluated once per zero mask, and the verdict holds for
-    every point with that mask.
+    every point with that mask.  A point with no zero coordinate (0 in pt
+    is false) has mask 0 without a _zero_mask call.
     """
     partials = shape.partials(fld)
     singular = {}
     out = set()
     for pt in pts:
-        mask = _zero_mask(pt)
+        mask = _zero_mask(pt) if 0 in pt else 0
         verdict = singular.get(mask)
         if verdict is None:
             verdict = singular[mask] = all(fld.is_zero(pp.eval(pt)) for pp in partials)
@@ -564,49 +588,81 @@ def verify_invariance(
     return _report(shape, fld, seed, checks)
 
 
+def _fixed_by_first_powers(delta, p) -> bool:
+    """Do the first divided powers decide which points delta's flow fixes?
+    They do when every series stops below p (see _flow_orbit)."""
+    return all(len(delta.divided_power_series(v)) <= p for v in delta.moving_variables())
+
+
 def _flow_orbit(delta, p):
-    """The orbit map of delta on residue points: pt -> [exp(u * delta)(pt)
+    """The orbit map of delta on the points of X: pt -> [exp(u * delta)(pt)
     for u = 0 .. p-1], the flow_polynomial images at every u.
 
-    Each moving variable's divided powers P_0 .. P_K are read as their
-    compiled point terms, (coefficient, ((variable, exponent), ...)) pairs,
-    over one power table.  A point evaluates each P_k once; image u then
-    reads sum_k P_k(pt) * u^k from a table of the u^k, so all p images cost
-    one coefficient evaluation.  Variables delta does not move keep their
-    coordinate.
+    Each moving variable's divided powers P_1 .. P_K (P_0 is the variable
+    itself) are read as their compiled point terms, (coefficient,
+    ((variable, exponent), ...)) pairs, over one power table.  A point
+    evaluates each P_k once; image u then reads sum_k P_k(pt) * u^k from a
+    table of the u^k, so all p images cost one coefficient evaluation.  A
+    point where every P_k(pt), k >= 1, is 0 is fixed and maps to [pt] * p
+    with no image built; a moving point builds the columns of the
+    coordinates that change and repeats the others.
+
+    When every series stops below p (_fixed_by_first_powers), P_1 decides
+    fixedness, so P_2 .. P_K are evaluated only where some P_1(pt) is
+    nonzero.  Why: for k < p, k! is a unit mod p and P_k = delta^k(x_v)/k!
+    on X, for the derivation delta(x_w) = P_1 of w (0 for a variable that
+    does not move).  In-field series are built so; a twin's series reduce
+    the twin's powers, whose images are p-integral.  If P_1(pt) = 0 for
+    every moving v, then delta(x_w)(pt) = 0 for every w, so
+    (delta g)(pt) = sum_w delta(x_w)(pt) * (dg/dx_w)(pt) = 0 for every g;
+    with g = delta^(k-1)(x_v), every P_k(pt) is 0 and pt is fixed.  A
+    series that reaches P_p (H2 over F_5 reaches P_5) lies outside the
+    argument, since p! = 0 mod p: there every P_k is evaluated at every
+    point.
     """
     compiled = []
     max_exp = max_k = 1
     for v in delta.moving_variables():
         series = [P.point_terms() for P in delta.divided_power_series(v)]
-        compiled.append((v, series))
+        compiled.append((v, series[1], series[2:]))
         max_k = max(max_k, len(series))
         max_exp = max(
             [max_exp] + [e for terms in series for _, fac in terms for _, e in fac]
         )
+    screen = _fixed_by_first_powers(delta, p)
     pw = [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
     # the column (u^k mod p, u = 0 .. p-1) packed into one integer, digit u
-    # at bit width * u: digit u of sum_k P_k(pt) * upw[k] is then
-    # sum_k P_k(pt) * u^k < max_k * p^2, with no carry into the next digit
+    # at bit width * u (ones for k = 0, upw[k - 1] for k >= 1): digit u of
+    # x_v * ones + sum_k P_k(pt) * upw[k - 1] is then sum_k P_k(pt) * u^k
+    # < max_k * p^2, with no carry into the next digit
     width = (max_k * (p - 1) ** 2).bit_length()
-    upw = [sum(pow(u, k, p) << width * u for u in range(p)) for k in range(max_k)]
+    ones, *upw = [sum(pow(u, k, p) << width * u for u in range(p)) for k in range(max_k)]
     digit = (1 << width) - 1
     shifts = range(0, width * p, width)
 
+    def value(terms, rows):
+        acc = 0
+        for c, fac in terms:
+            for i, e in fac:
+                c *= rows[i][e]
+            acc += c
+        return acc % p
+
     def orbit(pt):
         rows = [pw[x] for x in pt]
-        columns = [[x] * p for x in pt]
-        for v, series in compiled:
-            coeffs = []
-            for terms in series:
-                acc = 0
-                for c, fac in terms:
-                    for i, e in fac:
-                        c *= rows[i][e]
-                    acc += c
-                coeffs.append(acc % p)
-            packed = sum(map(mul, coeffs, upw))
-            columns[v] = [(packed >> s & digit) % p for s in shifts]
+        firsts = [value(first, rows) for _, first, _ in compiled]
+        if screen and not any(firsts):
+            return [pt] * p
+        columns = None
+        for (v, _, rest), first in zip(compiled, firsts):
+            coeffs = [first] + [value(terms, rows) for terms in rest]
+            if any(coeffs):
+                if columns is None:
+                    columns = list(map(repeat, pt))
+                packed = pt[v] * ones + sum(map(mul, coeffs, upw))
+                columns[v] = [(packed >> s & digit) % p for s in shifts]
+        if columns is None:
+            return [pt] * p
         return list(zip(*columns))
 
     return orbit

@@ -31,6 +31,15 @@ class TrinomialShape:
     groups: tuple
     aliases: tuple = field(default=None, compare=False)
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of (groups,), computed once: every (shape,
+        field) cache lookup hashes the shape.  aliases stay out of it."""
+        return hash((self.groups,))
+
     # -- structure -----------------------------------------------------------
 
     @cached_property

@@ -67,6 +67,36 @@ class TestLnd:
         assert code == 0 and data["derivations"] == []
         assert any("square root of -1" in n for n in data["notes"])
 
+    def test_list_over_qi(self, capsys):
+        # Q(i) holds the square root of -1 that Q lacks
+        code, data = run_json(
+            capsys, "lnd", "list", "--shape", "[[2,2],[2,2],[5]]", "--field", "Qi"
+        )
+        assert code == 0 and data["field"] == "Qi"
+        assert [d["designator"] for d in data["derivations"]] == ["delta+:1", "delta-:1"]
+        assert "5*i*T0_2*T2_1^4" in data["derivations"][0]["images"]["T1_1"]
+
+    def test_check_over_qi_is_exact(self, capsys):
+        code, data = run_json(
+            capsys, "lnd", "check", "--shape", "[[2,2],[2,2],[5]]", "--field", "Qi"
+        )
+        assert code == 0 and data["field"] == "Qi"
+        assert [c["designator"] for c in data["checks"]] == ["delta+:1", "delta-:1"]
+        for entry in data["checks"]:
+            assert entry["well_defined"] and entry["derives_equation_to_zero"]
+            assert entry["nilpotency_index"] == {
+                "T0_1": 6, "T0_2": 1, "T1_1": 6, "T1_2": 1, "T2_1": 2,
+            }
+
+    def test_check_custom_over_qi(self, capsys):
+        code, data = run_json(
+            capsys, "lnd", "check", "--shape", "[[1,2],[3],[3]]", "--field", "Qi",
+            "--custom", '{"T0_1": "-3/2*T2_1^2", "T2_1": "1/2*T0_2^2"}',
+        )
+        assert code == 0
+        (entry,) = data["checks"]
+        assert entry["well_defined"] and entry["nilpotency_index"]["T0_1"] == 4
+
     def test_check_single(self, capsys):
         code, data = run_json(
             capsys, "lnd", "check", "--shape", "[[1,2],[3],[3]]",
@@ -339,6 +369,38 @@ class TestEnumerateVerify:
     def test_verify_flows_over_q_is_a_domain_error(self, capsys):
         code, data = run_json(capsys, "verify", "flows", "--shape", "[[2],[2],[3]]")
         assert code == 2 and data["error"] == "too_large"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate"],
+            ["verify", "flows"],
+            ["verify", "all"],
+            ["verify", "partition"],
+            ["verify", "invariance"],
+            ["verify", "transport"],
+        ],
+    )
+    def test_point_commands_refuse_qi_as_they_refuse_q(self, capsys, argv):
+        # Q(i) has no F_p points to enumerate, exactly like Q
+        shape = ["--shape", "[[1,2],[3],[3]]"]
+        over_q = run_json(capsys, *argv, *shape, "--field", "Q")
+        over_qi = run_json(capsys, *argv, *shape, "--field", "Qi")
+        assert over_qi == over_q and over_q[0] == 2
+        assert over_q[1]["error"] == "too_large"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["strata"],
+            ["strata", "--point", "[0,1,-1,1]"],
+            ["orbits", "count"],
+            ["orbits", "classify", "--point", "[0,1,-1,1]"],
+        ],
+    )
+    def test_strata_and_orbits_refuse_qi_as_usage(self, capsys, argv):
+        code, data = run_json(capsys, *argv, "--shape", "[[1,2],[3],[3]]", "--field", "Qi")
+        assert code == 1 and data["error"] == "usage" and "Qi" in data["detail"]
 
     def test_human_mode_matches_json_numbers(self, capsys):
         code, text = run(

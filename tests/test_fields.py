@@ -171,6 +171,19 @@ class TestConstruction:
         assert field_designator(parse_field("Fp:101")) == "Fp:101"
         assert field_designator(QQ) == "Q"
 
+    def test_gaussian_designator_round_trips(self):
+        assert parse_field("Qi") is QI and parse_field(" Qi ") is QI
+        assert field_designator(parse_field(field_designator(QI))) == "Qi"
+        assert QI.parse("-3/6") == GaussianRational(Fraction(-1, 2))
+        with pytest.raises(FieldError):
+            QI.parse("i")
+
+    def test_prime_field_hash_is_cached_and_unchanged(self):
+        fld = PrimeField(13)
+        assert hash(fld) == fld.__dict__["_hash"] == hash(("Fp", 13)) == hash(PrimeField(13))
+        assert fld == PrimeField(13) and fld != PrimeField(11)
+        assert {fld: "seen"}[PrimeField(13)] == "seen"
+
     def test_rejects_composite_modulus(self):
         with pytest.raises(FieldError):
             PrimeField(15)

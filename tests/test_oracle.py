@@ -69,6 +69,30 @@ class TestEnumeration:
         assert enumerate_points(shape, PrimeField(p)) == scanned
         assert oracle.point_count(shape, p) == len(scanned)
 
+    @pytest.mark.parametrize(
+        "groups,p,joined",
+        [
+            (SHAPE_E, 7, (1, 7**3)),  # free term: groups 0 and 1 head group 2
+            ([[1, 2], [2, 2], [2, 3]], 5, (5**2, 5**2)),  # groups 1 and 2 are the tails
+            ([[2], [1, 2, 2], [2, 3]], 5, (5, 5**3)),  # group 2 is larger than group 0
+            (SHAPE_H2, 5, (5**2, 5)),
+        ],
+    )
+    def test_both_splits_match_full_scan(self, monkeypatch, groups, p, joined):
+        # the join is of the two groups with fewer rows between them
+        sizes = []
+        real_join = oracle._join
+
+        def join(heads, tails, p):
+            sizes.append((len(heads), len(tails)))
+            return real_join(heads, tails, p)
+
+        monkeypatch.setattr(oracle, "_join", join)
+        shape = validate_shape(groups)
+        pts = enumerate_points(shape, PrimeField(p))
+        assert sizes == [joined]
+        assert pts == sorted(pts) == scanned_points(shape, p)
+
     def test_too_large(self, monkeypatch, shape_a):
         def no_tables(*args):
             raise AssertionError("tables built for a refused enumeration")
@@ -347,29 +371,57 @@ class TestFlowRegularity:
 
     @staticmethod
     def assert_orbit_kernel(shape, fld, sample):
-        """_flow_orbit equals the flow polynomials at every u, on sample."""
+        """_flow_orbit equals the flow polynomials at every u, on sample, for
+        every catalog derivation; returns (fixed points met, derivations
+        whose first divided powers decide fixedness, derivations whose do
+        not).  A derivation the characteristic refuses is refused by both."""
         p = fld.modulus
-        fixed = 0
+        fixed = screened = unscreened = 0
         for delta in lnd_catalog(shape, fld):
+            try:
+                flows = [
+                    [delta.flow_polynomial(v, u) for v in range(shape.n)]
+                    for u in range(p)
+                ]
+            except CharacteristicTooSmall:
+                with pytest.raises(CharacteristicTooSmall):
+                    oracle._flow_orbit(delta, p)
+                continue
             orbit = oracle._flow_orbit(delta, p)
-            flows = [
-                [delta.flow_polynomial(v, u) for v in range(shape.n)]
-                for u in range(p)
-            ]
+            if oracle._fixed_by_first_powers(delta, p):
+                screened += 1
+            else:
+                unscreened += 1
             for pt in sample:
                 expected = [tuple(f.eval(pt) for f in row) for row in flows]
                 assert orbit(pt) == expected, (delta, pt)
                 fixed += expected == [pt] * p
-        return fixed
+        return fixed, screened, unscreened
 
-    @given(small_shapes(), st.sampled_from([5, 7, 13]), st.randoms())
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
     @settings(max_examples=60, deadline=None)
-    def test_flow_orbit_equals_flow_polynomials(self, shape, p, rnd):
-        assume(oracle.point_count(shape, p) <= 30000)
+    def test_flow_orbit_equals_flow_polynomials(self, shape, p):
+        # every point, every catalog derivation
+        assume(oracle.point_count(shape, p) <= 600)
         fld = PrimeField(p)
-        pts = enumerate_points(shape, fld)
-        sample = pts[:1] + rnd.sample(pts, min(8, len(pts)))
-        self.assert_orbit_kernel(shape, fld, sample)
+        self.assert_orbit_kernel(shape, fld, enumerate_points(shape, fld))
+
+    @pytest.mark.parametrize(
+        "groups,p,screened",
+        [
+            (SHAPE_H2, 5, False),  # series of length 6 > 5
+            ([[2], [2], [6]], 5, False),  # length 7 > 5
+            ([[2], [2], [3]], 5, True),  # length 4
+            ([[2], [2], [3]], 13, True),
+            (SHAPE_A, 7, True),
+            (SHAPE_A, 2, False),  # every catalog series of A reaches P_3
+        ],
+    )
+    def test_flow_orbit_every_point_first_powers_on_and_off(self, groups, p, screened):
+        shape, fld = validate_shape(groups), PrimeField(p)
+        fixed, on, off = self.assert_orbit_kernel(shape, fld, enumerate_points(shape, fld))
+        assert (on, off) == ((on + off, 0) if screened else (0, on + off))
+        assert on + off >= 2 and fixed >= 1
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [3]]])
     def test_flow_orbit_fixed_cases(self, groups):
@@ -377,7 +429,8 @@ class TestFlowRegularity:
         pts = enumerate_points(shape, fld)
         sample = pts[:1] + random.Random(13).sample(pts, 60)
         # the origin is a fixed point of both delta flows
-        assert self.assert_orbit_kernel(shape, fld, sample) >= 2
+        fixed, screened, unscreened = self.assert_orbit_kernel(shape, fld, sample)
+        assert fixed >= 2 and (screened, unscreened) == (2, 0)
 
 
 class TestClosedFormCensus:
