@@ -17,6 +17,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import prod
 from operator import mul
 
 from . import orbits, strata
@@ -65,16 +66,65 @@ def point_count(shape: TrinomialShape, p: int) -> int:
     )
 
 
-def _residue_blocks(shape: TrinomialShape, fld) -> list:
-    """Per group: monomial value -> zero mask -> (sub-tuples, factors).
+@dataclass
+class _KeyRule:
+    """How a point's residue key is formed.
 
-    A point's zero mask (bit i set when coordinate i is 0) is the OR of its
-    sub-tuples' masks.  On a power-one view a sub-tuple's factor of the
-    root ratio r = prod z^(b/d) / prod s^(c/d) is the product of z^(b/d)
-    over its z and s^(-(c/d) mod (p-1)) over its s coordinates, so r is the
-    product of a point's three factors wherever no s vanishes.  The value
-    counts give the exact number of points before any table is built: more
-    than POINT_CAP raises TooLarge.
+    The key is the point's zero mask (bit i set when coordinate i is 0),
+    plus, for a power-one view, the root ratio r = prod z^(b/d) / prod
+    s^(c/d) packed above the n mask bits when some y vanishes and no z or s
+    does (y_bits and zs_bits mark those coordinates).  ratio maps each z
+    coordinate to b/d and each s coordinate to -(c/d) mod (p-1): r is the
+    product of the coordinates' powers, with no division.
+    """
+
+    n: int
+    p: int
+    ratio: dict
+    y_bits: int
+    zs_bits: int
+
+    def pack(self, mask: int, r: int) -> int:
+        """The key of a point with this zero mask and root ratio."""
+        if mask & self.y_bits and not mask & self.zs_bits:
+            return mask | r << self.n
+        return mask
+
+    def key(self, pt) -> int:
+        """The residue key of one point; r is computed only where the key
+        carries it."""
+        mask = _zero_mask(pt) if 0 in pt else 0
+        if mask & self.y_bits and not mask & self.zs_bits:
+            p = self.p
+            return self.pack(mask, prod(pow(pt[i], e, p) for i, e in self.ratio.items()) % p)
+        return mask
+
+
+def _key_rule(shape: TrinomialShape, p: int) -> _KeyRule:
+    """The residue-key rule of a shape over F_p."""
+    tag = family_of(shape)
+    view = tag.f1 or tag.f2
+    if view is None:
+        return _KeyRule(shape.n, p, {}, 0, 0)
+    ratio = {i: b // view.d for i, b in zip(view.zs, view.b)}
+    ratio.update((i, -(c // view.d) % (p - 1)) for i, c in zip(view.ss, view.c))
+    return _KeyRule(
+        shape.n,
+        p,
+        ratio,
+        sum(1 << i for i in view.ys),
+        sum(1 << i for i in view.zs + view.ss),
+    )
+
+
+def _residue_rows(shape: TrinomialShape, fld) -> tuple:
+    """The key rule and, per group, its residue rows in lexicographic order.
+
+    A row is (sub-tuple, monomial value, root-ratio factor, zero mask).  A
+    point's zero mask is the OR of its sub-tuples' masks, and wherever no s
+    vanishes its r is the product of their factors.  The value counts give
+    the exact number of points before any row is built: more than POINT_CAP
+    raises TooLarge.
     """
     p = fld.modulus
     if p is None:
@@ -82,74 +132,74 @@ def _residue_blocks(shape: TrinomialShape, fld) -> list:
     total = point_count(shape, p)
     if total > POINT_CAP:
         raise TooLarge(f"{total} points exceed the enumeration cap {POINT_CAP}")
-    tag = family_of(shape)
-    view = tag.f1 or tag.f2
-    ratio = {}
-    if view is not None:
-        ratio.update((i, b // view.d) for i, b in zip(view.zs, view.b))
-        ratio.update((i, -(c // view.d) % (p - 1)) for i, c in zip(view.ss, view.c))
-    return [_group_blocks(shape, g, p, ratio) for g in range(3)]
+    rule = _key_rule(shape, p)
+    return rule, [_group_rows(shape, g, p, rule.ratio) for g in range(3)]
 
 
-def _group_blocks(shape: TrinomialShape, g: int, p: int, ratio: dict) -> dict:
-    """One group's residue blocks, its sub-tuples built coordinate by
-    coordinate in lexicographic order; ratio maps a coordinate to the
-    exponent of its root-ratio factor (absent: factor 1)."""
-    rows = [((), 1, 1, 0)]  # (sub-tuple, monomial, factor, zero mask)
+def _group_rows(shape: TrinomialShape, g: int, p: int, ratio: dict) -> list:
+    """One group's residue rows, built coordinate by coordinate in
+    lexicographic order; ratio maps a coordinate to the exponent of its
+    root-ratio factor (absent: factor 1)."""
+    rows = [((), 1, 1, 0)]
     for i in shape.group_indices(g):
         e, r = shape.exponents[i], ratio.get(i, 0)
         coord = [((x,), pow(x, e, p), pow(x, r, p), 0 if x else 1 << i) for x in range(p)]
         rows = [(sub + s, m * w % p, f * h % p, mask | z)
                 for sub, m, f, mask in rows for s, w, h, z in coord]
-    table = {}
-    for sub, m, f, mask in rows:
-        subs, factors = table.setdefault(m, {}).setdefault(mask, ([], []))
-        subs.append(sub)
-        factors.append(f)
-    return table
-
-
-def _lex_rows(blocks) -> list:
-    """One group's (sub-tuple, monomial) rows, from its residue blocks, in
-    lexicographic order."""
-    return sorted(
-        (s, m) for m, by_mask in blocks.items() for subs, _ in by_mask.values() for s in subs
-    )
+    return rows
 
 
 def _join(heads, tails, p) -> list:
-    """The (head + tail, monomial sum) rows of two groups, in lexicographic
+    """The residue rows of two adjacent groups joined, in lexicographic
     order."""
-    return [(a + b, (ma + mb) % p) for a, ma in heads for b, mb in tails]
+    return [
+        (a + b, (ma + mb) % p, fa * fb % p, ka | kb)
+        for a, ma, fa, ka in heads
+        for b, mb, fb, kb in tails
+    ]
+
+
+def _lex_join(shape: TrinomialShape, fld) -> tuple:
+    """The points as a (head, tail) join, in lexicographic order.
+
+    The groups hold contiguous coordinates, so lexicographic order is the
+    order of (head, tail) pairs: each head row a, in order, is followed by
+    the tails whose monomial is -m(a), in order.  Returns the key rule, the
+    head rows and the tails by the head monomial they complete, as columns
+    (sub-tuples, factors, zero masks).  Either group 0 heads the join of
+    groups 1 and 2, or the join of groups 0 and 1 heads group 2; the split
+    whose two-group join is smaller is taken (a free term makes group 0 a
+    single row, and joining groups 1 and 2 would tabulate p times as many
+    tails as there are points).
+    """
+    rule, (r0, r1, r2) = _residue_rows(shape, fld)
+    p = rule.p
+    if len(r2) <= len(r0):
+        heads, rows = r0, _join(r1, r2, p)
+    else:
+        heads, rows = _join(r0, r1, p), r2
+    tails = {}
+    for sub, m, f, mask in rows:
+        subs, factors, masks = tails.setdefault(-m % p, ([], [], []))
+        subs.append(sub)
+        factors.append(f)
+        masks.append(mask)
+    return rule, heads, tails
 
 
 def enumerate_points(shape: TrinomialShape, fld):
     """All F_p-points of the hypersurface, lexicographically ordered.
 
-    Each group's monomial is tabulated once (_residue_blocks).  The groups
-    hold contiguous coordinates, so lexicographic order is the order of
-    (head, tail) pairs: the tails are tabulated in order, keyed by their
-    monomial, and each head a, in order, emits a + tail for the tails whose
-    monomial is -m(a).  No sort of the points is needed.  Either group 0
-    heads the join of groups 1 and 2, or the join of groups 0 and 1 heads
-    group 2; the split whose two-group join is smaller is taken (a free
-    term makes group 0 a single row, and joining groups 1 and 2 would
-    tabulate p times as many tails as there are points).
+    Each group's monomial is tabulated once (_residue_rows), and the points
+    come out of the (head, tail) join in order (_lex_join): no sort of the
+    points is needed.
     """
-    p = fld.modulus
-    r0, r1, r2 = map(_lex_rows, _residue_blocks(shape, fld))
-    if len(r2) <= len(r0):
-        heads, tails = r0, _join(r1, r2, p)
-    else:
-        heads, tails = _join(r0, r1, p), r2
-    table = {}
-    for t, m in tails:
-        table.setdefault(m, []).append(t)
+    _, heads, tails = _lex_join(shape, fld)
     pts = []
-    for a, m in heads:
-        subs = table.get(-m % p)
-        if subs:
-            pts += [a + t for t in subs]
+    for a, m, _, _ in heads:
+        tail = tails.get(m)
+        if tail:
+            pts += [a + t for t in tail[0]]
     return pts
 
 
@@ -299,16 +349,34 @@ def _desc_key(shape, fld, desc) -> str:
 class Census:
     """The classified points of one (shape, field).
 
-    counts holds one entry per distinct descriptor; buckets holds, for the
-    open and component strata (the ones transport handles), the points of
-    each descriptor in enumeration order.  Points whose classification
-    raised a MathDomainError are counted in errors only.
+    points lists them in enumeration order.  counts holds one entry per
+    distinct descriptor; buckets holds, for the open and component strata
+    (the ones transport handles), the points of each descriptor in
+    enumeration order.  Points whose classification raised a
+    MathDomainError are counted in errors only.  classes maps each residue
+    key (_KeyRule) to its descriptor or to the MathDomainError that refused
+    it.
     """
 
     points: list
     counts: dict
     buckets: dict
     errors: int
+    classes: dict
+
+
+def _class_of(classes, key, shape, fld, pt, assume_conjecture):
+    """The descriptor of residue key, or the MathDomainError that refused
+    it, from classes; a key not there yet is classified through pt, one of
+    its points, and added."""
+    cls = classes.get(key)
+    if cls is None:
+        try:
+            cls = orbits.classify_point(shape, fld, pt, assume_conjecture)
+        except MathDomainError as exc:
+            cls = exc
+        classes[key] = cls
+    return cls
 
 
 def build_census(
@@ -316,64 +384,67 @@ def build_census(
 ) -> Census:
     """Enumerate the F_p-points once and classify one point per residue key.
 
-    A point's key is its zero mask, plus, for a power-one view, the root
-    ratio r (packed above the mask bits) when some y vanishes and no z or s
-    does: there, and only there, the descriptor (OMeps, DDOMeps) needs
-    more than the mask.  The points are joined from the residue blocks: a
-    block off those component strata is one key, and only the blocks on
-    them key their points one by one, by the product of three factors.
-
+    A point's key (_KeyRule) is its zero mask, plus, for a power-one view,
+    the root ratio r when some y vanishes and no z or s does: there, and
+    only there, the descriptor (OMeps, DDOMeps) needs more than the mask.
     A descriptor is a function of the key.  The power-one descriptors read
     only which x, y, z and s coordinates vanish, plus r on the component
     strata; torus strata read the zero set; and the singular locus is a
     function of the zero set, because each partial of a trinomial is a
     single monomial.  A refusal is one too: it comes from the family
     (ConjectureNotAssumed) or the singular locus (UnsupportedFamily).  So
-    the first point of each key goes through classify_point, keys in the
-    order of their first points, and its descriptor or refusal counts for
-    every point with that key.
+    the first point of each key goes through classify_point, and its
+    descriptor or refusal counts for every point with that key.
+
+    The points come out of the (head, tail) join of enumerate_points in
+    lexicographic order, so nothing is sorted.  The keys of a head's points
+    depend only on the head's monomial, zero mask and factor and on the
+    tails': each such entry computes its tails' keys once, and every later
+    head with that entry reuses them.  A key is classified at its first
+    point, so descriptors are listed in the order of their first points.
+    Points join their descriptor's list as they are emitted: with one
+    extend when every tail of the entry lands in the same list, one by one
+    otherwise.
     """
-    b0, b1, b2 = _residue_blocks(shape, fld)
-    p, n = fld.modulus, shape.n
-    tag = family_of(shape)
-    view = tag.f1 or tag.f2
-    y_bits = sum(1 << i for i in view.ys) if view else 0
-    zs_bits = sum(1 << i for i in view.zs + view.ss) if view else 0
+    rule, heads, tails = _lex_join(shape, fld)
+    p = rule.p
     pts = []
-    members = {}
-    for m0, blocks0 in b0.items():
-        for m1, blocks1 in b1.items():
-            blocks2 = b2.get(-(m0 + m1) % p)
-            if not blocks2:
-                continue
-            for k0, (s0, f0) in blocks0.items():
-                for k1, (s1, f1) in blocks1.items():
-                    for k2, (s2, f2) in blocks2.items():
-                        mask = k0 | k1 | k2
-                        block = [a + b + c for a in s0 for b in s1 for c in s2]
-                        pts += block
-                        if not mask & y_bits or mask & zs_bits:
-                            members.setdefault(mask, []).extend(block)
-                            continue
-                        ratios = (fa * fb * fc % p for fa in f0 for fb in f1 for fc in f2)
-                        for pt, r in zip(block, ratios):
-                            members.setdefault(mask | r << n, []).append(pt)
-    pts.sort()
-    counts = {}
-    buckets = {}
-    errors = 0
-    for first, same in sorted((min(same), same) for same in members.values()):
-        try:
-            desc = orbits.classify_point(shape, fld, first, assume_conjecture)
-        except MathDomainError:
-            errors += len(same)
+    classes = {}
+    by_desc = {}
+    refused = []
+    entries = {}  # (monomial, zero mask, factor) of a head -> its tails' lists
+
+    def targets(block, f, mask, factors, masks):
+        out = []
+        for pt, g, k in zip(block, factors, masks):
+            key = rule.pack(mask | k, f * g % p)
+            cls = _class_of(classes, key, shape, fld, pt, assume_conjecture)
+            out.append(refused if isinstance(cls, MathDomainError) else by_desc.setdefault(cls, []))
+        first = out[0]
+        return (first, None) if all(t is first for t in out) else (None, out)
+
+    for a, m, f, mask in heads:
+        tail = tails.get(m)
+        if not tail:
             continue
-        counts[desc] = counts.get(desc, 0) + len(same)
-        if isinstance(desc, (orbits.BigO, orbits.OMeps)):
-            buckets.setdefault(desc, []).extend(same)
-    for bucket in buckets.values():
-        bucket.sort()  # merged blocks back into enumeration order
-    return Census(pts, counts, buckets, errors)
+        subs, factors, masks = tail
+        block = [a + t for t in subs]
+        pts += block
+        entry = entries.get((m, mask, f))
+        if entry is None:
+            entry = entries[m, mask, f] = targets(block, f, mask, factors, masks)
+        whole, each = entry
+        if whole is not None:
+            whole += block
+        else:
+            for pt, target in zip(block, each):
+                target.append(pt)
+    counts = {desc: len(same) for desc, same in by_desc.items()}
+    buckets = {
+        desc: same for desc, same in by_desc.items()
+        if isinstance(desc, (orbits.BigO, orbits.OMeps))
+    }
+    return Census(pts, counts, buckets, len(refused), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +584,30 @@ class _DescriptorTally:
         return CheckResult(name, self.failures == 0, details)
 
 
-def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture) -> list:
+def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture, classes) -> list:
     """The checks of verify_invariance over pts.  A flow whose image the
-    field refuses makes no component-membership run."""
+    field refuses makes no component-membership run.
+
+    Descriptors are read by residue key from classes (residue key ->
+    descriptor or refusal, as in Census.classes), and a key not yet there
+    is classified once and added: a descriptor is a function of the key
+    (build_census).  Every point compared still goes through on_variety,
+    so an image off X raises PointNotOnVariety, and a refused key raises
+    the refusal stored for it.
+    """
     p = fld.modulus
     rng = random.Random(seed)
     catalog = lnd_catalog(shape, fld)
     basis = torus_lattice(shape).vectors
+    rule = _key_rule(shape, p)
 
     def classify(pt):
-        return orbits.classify_point(shape, fld, pt, assume_conjecture)
+        if not shape.on_variety(fld, pt):
+            return orbits.classify_point(shape, fld, pt)  # raises PointNotOnVariety
+        cls = _class_of(classes, rule.key(pt), shape, fld, pt, assume_conjecture)
+        if isinstance(cls, MathDomainError):
+            raise cls.with_traceback(None)
+        return cls
 
     flows = _DescriptorTally(classify)
     exhaustive = p * len(pts) * len(catalog) <= trials
@@ -581,9 +666,10 @@ def verify_invariance(
     Runs every (point, catalog derivation, parameter) flow when there are
     at most trials of them, and samples trials of them otherwise; the
     flow_invariance details say which.  Samples trials neutral-torus steps.
+    Classifies at most one point per residue key it meets.
     """
     checks = _invariance_checks(
-        shape, fld, enumerate_points(shape, fld), trials, seed, assume_conjecture
+        shape, fld, enumerate_points(shape, fld), trials, seed, assume_conjecture, {}
     )
     return _report(shape, fld, seed, checks)
 
@@ -867,9 +953,11 @@ def verify_all(
     """Partition + census + invariance + transport + harness self-test.
 
     One census serves every check: the points are enumerated once and one
-    point per residue key is classified.  Invariance samples from the census points,
-    transport draws its pairs from the census buckets, and the planted
-    self-test relabels the census counts.  Each check equals the one the
+    point per residue key is classified.  Invariance samples from the
+    census points and reads the descriptors of both sides of each pair
+    from the census classes by residue key, so it classifies no point
+    again; transport draws its pairs from the census buckets, and the
+    planted self-test relabels the census counts.  Each check equals the one the
     standalone verify_* function reports.  A skipped check does not count
     as a failure.
     """
@@ -877,7 +965,9 @@ def verify_all(
     checks = _partition_checks(
         shape, fld, census.counts, len(census.points), census.errors
     )
-    checks += _invariance_checks(shape, fld, census.points, trials, seed, assume_conjecture)
+    checks += _invariance_checks(
+        shape, fld, census.points, trials, seed, assume_conjecture, census.classes
+    )
     tag = family_of(shape)
     if tag.kind == "F1":
         checks += _transport_checks(

@@ -27,6 +27,7 @@ from trinomial_orbits import (
 from trinomial_orbits import oracle, orbits, strata
 from trinomial_orbits.oracle import build_census, random_points, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
+from trinomial_orbits.shapes import torus_lattice, torus_scaling
 from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, small_shapes
 
 SHAPE_H2_POWER_ONE = [[1, 3], [2], [2, 2]]  # flexible, exponent-1 variable
@@ -97,7 +98,7 @@ class TestEnumeration:
         def no_tables(*args):
             raise AssertionError("tables built for a refused enumeration")
 
-        monkeypatch.setattr(oracle, "_group_blocks", no_tables)
+        monkeypatch.setattr(oracle, "_group_rows", no_tables)
         with pytest.raises(TooLarge, match="993012997 points"):
             enumerate_points(shape_a, PrimeField(997))
 
@@ -118,7 +119,7 @@ class TestEnumeration:
 
         shape = validate_shape(groups)
         assert oracle.point_count(shape, p) == points <= oracle.POINT_CAP
-        monkeypatch.setattr(oracle, "_group_blocks", tables_reached)
+        monkeypatch.setattr(oracle, "_group_rows", tables_reached)
         with pytest.raises(Tabulating):
             enumerate_points(shape, PrimeField(p))
 
@@ -126,7 +127,7 @@ class TestEnumeration:
         def no_tables(*args):
             raise AssertionError("tables built for a refused enumeration")
 
-        monkeypatch.setattr(oracle, "_group_blocks", no_tables)
+        monkeypatch.setattr(oracle, "_group_rows", no_tables)
         assert oracle.POINT_CAP < oracle.point_count(shape_a, 223) == 11188579
         with pytest.raises(TooLarge, match="11188579 points"):
             enumerate_points(shape_a, PrimeField(223))
@@ -508,7 +509,7 @@ class TestCensus:
     def test_verify_all_enumerates_and_classifies_once(self, monkeypatch, shape_a):
         calls = {"tables": 0, "classify": 0}
         real_enumerate = oracle.enumerate_points
-        real_blocks = oracle._residue_blocks
+        real_rows = oracle._residue_rows
         real_classify = orbits.classify_point
         trials, fld = 100, PrimeField(13)
         # a point's residue key is its zero pattern, plus r on the component
@@ -518,15 +519,15 @@ class TestCensus:
             for pt in real_enumerate(shape_a, fld)
         })
 
-        def counted_blocks(*args, **kwargs):
+        def counted_rows(*args, **kwargs):
             calls["tables"] += 1
-            return real_blocks(*args, **kwargs)
+            return real_rows(*args, **kwargs)
 
         def counted_classify(*args, **kwargs):
             calls["classify"] += 1
             return real_classify(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_residue_blocks", counted_blocks)
+        monkeypatch.setattr(oracle, "_residue_rows", counted_rows)
         monkeypatch.setattr(orbits, "classify_point", counted_classify)
         build_census(shape_a, fld)
         assert calls["classify"] == keys
@@ -537,8 +538,24 @@ class TestCensus:
         assert calls["tables"] == 1
         pairs = check(report, "transport_roundtrip").details["pairs"]
         negatives = check(report, "transport_negative").details["expected"]
-        # once per key, two per flow and per torus trial, two per transport
-        assert calls["classify"] <= keys + 4 * trials + 2 * (pairs + negatives)
+        # once per key, two per transport; invariance reads the census classes
+        assert calls["classify"] <= keys + 2 * (pairs + negatives)
+
+    def test_standalone_invariance_classifies_once_per_key(self, monkeypatch, shape_d):
+        fld = PrimeField(13)
+        real_classify = orbits.classify_point
+        classified = []
+
+        def counted_classify(shape, fld, pt, *args):
+            classified.append((tuple(x == 0 for x in pt), real_classify(shape, fld, pt, *args)))
+            return classified[-1][1]
+
+        monkeypatch.setattr(orbits, "classify_point", counted_classify)
+        report = verify_invariance(shape_d, fld, trials=300, seed=4)
+        assert report.failures == 0
+        assert check(report, "flow_invariance").details["runs"] == 300
+        # a residue key is a zero pattern plus r, which the descriptor carries
+        assert 0 < len(classified) == len(set(classified)) < 300
 
     @pytest.mark.parametrize("groups,p", [(SHAPE_A, 7), (SHAPE_D, 13), (SHAPE_E, 7)])
     @pytest.mark.parametrize("seed", [3, 8])
@@ -586,6 +603,143 @@ def pointwise_census(shape, fld, assume_conjecture):
     return counts, buckets, errors
 
 
+def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
+    """The invariance checks classifying both sides of every pair with
+    classify_point: the loop the residue-key map replaced."""
+    p = fld.modulus
+    rng = random.Random(seed)
+    catalog = lnd_catalog(shape, fld)
+    basis = torus_lattice(shape).vectors
+
+    def classify(pt):
+        return orbits.classify_point(shape, fld, pt, assume_conjecture)
+
+    flows = oracle._DescriptorTally(classify)
+    exhaustive = p * len(pts) * len(catalog) <= trials
+    nset_fail = nset_runs = 0
+    if exhaustive:
+        cases = ((pt, d, u) for d in catalog for pt in pts for u in range(p))
+    else:
+        cases = (
+            (rng.choice(pts), rng.choice(catalog), rng.randrange(p))
+            for _ in range(trials)
+        )
+    for pt, delta, u in cases:
+        try:
+            img = delta.exp_flow(u, pt)
+        except CharacteristicTooSmall as exc:
+            flows.refuse(exc)
+            continue
+        flows.compare(img, pt)
+        support = strata.support_zero_set(shape, fld, pt)
+        if strata.n_set(shape, support):
+            nset_runs += 1
+            img_support = strata.support_zero_set(shape, fld, img)
+            before = {c.generators for c in strata.n_set(shape, support)}
+            after = {c.generators for c in strata.n_set(shape, img_support)}
+            if before != after:
+                nset_fail += 1
+
+    torus = oracle._DescriptorTally(classify)
+    if basis and pts:
+        for _ in range(trials):
+            pt = rng.choice(pts)
+            mus = [rng.randrange(1, p) for _ in basis]
+            step = orbits.TorusStep(torus_scaling(shape, fld, mus))
+            torus.compare(step.apply(fld, pt), pt)
+
+    return [
+        flows.result("flow_invariance", exhaustive=exhaustive),
+        oracle.CheckResult(
+            "component_membership",
+            nset_fail == 0,
+            {"runs": nset_runs, "failures": nset_fail},
+        ),
+        torus.result("torus_invariance"),
+    ]
+
+
+class TestKeyedInvariance:
+    """_invariance_checks reads descriptors by residue key; seeded from the
+    census (verify_all) or empty (verify_invariance), it must equal the
+    reference that classifies both sides of every pair."""
+
+    @staticmethod
+    def assert_keyed_equals_reference(shape, fld, trials, seed, assume_conjecture):
+        census = build_census(shape, fld, assume_conjecture)
+        want = ref_invariance_checks(shape, fld, census.points, trials, seed, assume_conjecture)
+        for classes in (census.classes, {}):
+            got = oracle._invariance_checks(
+                shape, fld, census.points, trials, seed, assume_conjecture, classes
+            )
+            assert [c.to_json() for c in got] == [c.to_json() for c in want]
+        return want
+
+    @given(
+        small_shapes(),
+        st.sampled_from([2, 3, 5, 7, 13]),
+        st.booleans(),
+        st.sampled_from([1, 6]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_keyed_equals_reference(self, shape, p, assume_conjecture, seed):
+        assume(0 < oracle.point_count(shape, p) <= 3000)
+        self.assert_keyed_equals_reference(shape, PrimeField(p), 60, seed, assume_conjecture)
+
+    @staticmethod
+    def refusal_codes(checks):
+        """The codes of the skipped checks, and whether any check counted
+        refused pairs."""
+        codes = {c.details["code"] for c in checks if c.skipped}
+        return codes, any(c.details.get("refused") for c in checks)
+
+    @pytest.mark.parametrize(
+        "groups,assume_conjecture,refused",
+        [
+            (SHAPE_C, False, True),  # every pair refused: conjecture_not_assumed
+            (SHAPE_C, True, False),
+            (SHAPE_H2_POWER_ONE, False, True),  # singular points: unsupported_family
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_refusing_shapes_equal_reference(self, groups, assume_conjecture, refused, seed):
+        shape, f5 = validate_shape(groups), PrimeField(5)
+        want = self.assert_keyed_equals_reference(shape, f5, 200, seed, assume_conjecture)
+        codes, counted = self.refusal_codes(want)
+        assert bool(codes or counted) == refused
+
+    @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_flows_leaving_the_variety_equal_reference(self, twinless_delta, groups, seed):
+        # over F_5 the twinless delta flows leave X: CharacteristicTooSmall
+        shape, f5 = validate_shape(groups), PrimeField(5)
+        want = self.assert_keyed_equals_reference(shape, f5, 200, seed, False)
+        assert want[0].details["refused"] > 0 and want[0].details["runs"] > 0
+
+    def test_planted_descriptor_change_is_caught(self, monkeypatch, shape_a, f7):
+        # z -> 2z keeps x*y^2 + z^3 + s^3 (2^3 = 1 mod 7) but multiplies r by
+        # 2: a planted step that moves OMeps points to another component
+        # stratum with the same zero pattern, which only the r in the key
+        # tells apart
+        def twisted(self, fld, pt):
+            return (*pt[:2], 2 * pt[2] % fld.modulus, pt[3])
+
+        monkeypatch.setattr(orbits.TorusStep, "apply", twisted)
+        want = self.assert_keyed_equals_reference(shape_a, f7, 300, 2, False)
+        assert want[2].details["failures"] > 0
+
+    def test_images_off_the_variety_are_refused(self, monkeypatch, shape_a, f7):
+        # an image off X whose zero pattern is a census key still raises
+        # PointNotOnVariety: the key map never answers for it
+        def shifted(self, fld, pt):
+            return ((pt[0] + 1) % fld.modulus, *pt[1:])
+
+        monkeypatch.setattr(orbits.TorusStep, "apply", shifted)
+        want = self.assert_keyed_equals_reference(shape_a, f7, 100, 2, False)
+        torus = want[2].details
+        assert torus["refused"] > 0 and torus["runs"] > 0
+
+
 class TestResidueKey:
     """build_census classifies one point per residue key, singular_set
     decides one point per zero mask; both must equal the pointwise scans."""
@@ -599,6 +753,22 @@ class TestResidueKey:
         census = build_census(shape, fld, assume_conjecture)
         assert census.points == enumerate_points(shape, fld)
         counts, buckets, errors = pointwise_census(shape, fld, assume_conjecture)
+        assert list(census.counts.items()) == list(counts.items())
+        assert list(census.buckets.items()) == list(buckets.items())
+        assert census.errors == errors
+
+    @pytest.mark.parametrize(
+        "groups,p",
+        [
+            ([[3], [3], [1, 2]], 13),  # heads join the z and s groups: factors vary
+            ([[3], [3], [1, 3]], 7),
+            (SHAPE_E, 7),  # a free term: the heads are groups 0 and 1 joined
+        ],
+    )
+    def test_census_equals_pointwise_fixed(self, groups, p):
+        shape, fld = validate_shape(groups), PrimeField(p)
+        census = build_census(shape, fld)
+        counts, buckets, errors = pointwise_census(shape, fld, False)
         assert list(census.counts.items()) == list(counts.items())
         assert list(census.buckets.items()) == list(buckets.items())
         assert census.errors == errors
