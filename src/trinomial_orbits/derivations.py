@@ -46,6 +46,9 @@ from .polynomials import Polynomial
 from .shapes import EQUATION_CACHE_SIZE, TrinomialShape, nonrigidity_witnesses
 
 NILPOTENCY_CAP = 50
+FLOW_LEFT_THE_VARIETY = (
+    "flow left the variety: exact divided powers unavailable in this characteristic"
+)
 
 
 class Derivation:
@@ -229,26 +232,34 @@ class Derivation:
             ]
         return self._flow
 
-    def exp_flow(self, u, pt):
-        """Image of a variety point under exp(u * derivation).
+    def flow_image(self, u, pt):
+        """exp(u * derivation) applied to pt, with no equation check.
 
         Each moved coordinate is sum_k u^k P_k(pt), accumulated natively and
-        reduced once.  The result satisfies the equation exactly; if an
-        in-field series terminated early because of the characteristic, the
-        equation check catches it and raises CharacteristicTooSmall.
+        reduced once.  exp_flow is this call with both ends checked; a
+        caller whose sources are on X by construction checks only the
+        image, and refuses one off X with CharacteristicTooSmall
+        (FLOW_LEFT_THE_VARIETY) as exp_flow does.
         """
         fld = self.field
-        if not self.shape.on_variety(fld, pt):
-            raise PointNotOnVariety("flow source does not satisfy the equation")
         out = list(pt)
         at = (*pt, u)
         for v, terms in self._flow_terms():
             out[v] = fld.eval_terms(terms, at)
-        out = tuple(out)
-        if not self.shape.on_variety(fld, out):
-            raise CharacteristicTooSmall(
-                "flow left the variety: exact divided powers unavailable in this characteristic"
-            )
+        return tuple(out)
+
+    def exp_flow(self, u, pt):
+        """Image of a variety point under exp(u * derivation).
+
+        The result satisfies the equation exactly; if an in-field series
+        terminated early because of the characteristic, the equation check
+        catches it and raises CharacteristicTooSmall.
+        """
+        if not self.shape.on_variety(self.field, pt):
+            raise PointNotOnVariety("flow source does not satisfy the equation")
+        out = self.flow_image(u, pt)
+        if not self.shape.on_variety(self.field, out):
+            raise CharacteristicTooSmall(FLOW_LEFT_THE_VARIETY)
         return out
 
     def flow_group_law(self) -> bool:

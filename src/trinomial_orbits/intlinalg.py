@@ -11,7 +11,10 @@ row lists.  The Smith form drives three consumers:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
+
+SMITH_CACHE_SIZE = 32
 
 
 def identity(n: int):
@@ -148,6 +151,15 @@ def smith_normal_form(A):
     return D, U, V
 
 
+@lru_cache(maxsize=SMITH_CACHE_SIZE)
+def _smith_form(rows: tuple) -> tuple:
+    """smith_normal_form of a matrix given as a tuple of row tuples, with
+    D, U and V as tuples of row tuples, so that no caller can change the
+    cached form.  The solvers meet the same torus system again and again
+    (one per transport, several per transport over Q)."""
+    return tuple(tuple(map(tuple, M)) for M in smith_normal_form(rows))
+
+
 def invariant_factors(A):
     D, _, _ = smith_normal_form(A)
     out = []
@@ -185,7 +197,7 @@ def solve_mod(A, b, N: int):
     n = len(A[0]) if m else 0
     if m == 0:
         return [0] * n
-    D, U, V = smith_normal_form(A)
+    D, U, V = _smith_form(tuple(map(tuple, A)))
     c = mat_vec(U, b)
     y = [0] * n
     for i in range(m):
@@ -211,7 +223,7 @@ def solve_int(A, b):
     n = len(A[0]) if m else 0
     if m == 0:
         return [0] * n
-    D, U, V = smith_normal_form(A)
+    D, U, V = _smith_form(tuple(map(tuple, A)))
     c = mat_vec(U, b)
     y = [0] * n
     for i in range(m):

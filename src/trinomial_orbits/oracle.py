@@ -15,17 +15,20 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
 from math import prod
 from operator import mul
 
 from . import orbits, strata
-from .derivations import lnd_catalog
+from .derivations import FLOW_LEFT_THE_VARIETY, lnd_catalog
 from .errors import (
     CharacteristicTooSmall,
     DifferentOrbits,
     MathDomainError,
+    PointNotOnVariety,
     TooLarge,
     UnsupportedFamily,
 )
@@ -345,20 +348,67 @@ def _desc_key(shape, fld, desc) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _JoinView(Sequence):
+    """Points of the (head, tail) join, read by index; no point tuple is
+    stored.
+
+    A part is a head sub-tuple, the tail sub-tuples it joins and the
+    indices of the tails taken (None: every tail), in order; ends holds the
+    cumulative part ends.  Point i is built when it is read: a bisect on
+    ends finds its part, and the point is head + tail.
+    """
+
+    __slots__ = ("parts", "ends", "size")
+
+    def __init__(self):
+        self.parts = []
+        self.ends = []
+        self.size = 0
+
+    def add(self, head, tails, chosen=None):
+        self.parts.append((head, tails, chosen))
+        self.size += len(tails if chosen is None else chosen)
+        self.ends.append(self.size)
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, i):
+        size = self.size
+        if i < 0:
+            i += size
+        if not 0 <= i < size:
+            raise IndexError("point index out of range")
+        k = bisect_right(self.ends, i)
+        head, tails, chosen = self.parts[k]
+        j = i - self.ends[k - 1] if k else i
+        return head + tails[j if chosen is None else chosen[j]]
+
+    def __iter__(self):
+        for head, tails, chosen in self.parts:
+            if chosen is None:
+                for t in tails:
+                    yield head + t
+            else:
+                for j in chosen:
+                    yield head + tails[j]
+
+
 @dataclass
 class Census:
     """The classified points of one (shape, field).
 
-    points lists them in enumeration order.  counts holds one entry per
+    points views them in enumeration order.  counts holds one entry per
     distinct descriptor; buckets holds, for the open and component strata
     (the ones transport handles), the points of each descriptor in
-    enumeration order.  Points whose classification raised a
-    MathDomainError are counted in errors only.  classes maps each residue
-    key (_KeyRule) to its descriptor or to the MathDomainError that refused
-    it.
+    enumeration order.  points and the buckets are index views over the
+    join (_JoinView): a point tuple is built only when it is read.  Points
+    whose classification raised a MathDomainError are counted in errors
+    only.  classes maps each residue key (_KeyRule) to its descriptor or to
+    the MathDomainError that refused it.
     """
 
-    points: list
+    points: _JoinView
     counts: dict
     buckets: dict
     errors: int
@@ -396,55 +446,65 @@ def build_census(
     the first point of each key goes through classify_point, and its
     descriptor or refusal counts for every point with that key.
 
-    The points come out of the (head, tail) join of enumerate_points in
-    lexicographic order, so nothing is sorted.  The keys of a head's points
-    depend only on the head's monomial, zero mask and factor and on the
-    tails': each such entry computes its tails' keys once, and every later
-    head with that entry reuses them.  A key is classified at its first
-    point, so descriptors are listed in the order of their first points.
-    Points join their descriptor's list as they are emitted: with one
-    extend when every tail of the entry lands in the same list, one by one
-    otherwise.
+    The points are the (head, tail) join of enumerate_points in
+    lexicographic order, so nothing is sorted, and no point tuple is built
+    but the ones classified: points and every bucket are index views over
+    the join.  The keys of a head's points depend only on the head's
+    monomial, zero mask and factor and on the tails': each such entry
+    computes its tails' keys once, with the tail indices each descriptor
+    takes, and every later head with that entry reuses them.  A key is
+    classified at its first point, so descriptors are listed in the order
+    of their first points.  A head adds one part to each descriptor's view
+    its entry reaches (all its tails when the entry lands in one list), and
+    refused tails only add to errors.
     """
     rule, heads, tails = _lex_join(shape, fld)
     p = rule.p
-    pts = []
+    points = _JoinView()
     classes = {}
     by_desc = {}
-    refused = []
-    entries = {}  # (monomial, zero mask, factor) of a head -> its tails' lists
+    errors = 0
+    # (monomial, zero mask, factor) of a head -> [(view or None for the
+    # refused, tail indices or None for all, how many)]
+    entries = {}
 
-    def targets(block, f, mask, factors, masks):
-        out = []
-        for pt, g, k in zip(block, factors, masks):
+    def targets(a, f, mask, subs, factors, masks):
+        taken = {}
+        for j, (t, g, k) in enumerate(zip(subs, factors, masks)):
             key = rule.pack(mask | k, f * g % p)
-            cls = _class_of(classes, key, shape, fld, pt, assume_conjecture)
-            out.append(refused if isinstance(cls, MathDomainError) else by_desc.setdefault(cls, []))
-        first = out[0]
-        return (first, None) if all(t is first for t in out) else (None, out)
+            cls = _class_of(classes, key, shape, fld, a + t, assume_conjecture)
+            if isinstance(cls, MathDomainError):
+                view = None
+            else:
+                view = by_desc.get(cls)
+                if view is None:
+                    view = by_desc[cls] = _JoinView()
+            taken.setdefault(view, []).append(j)
+        if len(taken) == 1:
+            (view,) = taken
+            return [(view, None, len(subs))]
+        return [(view, idx, len(idx)) for view, idx in taken.items()]
 
     for a, m, f, mask in heads:
         tail = tails.get(m)
         if not tail:
             continue
         subs, factors, masks = tail
-        block = [a + t for t in subs]
-        pts += block
+        points.add(a, subs)
         entry = entries.get((m, mask, f))
         if entry is None:
-            entry = entries[m, mask, f] = targets(block, f, mask, factors, masks)
-        whole, each = entry
-        if whole is not None:
-            whole += block
-        else:
-            for pt, target in zip(block, each):
-                target.append(pt)
+            entry = entries[m, mask, f] = targets(a, f, mask, subs, factors, masks)
+        for view, chosen, size in entry:
+            if view is None:
+                errors += size
+            else:
+                view.add(a, subs, chosen)
     counts = {desc: len(same) for desc, same in by_desc.items()}
     buckets = {
         desc: same for desc, same in by_desc.items()
         if isinstance(desc, (orbits.BigO, orbits.OMeps))
     }
-    return Census(pts, counts, buckets, len(refused), classes)
+    return Census(points, counts, buckets, errors, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -588,12 +648,17 @@ def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture, classes
     """The checks of verify_invariance over pts.  A flow whose image the
     field refuses makes no component-membership run.
 
-    Descriptors are read by residue key from classes (residue key ->
-    descriptor or refusal, as in Census.classes), and a key not yet there
-    is classified once and added: a descriptor is a function of the key
-    (build_census).  Every point compared still goes through on_variety,
-    so an image off X raises PointNotOnVariety, and a refused key raises
-    the refusal stored for it.
+    The sources, pts, are on X by construction (census or enumerated
+    points), so only the images are checked, each with one on_variety
+    call: a flow image off X is refused with CharacteristicTooSmall and a
+    torus image off X with PointNotOnVariety, as Derivation.exp_flow and
+    classify_point would refuse them.  Descriptors of both sides are then
+    read by residue key from classes (residue key -> descriptor or refusal,
+    as in Census.classes), and a key not yet there is classified once and
+    added: a descriptor is a function of the key (build_census).  A
+    refused key raises the refusal stored for it.  The singular components
+    containing a point depend only on its zero mask, so N(S) is read once
+    per mask.
     """
     p = fld.modulus
     rng = random.Random(seed)
@@ -602,12 +667,20 @@ def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture, classes
     rule = _key_rule(shape, p)
 
     def classify(pt):
-        if not shape.on_variety(fld, pt):
-            return orbits.classify_point(shape, fld, pt)  # raises PointNotOnVariety
         cls = _class_of(classes, rule.key(pt), shape, fld, pt, assume_conjecture)
         if isinstance(cls, MathDomainError):
             raise cls.with_traceback(None)
         return cls
+
+    components = {}  # zero mask -> generator sets of N(S)
+
+    def containing(pt):
+        mask = _zero_mask(pt) if 0 in pt else 0
+        gens = components.get(mask)
+        if gens is None:
+            zeros = frozenset(i for i in range(shape.n) if mask >> i & 1)
+            gens = components[mask] = {c.generators for c in strata.n_set(shape, zeros)}
+        return gens
 
     flows = _DescriptorTally(classify)
     exhaustive = p * len(pts) * len(catalog) <= trials
@@ -620,28 +693,26 @@ def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture, classes
             for _ in range(trials)
         )
     for pt, delta, u in cases:
-        try:
-            img = delta.exp_flow(u, pt)
-        except CharacteristicTooSmall as exc:
-            flows.refuse(exc)
+        img = delta.flow_image(u, pt)
+        if not shape.on_variety(fld, img):
+            flows.refuse(CharacteristicTooSmall(FLOW_LEFT_THE_VARIETY))
             continue
         flows.compare(img, pt)
-        support = strata.support_zero_set(shape, fld, pt)
-        if strata.n_set(shape, support):
+        before = containing(pt)
+        if before:
             nset_runs += 1
-            img_support = strata.support_zero_set(shape, fld, img)
-            before = {c.generators for c in strata.n_set(shape, support)}
-            after = {c.generators for c in strata.n_set(shape, img_support)}
-            if before != after:
-                nset_fail += 1
+            nset_fail += containing(img) != before
 
     torus = _DescriptorTally(classify)
     if basis and pts:
         for _ in range(trials):
             pt = rng.choice(pts)
             mus = [rng.randrange(1, p) for _ in basis]
-            step = orbits.TorusStep(torus_scaling(shape, fld, mus))
-            torus.compare(step.apply(fld, pt), pt)
+            img = orbits.TorusStep(torus_scaling(shape, fld, mus)).apply(fld, pt)
+            if shape.on_variety(fld, img):
+                torus.compare(img, pt)
+            else:
+                torus.refuse(PointNotOnVariety("point does not satisfy the equation"))
 
     return [
         flows.result("flow_invariance", exhaustive=exhaustive),

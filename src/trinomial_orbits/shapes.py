@@ -449,21 +449,26 @@ def torus_scaling(shape: TrinomialShape, fld, multipliers):
     """Coordinates of the torus element with the given lattice multipliers.
 
     Building elements through the lattice parametrization (never
-    coordinatewise) is what keeps them in the neutral component.
+    coordinatewise) is what keeps them in the neutral component.  Each
+    coordinate takes one power per nonzero exponent and at most one
+    inverse, of the product of its negative-exponent powers (a zero
+    multiplier there raises ZeroDivisionError).
     """
     basis = torus_lattice(shape).vectors
     if len(multipliers) != len(basis):
         raise ValueError("one multiplier per basis vector")
+    if not basis:
+        return (fld.one,) * shape.n
     coords = []
-    for idx in range(shape.n):
-        c = fld.one
-        for mu, vec in zip(multipliers, basis):
-            e = vec[idx]
-            if e >= 0:
-                c = fld.mul(c, fld.pow(mu, e))
-            else:
-                c = fld.mul(c, fld.inv(fld.pow(mu, -e)))
-        coords.append(c)
+    for column in zip(*basis):
+        num, den = fld.one, None
+        for mu, e in zip(multipliers, column):
+            if e > 0:
+                num = fld.mul(num, fld.pow(mu, e))
+            elif e < 0:
+                power = fld.pow(mu, -e)
+                den = power if den is None else fld.mul(den, power)
+        coords.append(num if den is None else fld.mul(num, fld.inv(den)))
     return tuple(coords)
 
 

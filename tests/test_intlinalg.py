@@ -2,6 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from trinomial_orbits import intlinalg
 from trinomial_orbits.intlinalg import (
     identity,
     invariant_factors,
@@ -128,3 +129,38 @@ class TestSolvers:
     def test_empty_system(self):
         assert solve_mod([], [], 7) == []
         assert mat_mul(identity(2), identity(2)) == identity(2)
+
+
+class TestSmithCache:
+    """solve_mod and solve_int read one bounded cache of Smith forms."""
+
+    @given(matrices, st.integers(2, 30), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_equals_uncached(self, A, N, seed):
+        rng = random.Random(seed)
+        b = [rng.randrange(-20, 21) for _ in A]
+        cached = (solve_mod(A, b, N), solve_int(A, b))
+        again = (solve_mod(A, b, N), solve_int(A, b))  # from the cache now
+        real = intlinalg._smith_form
+        try:
+            intlinalg._smith_form = lambda rows: smith_normal_form(rows)
+            uncached = (solve_mod(A, b, N), solve_int(A, b))
+        finally:
+            intlinalg._smith_form = real
+        assert cached == again == uncached
+
+    def test_cached_forms_cannot_change(self):
+        A = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+        b = [2, 6, 10]
+        first = solve_int(A, b)
+        D, U, V = intlinalg._smith_form(tuple(map(tuple, A)))
+        assert all(isinstance(row, tuple) for M in (D, U, V) for row in M)
+        A[0][0] = 3  # the key is a copy: the caller's matrix may change
+        assert solve_int([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], b) == first
+
+    def test_cache_is_bounded(self):
+        for k in range(3 * intlinalg.SMITH_CACHE_SIZE):
+            solve_mod([[k + 1, 2]], [1], 7)
+        info = intlinalg._smith_form.cache_info()
+        assert info.maxsize == intlinalg.SMITH_CACHE_SIZE
+        assert info.currsize <= intlinalg.SMITH_CACHE_SIZE

@@ -497,7 +497,7 @@ class TestVerifyAll:
 class TestCensus:
     def test_counts_and_buckets(self, shape_a, f7):
         census = build_census(shape_a, f7)
-        assert census.points == enumerate_points(shape_a, f7)
+        assert list(census.points) == enumerate_points(shape_a, f7)
         assert census.errors == 0
         assert sum(census.counts.values()) == len(census.points)
         for desc, bucket in census.buckets.items():
@@ -586,6 +586,11 @@ class TestCensus:
             counts[key] = counts.get(key, 0) + 1
         report = partition_selftest(shape, fld)
         assert check(report, "partition").details["counts"] == dict(sorted(counts.items()))
+
+
+def listed(buckets):
+    """The (descriptor, points) pairs of census buckets, each view as a list."""
+    return [(desc, list(same)) for desc, same in buckets.items()]
 
 
 def pointwise_census(shape, fld, assume_conjecture):
@@ -728,6 +733,16 @@ class TestKeyedInvariance:
         want = self.assert_keyed_equals_reference(shape_a, f7, 300, 2, False)
         assert want[2].details["failures"] > 0
 
+    def test_planted_component_change_is_caught(self, monkeypatch, shape_a, f7):
+        # every flow sends its source to (0, 1, 0, 0), on X with y != 0: a
+        # source on the singular line y = z = s = 0 leaves the component
+        # containing it, which component_membership must count as the
+        # reference does
+        monkeypatch.setattr(Derivation, "flow_image", lambda self, u, pt: (0, 1, 0, 0))
+        want = self.assert_keyed_equals_reference(shape_a, f7, 1000, 3, False)
+        membership = want[1].details
+        assert membership["failures"] == membership["runs"] > 0
+
     def test_images_off_the_variety_are_refused(self, monkeypatch, shape_a, f7):
         # an image off X whose zero pattern is a census key still raises
         # PointNotOnVariety: the key map never answers for it
@@ -738,6 +753,32 @@ class TestKeyedInvariance:
         want = self.assert_keyed_equals_reference(shape_a, f7, 100, 2, False)
         torus = want[2].details
         assert torus["refused"] > 0 and torus["runs"] > 0
+
+    def test_each_image_is_evaluated_once(self, monkeypatch, shape_d):
+        # the sources are census points, on X by construction: only the
+        # images go through on_variety, once each, plus one call inside
+        # classify_point per key the census map does not hold yet
+        fld, trials = PrimeField(13), 200
+        census = build_census(shape_d, fld)
+        known = len(census.classes)
+        real_on_variety = type(shape_d).on_variety
+        calls = {"on_variety": 0}
+
+        def counted(self, fld, pt):
+            calls["on_variety"] += 1
+            return real_on_variety(self, fld, pt)
+
+        def no_support(*args):
+            raise AssertionError("support_zero_set evaluates the equation again")
+
+        monkeypatch.setattr(type(shape_d), "on_variety", counted)
+        monkeypatch.setattr(strata, "support_zero_set", no_support)
+        checks = oracle._invariance_checks(
+            shape_d, fld, census.points, trials, 5, False, census.classes
+        )
+        flows, membership, torus = (c.details for c in checks)
+        assert flows["runs"] == torus["runs"] == trials and membership["runs"] > 0
+        assert calls["on_variety"] <= 2 * trials + len(census.classes) - known
 
 
 class TestResidueKey:
@@ -751,10 +792,10 @@ class TestResidueKey:
         assume(oracle.point_count(shape, p) <= 3000)
         fld = PrimeField(p)
         census = build_census(shape, fld, assume_conjecture)
-        assert census.points == enumerate_points(shape, fld)
+        assert list(census.points) == enumerate_points(shape, fld)
         counts, buckets, errors = pointwise_census(shape, fld, assume_conjecture)
         assert list(census.counts.items()) == list(counts.items())
-        assert list(census.buckets.items()) == list(buckets.items())
+        assert listed(census.buckets) == list(buckets.items())
         assert census.errors == errors
 
     @pytest.mark.parametrize(
@@ -770,7 +811,7 @@ class TestResidueKey:
         census = build_census(shape, fld)
         counts, buckets, errors = pointwise_census(shape, fld, False)
         assert list(census.counts.items()) == list(counts.items())
-        assert list(census.buckets.items()) == list(buckets.items())
+        assert listed(census.buckets) == list(buckets.items())
         assert census.errors == errors
 
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7]))
@@ -795,7 +836,43 @@ class TestResidueKey:
         assert all(len(rs) == 3 for rs in labels.values())
         counts, buckets, errors = pointwise_census(shape_d, fld, False)
         assert census.counts == counts and census.errors == errors == 0
-        assert list(census.buckets.items()) == list(buckets.items())
+        assert listed(census.buckets) == list(buckets.items())
+
+
+class TestJoinView:
+    """census.points and the buckets are index views over the join; read
+    any way, they must equal the pointwise lists."""
+
+    @staticmethod
+    def assert_view_equals(view, pts):
+        assert list(view) == pts and len(view) == len(pts)
+        assert [view[i] for i in range(len(pts))] == pts
+        assert view[-1] == pts[-1] and view[-len(pts)] == pts[0]
+        for i in (len(pts), -len(pts) - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        for seed in range(5):
+            assert random.Random(seed).choice(view) == random.Random(seed).choice(pts)
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_views_equal_pointwise_lists(self, shape, p, assume_conjecture):
+        assume(0 < oracle.point_count(shape, p) <= 3000)
+        fld = PrimeField(p)
+        census = build_census(shape, fld, assume_conjecture)
+        self.assert_view_equals(census.points, enumerate_points(shape, fld))
+        _, buckets, _ = pointwise_census(shape, fld, assume_conjecture)
+        assert list(census.buckets) == list(buckets)
+        for desc, view in census.buckets.items():
+            self.assert_view_equals(view, buckets[desc])
+
+    def test_empty_view(self):
+        view = oracle._JoinView()
+        assert len(view) == 0 and list(view) == []
+        with pytest.raises(IndexError):
+            view[0]
+        with pytest.raises(IndexError):
+            random.Random(0).choice(view)
 
 
 class TestSkipped:

@@ -2,8 +2,10 @@ import gc
 import json
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trinomial_orbits import (
     QQ,
@@ -34,6 +36,7 @@ from trinomial_orbits.shapes import (
     torus_scaling,
 )
 from conftest import (
+    small_shapes,
     SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_E_BASE, SHAPE_FIELD_CACHES, SHAPE_H2,
 )
 
@@ -245,6 +248,65 @@ class TestTorusLattice:
         pt = (5, 0, 6, 1)
         image = tuple(f7.mul(c, v) for c, v in zip(coords, pt))
         assert shape_a.on_variety(f7, image)
+
+
+def ref_torus_scaling(shape, fld, multipliers):
+    """The coordinate loop torus_scaling replaced: one power per basis
+    vector, and one inverse per negative exponent."""
+    basis = torus_lattice(shape).vectors
+    coords = []
+    for idx in range(shape.n):
+        c = fld.one
+        for mu, vec in zip(multipliers, basis):
+            e = vec[idx]
+            if e >= 0:
+                c = fld.mul(c, fld.pow(mu, e))
+            else:
+                c = fld.mul(c, fld.inv(fld.pow(mu, -e)))
+        coords.append(c)
+    return tuple(coords)
+
+
+class TestTorusScaling:
+    """torus_scaling takes one power per nonzero exponent and at most one
+    inverse per coordinate; it must equal the loop it replaced."""
+
+    @staticmethod
+    def multiplier(fld, rng):
+        if fld.modulus is None:
+            return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 30), rng.randrange(1, 30))
+        return rng.randrange(1, fld.modulus)
+
+    @given(small_shapes(), st.sampled_from([None, 13, 101]), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_reference(self, shape, p, seed):
+        fld = QQ if p is None else PrimeField(p)
+        rng = random.Random(seed)
+        basis = torus_lattice(shape).vectors
+        mus = [self.multiplier(fld, rng) for _ in basis]
+        assert torus_scaling(shape, fld, mus) == ref_torus_scaling(shape, fld, mus)
+
+    @pytest.mark.parametrize("raw", CURATED)
+    @pytest.mark.parametrize("p", [None, 13, 101])
+    def test_zero_multiplier(self, raw, p):
+        # a zero multiplier meeting a negative exponent has no inverse; on
+        # a vector with none it gives the reference coordinates
+        shape, fld = validate_shape(raw), QQ if p is None else PrimeField(p)
+        rng = random.Random(len(raw[0]) + (p or 0))
+        basis = torus_lattice(shape).vectors
+        for k, vec in enumerate(basis):
+            mus = [self.multiplier(fld, rng) for _ in basis]
+            mus[k] = fld.zero
+            if min(vec) < 0:
+                for scaling in (torus_scaling, ref_torus_scaling):
+                    with pytest.raises(ZeroDivisionError):
+                        scaling(shape, fld, mus)
+            else:
+                assert torus_scaling(shape, fld, mus) == ref_torus_scaling(shape, fld, mus)
+
+    def test_rank_zero_is_the_identity(self):
+        shape = validate_shape([[], [1], [1]])
+        assert torus_scaling(shape, QQ, ()) == (QQ.one,) * shape.n
 
 
 class TestSymmetry:
