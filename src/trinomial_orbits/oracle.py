@@ -206,42 +206,6 @@ def enumerate_points(shape: TrinomialShape, fld):
     return pts
 
 
-def random_points(shape: TrinomialShape, fld, count: int, rng) -> list:
-    """Random F_p-points by rejection: draw all coordinates but one and
-    solve the last power by root extraction (always solvable through an
-    exponent-1 variable when the shape has one).  A variety with no
-    F_p-points raises MathDomainError before any draw."""
-    p = fld.modulus
-    if p is None:
-        raise TooLarge("random sampling needs a prime field")
-    if not point_count(shape, p):
-        raise MathDomainError(f"the variety has no points over F_{p}")
-    exps = shape.exponents
-    ones = [i for i, l in enumerate(exps) if l == 1]
-    v = ones[0] if ones else 0
-    gv = shape.group_of(v)
-    out = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > 10000 * count:
-            raise MathDomainError("rejection sampling failed to find points")
-        vec = [rng.randrange(p) for _ in range(shape.n)]
-        cof = shape.monomial_value(fld, vec[:v] + [1] + vec[v + 1:], gv)
-        rest = sum(shape.monomial_value(fld, vec, g) for g in range(3) if g != gv) % p
-        if cof == 0:
-            if rest == 0:
-                out.append(tuple(vec))
-            continue
-        target = fld.div(fld.neg(rest), cof)
-        roots = sorted(fld.kth_roots(target, exps[v]))
-        if not roots:
-            continue
-        vec[v] = rng.choice(roots)
-        out.append(tuple(vec))
-    return out
-
-
 def _zero_mask(pt) -> int:
     """The zero pattern of a point: bit i is set when coordinate i is 0."""
     mask = 0
@@ -404,8 +368,9 @@ class Census:
     enumeration order.  points and the buckets are index views over the
     join (_JoinView): a point tuple is built only when it is read.  Points
     whose classification raised a MathDomainError are counted in errors
-    only.  classes maps each residue key (_KeyRule) to its descriptor or to
-    the MathDomainError that refused it.
+    only.  classes maps every residue key (_KeyRule) of a point of X to its
+    descriptor or to the MathDomainError that refused it, so the class of
+    any point on X is one lookup.
     """
 
     points: _JoinView
@@ -413,20 +378,6 @@ class Census:
     buckets: dict
     errors: int
     classes: dict
-
-
-def _class_of(classes, key, shape, fld, pt, assume_conjecture):
-    """The descriptor of residue key, or the MathDomainError that refused
-    it, from classes; a key not there yet is classified through pt, one of
-    its points, and added."""
-    cls = classes.get(key)
-    if cls is None:
-        try:
-            cls = orbits.classify_point(shape, fld, pt, assume_conjecture)
-        except MathDomainError as exc:
-            cls = exc
-        classes[key] = cls
-    return cls
 
 
 def build_census(
@@ -472,7 +423,13 @@ def build_census(
         taken = {}
         for j, (t, g, k) in enumerate(zip(subs, factors, masks)):
             key = rule.pack(mask | k, f * g % p)
-            cls = _class_of(classes, key, shape, fld, a + t, assume_conjecture)
+            cls = classes.get(key)
+            if cls is None:
+                try:
+                    cls = orbits.classify_point(shape, fld, a + t, assume_conjecture)
+                except MathDomainError as exc:
+                    cls = exc
+                classes[key] = cls
             if isinstance(cls, MathDomainError):
                 view = None
             else:
@@ -617,8 +574,7 @@ class _DescriptorTally:
     counts it, and the other pairs still run.  The check reads skipped,
     with the first refusal's code, only when every pair was refused."""
 
-    def __init__(self, classify):
-        self.classify = classify
+    def __init__(self):
         self.runs = self.failures = self.refused = 0
         self.refusal = None
 
@@ -627,13 +583,15 @@ class _DescriptorTally:
         self.refusal = self.refusal or exc
 
     def compare(self, a, b):
-        try:
-            same = self.classify(a) == self.classify(b)
-        except MathDomainError as exc:
-            self.refuse(exc)
-            return
+        """Compare two classes, each a descriptor or the MathDomainError
+        that refused it: the first refusal, in (a, b) order, refuses the
+        pair."""
+        for cls in (a, b):
+            if isinstance(cls, MathDomainError):
+                self.refuse(cls)
+                return
         self.runs += 1
-        self.failures += not same
+        self.failures += a != b
 
     def result(self, name, **details) -> CheckResult:
         if self.refused and not self.runs:
@@ -644,34 +602,24 @@ class _DescriptorTally:
         return CheckResult(name, self.failures == 0, details)
 
 
-def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture, classes) -> list:
-    """The checks of verify_invariance over pts.  A flow whose image the
-    field refuses makes no component-membership run.
+def _invariance_checks(shape, fld, census: Census, trials, seed) -> list:
+    """The checks of verify_invariance over the census points.  A flow
+    whose image the field refuses makes no component-membership run.
 
-    The sources, pts, are on X by construction (census or enumerated
-    points), so only the images are checked, each with one on_variety
-    call: a flow image off X is refused with CharacteristicTooSmall and a
-    torus image off X with PointNotOnVariety, as Derivation.exp_flow and
-    classify_point would refuse them.  Descriptors of both sides are then
-    read by residue key from classes (residue key -> descriptor or refusal,
-    as in Census.classes), and a key not yet there is classified once and
-    added: a descriptor is a function of the key (build_census).  A
-    refused key raises the refusal stored for it.  The singular components
-    containing a point depend only on its zero mask, so N(S) is read once
-    per mask.
+    The sources are census points, on X by construction, so only the
+    images are checked, each with one on_variety call: a flow image off X
+    is refused with CharacteristicTooSmall and a torus image off X with
+    PointNotOnVariety, as Derivation.exp_flow and classify_point would
+    refuse them.  census.classes holds every residue key of X, so the
+    classes of both sides (descriptor or refusal) are read from it by key,
+    and no point is classified here.  The singular components containing a
+    point depend only on its zero mask, so N(S) is read once per mask.
     """
     p = fld.modulus
     rng = random.Random(seed)
     catalog = lnd_catalog(shape, fld)
     basis = torus_lattice(shape).vectors
-    rule = _key_rule(shape, p)
-
-    def classify(pt):
-        cls = _class_of(classes, rule.key(pt), shape, fld, pt, assume_conjecture)
-        if isinstance(cls, MathDomainError):
-            raise cls.with_traceback(None)
-        return cls
-
+    pts, classes, key = census.points, census.classes, _key_rule(shape, p).key
     components = {}  # zero mask -> generator sets of N(S)
 
     def containing(pt):
@@ -682,7 +630,7 @@ def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture, classes
             gens = components[mask] = {c.generators for c in strata.n_set(shape, zeros)}
         return gens
 
-    flows = _DescriptorTally(classify)
+    flows = _DescriptorTally()
     exhaustive = p * len(pts) * len(catalog) <= trials
     nset_fail = nset_runs = 0
     if exhaustive:
@@ -697,20 +645,20 @@ def _invariance_checks(shape, fld, pts, trials, seed, assume_conjecture, classes
         if not shape.on_variety(fld, img):
             flows.refuse(CharacteristicTooSmall(FLOW_LEFT_THE_VARIETY))
             continue
-        flows.compare(img, pt)
+        flows.compare(classes[key(img)], classes[key(pt)])
         before = containing(pt)
         if before:
             nset_runs += 1
             nset_fail += containing(img) != before
 
-    torus = _DescriptorTally(classify)
+    torus = _DescriptorTally()
     if basis and pts:
         for _ in range(trials):
             pt = rng.choice(pts)
             mus = [rng.randrange(1, p) for _ in basis]
             img = orbits.TorusStep(torus_scaling(shape, fld, mus)).apply(fld, pt)
             if shape.on_variety(fld, img):
-                torus.compare(img, pt)
+                torus.compare(classes[key(img)], classes[key(pt)])
             else:
                 torus.refuse(PointNotOnVariety("point does not satisfy the equation"))
 
@@ -737,12 +685,11 @@ def verify_invariance(
     Runs every (point, catalog derivation, parameter) flow when there are
     at most trials of them, and samples trials of them otherwise; the
     flow_invariance details say which.  Samples trials neutral-torus steps.
-    Classifies at most one point per residue key it meets.
+    The checks run on a census of their own (build_census), which
+    classifies one point per residue key of X; they classify nothing.
     """
-    checks = _invariance_checks(
-        shape, fld, enumerate_points(shape, fld), trials, seed, assume_conjecture, {}
-    )
-    return _report(shape, fld, seed, checks)
+    census = build_census(shape, fld, assume_conjecture)
+    return _report(shape, fld, seed, _invariance_checks(shape, fld, census, trials, seed))
 
 
 def _fixed_by_first_powers(delta, p) -> bool:
@@ -1025,20 +972,18 @@ def verify_all(
 
     One census serves every check: the points are enumerated once and one
     point per residue key is classified.  Invariance samples from the
-    census points and reads the descriptors of both sides of each pair
-    from the census classes by residue key, so it classifies no point
-    again; transport draws its pairs from the census buckets, and the
-    planted self-test relabels the census counts.  Each check equals the one the
-    standalone verify_* function reports.  A skipped check does not count
-    as a failure.
+    census points and reads the classes of both sides of each pair from
+    the census classes, which hold every residue key of X, so it classifies
+    no point; transport draws its pairs from the census buckets, and the
+    planted self-test relabels the census counts.  Each check equals the
+    one the standalone verify_* function reports, which builds the same
+    census.  A skipped check does not count as a failure.
     """
     census = build_census(shape, fld, assume_conjecture)
     checks = _partition_checks(
         shape, fld, census.counts, len(census.points), census.errors
     )
-    checks += _invariance_checks(
-        shape, fld, census.points, trials, seed, assume_conjecture, census.classes
-    )
+    checks += _invariance_checks(shape, fld, census, trials, seed)
     tag = family_of(shape)
     if tag.kind == "F1":
         checks += _transport_checks(

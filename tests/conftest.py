@@ -3,14 +3,17 @@ from hypothesis import assume, strategies as st
 
 from trinomial_orbits import (
     Derivation,
+    MathDomainError,
     PolyRing,
     PrimeField,
     QQ,
+    TooLarge,
     derivations,
     family_of,
     shapes,
     validate_shape,
 )
+from trinomial_orbits.oracle import point_count
 
 # the recurring cast of shapes
 SHAPE_A = [[1, 2], [3], [3]]        # x*y^2 + z^3 + s^3
@@ -126,6 +129,42 @@ def power_one_shapes(draw):
     shape = validate_shape(groups)
     assume(family_of(shape).kind == "F1")  # a flexible H-type match wins over F1
     return shape
+
+
+def random_points(shape, fld, count: int, rng) -> list:
+    """Random F_p-points by rejection: draw all coordinates but one and
+    solve the last power by root extraction (always solvable through an
+    exponent-1 variable when the shape has one).  A variety with no
+    F_p-points raises MathDomainError before any draw."""
+    p = fld.modulus
+    if p is None:
+        raise TooLarge("random sampling needs a prime field")
+    if not point_count(shape, p):
+        raise MathDomainError(f"the variety has no points over F_{p}")
+    exps = shape.exponents
+    ones = [i for i, l in enumerate(exps) if l == 1]
+    v = ones[0] if ones else 0
+    gv = shape.group_of(v)
+    out = []
+    attempts = 0
+    while len(out) < count:
+        attempts += 1
+        if attempts > 10000 * count:
+            raise MathDomainError("rejection sampling failed to find points")
+        vec = [rng.randrange(p) for _ in range(shape.n)]
+        cof = shape.monomial_value(fld, vec[:v] + [1] + vec[v + 1:], gv)
+        rest = sum(shape.monomial_value(fld, vec, g) for g in range(3) if g != gv) % p
+        if cof == 0:
+            if rest == 0:
+                out.append(tuple(vec))
+            continue
+        target = fld.div(fld.neg(rest), cof)
+        roots = sorted(fld.kth_roots(target, exps[v]))
+        if not roots:
+            continue
+        vec[v] = rng.choice(roots)
+        out.append(tuple(vec))
+    return out
 
 
 # -- the reference proof of the flow group law -------------------------------

@@ -35,11 +35,11 @@ from trinomial_orbits import (
 )
 from trinomial_orbits.derivations import catalog_derivation, delta_obstruction
 from trinomial_orbits.intlinalg import invariant_factors, mat_vec
-from trinomial_orbits.oracle import random_points, singular_set, verify_flow_regularity
+from trinomial_orbits.oracle import singular_set, verify_flow_regularity
 from trinomial_orbits.orbits import SingTorus
 from trinomial_orbits.shapes import constraint_rows
 
-from conftest import SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2
+from conftest import SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points
 
 TABLE_SHAPES = [SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2,
                 [[1, 1], [1, 1, 4], [7]], [[1, 2], [1, 3], [4]]]

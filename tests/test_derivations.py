@@ -27,7 +27,7 @@ from trinomial_orbits.cli import run_cli
 from trinomial_orbits.derivations import catalog_index, delta_pair_groups
 from trinomial_orbits.fields import QI
 from trinomial_orbits.orbits import BigO, FlowStep, OMeps, classify_point, transport
-from trinomial_orbits.oracle import enumerate_points, random_points, verify_flow_regularity
+from trinomial_orbits.oracle import enumerate_points, verify_flow_regularity
 from trinomial_orbits.polynomials import Polynomial
 from trinomial_orbits.shapes import EQUATION_CACHE_SIZE
 
@@ -40,6 +40,7 @@ from conftest import (
     SHAPE_H2,
     power_one_shapes,
     prove_group_law,
+    random_points,
     small_shapes,
 )
 

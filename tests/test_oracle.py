@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections.abc import Sequence
 from itertools import product
 
 import pytest
@@ -25,10 +26,10 @@ from trinomial_orbits import (
     verify_transport,
 )
 from trinomial_orbits import oracle, orbits, strata
-from trinomial_orbits.oracle import build_census, random_points, verify_flow_regularity
+from trinomial_orbits.oracle import build_census, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
 from trinomial_orbits.shapes import torus_lattice, torus_scaling
-from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, small_shapes
+from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points, small_shapes
 
 SHAPE_H2_POWER_ONE = [[1, 3], [2], [2, 2]]  # flexible, exponent-1 variable
 
@@ -541,21 +542,35 @@ class TestCensus:
         # once per key, two per transport; invariance reads the census classes
         assert calls["classify"] <= keys + 2 * (pairs + negatives)
 
-    def test_standalone_invariance_classifies_once_per_key(self, monkeypatch, shape_d):
-        fld = PrimeField(13)
-        real_classify = orbits.classify_point
-        classified = []
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_standalone_invariance_classifies_once_per_key(self, shape, p, assume_conjecture):
+        # verify_invariance builds a census, which classifies one point per
+        # residue key of X; the checks on it read every class by key
+        assume(0 < oracle.point_count(shape, p) <= 3000)
+        fld = PrimeField(p)
+        keys = len(build_census(shape, fld, assume_conjecture).classes)
+        real_classify, real_checks = orbits.classify_point, oracle._invariance_checks
+        calls = {"classify": 0, "checks": 0}
 
-        def counted_classify(shape, fld, pt, *args):
-            classified.append((tuple(x == 0 for x in pt), real_classify(shape, fld, pt, *args)))
-            return classified[-1][1]
+        def counted_classify(*args):
+            calls["classify"] += 1
+            return real_classify(*args)
 
-        monkeypatch.setattr(orbits, "classify_point", counted_classify)
-        report = verify_invariance(shape_d, fld, trials=300, seed=4)
-        assert report.failures == 0
-        assert check(report, "flow_invariance").details["runs"] == 300
-        # a residue key is a zero pattern plus r, which the descriptor carries
-        assert 0 < len(classified) == len(set(classified)) < 300
+        def no_classify(*args):
+            raise AssertionError("_invariance_checks classified a point")
+
+        def checks_classifying_nothing(*args):
+            calls["checks"] += 1
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(orbits, "classify_point", no_classify)
+                return real_checks(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "classify_point", counted_classify)
+            mp.setattr(oracle, "_invariance_checks", checks_classifying_nothing)
+            verify_invariance(shape, fld, trials=60, seed=3, assume_conjecture=assume_conjecture)
+        assert calls == {"classify": keys, "checks": 1}
 
     @pytest.mark.parametrize("groups,p", [(SHAPE_A, 7), (SHAPE_D, 13), (SHAPE_E, 7)])
     @pytest.mark.parametrize("seed", [3, 8])
@@ -617,9 +632,13 @@ def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
     basis = torus_lattice(shape).vectors
 
     def classify(pt):
-        return orbits.classify_point(shape, fld, pt, assume_conjecture)
+        """The descriptor of pt, or the MathDomainError that refused it."""
+        try:
+            return orbits.classify_point(shape, fld, pt, assume_conjecture)
+        except MathDomainError as exc:
+            return exc
 
-    flows = oracle._DescriptorTally(classify)
+    flows = oracle._DescriptorTally()
     exhaustive = p * len(pts) * len(catalog) <= trials
     nset_fail = nset_runs = 0
     if exhaustive:
@@ -635,7 +654,7 @@ def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
         except CharacteristicTooSmall as exc:
             flows.refuse(exc)
             continue
-        flows.compare(img, pt)
+        flows.compare(classify(img), classify(pt))
         support = strata.support_zero_set(shape, fld, pt)
         if strata.n_set(shape, support):
             nset_runs += 1
@@ -645,13 +664,13 @@ def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
             if before != after:
                 nset_fail += 1
 
-    torus = oracle._DescriptorTally(classify)
+    torus = oracle._DescriptorTally()
     if basis and pts:
         for _ in range(trials):
             pt = rng.choice(pts)
             mus = [rng.randrange(1, p) for _ in basis]
             step = orbits.TorusStep(torus_scaling(shape, fld, mus))
-            torus.compare(step.apply(fld, pt), pt)
+            torus.compare(classify(step.apply(fld, pt)), classify(pt))
 
     return [
         flows.result("flow_invariance", exhaustive=exhaustive),
@@ -665,19 +684,16 @@ def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
 
 
 class TestKeyedInvariance:
-    """_invariance_checks reads descriptors by residue key; seeded from the
-    census (verify_all) or empty (verify_invariance), it must equal the
-    reference that classifies both sides of every pair."""
+    """_invariance_checks reads descriptors from the census classes by
+    residue key; it must equal the reference that classifies both sides of
+    every pair."""
 
     @staticmethod
     def assert_keyed_equals_reference(shape, fld, trials, seed, assume_conjecture):
         census = build_census(shape, fld, assume_conjecture)
         want = ref_invariance_checks(shape, fld, census.points, trials, seed, assume_conjecture)
-        for classes in (census.classes, {}):
-            got = oracle._invariance_checks(
-                shape, fld, census.points, trials, seed, assume_conjecture, classes
-            )
-            assert [c.to_json() for c in got] == [c.to_json() for c in want]
+        got = oracle._invariance_checks(shape, fld, census, trials, seed)
+        assert [c.to_json() for c in got] == [c.to_json() for c in want]
         return want
 
     @given(
@@ -756,11 +772,10 @@ class TestKeyedInvariance:
 
     def test_each_image_is_evaluated_once(self, monkeypatch, shape_d):
         # the sources are census points, on X by construction: only the
-        # images go through on_variety, once each, plus one call inside
-        # classify_point per key the census map does not hold yet
+        # images go through on_variety, once each, and the census map holds
+        # every key, so classify_point evaluates none
         fld, trials = PrimeField(13), 200
         census = build_census(shape_d, fld)
-        known = len(census.classes)
         real_on_variety = type(shape_d).on_variety
         calls = {"on_variety": 0}
 
@@ -773,12 +788,10 @@ class TestKeyedInvariance:
 
         monkeypatch.setattr(type(shape_d), "on_variety", counted)
         monkeypatch.setattr(strata, "support_zero_set", no_support)
-        checks = oracle._invariance_checks(
-            shape_d, fld, census.points, trials, 5, False, census.classes
-        )
+        checks = oracle._invariance_checks(shape_d, fld, census, trials, 5)
         flows, membership, torus = (c.details for c in checks)
         assert flows["runs"] == torus["runs"] == trials and membership["runs"] > 0
-        assert calls["on_variety"] <= 2 * trials + len(census.classes) - known
+        assert calls["on_variety"] == 2 * trials
 
 
 class TestResidueKey:
@@ -845,6 +858,8 @@ class TestJoinView:
 
     @staticmethod
     def assert_view_equals(view, pts):
+        # a Sequence, so Hypothesis's sampled_from draws from it directly
+        assert isinstance(view, Sequence)
         assert list(view) == pts and len(view) == len(pts)
         assert [view[i] for i in range(len(pts))] == pts
         assert view[-1] == pts[-1] and view[-len(pts)] == pts[0]
@@ -900,6 +915,19 @@ class TestSkipped:
         assert not partition.passed and partition.details["errors"] == 625
         assert report.failures == 1
 
+    @pytest.mark.parametrize("assume_conjecture", [False, True])
+    def test_standalone_invariance_passes_the_conjecture_on(self, assume_conjecture):
+        # verify_invariance classifies through its own census, built with
+        # the caller's assume_conjecture: C is refused without it
+        shape, f5 = validate_shape(SHAPE_C), PrimeField(5)
+        combined = verify_all(shape, f5, assume_conjecture=assume_conjecture)
+        standalone = verify_invariance(shape, f5, assume_conjecture=assume_conjecture)
+        assert [c.to_json() for c in standalone.checks] == [
+            c.to_json() for c in combined.checks
+            if c.name in ("flow_invariance", "component_membership", "torus_invariance")
+        ]
+        assert check(standalone, "flow_invariance").skipped != assume_conjecture
+
     def test_refused_pairs_skip_only_themselves(self):
         # the singular points of this shape refuse; the regular ones compare
         report = verify_all(validate_shape(SHAPE_H2_POWER_ONE), PrimeField(5))
@@ -936,35 +964,30 @@ class TestSkipped:
         ]
 
     def test_tally_skips_when_every_trial_is_refused(self):
-        tally = oracle._DescriptorTally(lambda pt: "O")
+        tally = oracle._DescriptorTally()
         tally.refuse(CharacteristicTooSmall("first"))
         tally.refuse(RootUnavailable("second"))
         result = tally.result("flow_invariance")
         assert result.skipped and result.details["code"] == "characteristic_too_small"
-        tally.compare((0,), (1,))
+        tally.compare("O", "O")
         result = tally.result("flow_invariance")
         assert result.passed and not result.skipped
         assert result.details == {"runs": 1, "failures": 0, "refused": 2}
 
     def test_tally_compares_around_refusals(self):
-        answers = iter([None, "O", "O1", "O", None, "O", "O"])
-
-        def classify(pt):
-            desc = next(answers)
-            if desc is None:
-                raise ConjectureNotAssumed("injected")
-            return desc
-
-        tally = oracle._DescriptorTally(classify)
-        for _ in range(4):
-            tally.compare((0,), (1,))
+        image, source = ConjectureNotAssumed("image"), RootUnavailable("source")
+        tally = oracle._DescriptorTally()
+        for a, b in [(image, source), ("O1", "O"), ("O", source), ("O", "O")]:
+            tally.compare(a, b)
         result = tally.result("flow_invariance")
         assert not result.passed and not result.skipped
         assert result.details == {"runs": 2, "failures": 1, "refused": 2}
+        # the first refusal, in (image, source) order, refuses the pair
+        assert tally.refusal is image
 
     def test_tally_without_refusals_has_no_refused_key(self):
-        tally = oracle._DescriptorTally(lambda pt: "O")
-        tally.compare((0,), (1,))
+        tally = oracle._DescriptorTally()
+        tally.compare("O", "O")
         assert tally.result("torus_invariance").details == {"runs": 1, "failures": 0}
 
     def test_status_only_on_skipped_checks(self, shape_a, f7):

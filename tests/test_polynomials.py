@@ -13,10 +13,10 @@ from trinomial_orbits.polynomials import (
     PolyRing,
     Polynomial,
 )
-from trinomial_orbits.oracle import point_count, random_points
+from trinomial_orbits.oracle import point_count
 from trinomial_orbits.shapes import symmetry_group
 from trinomial_orbits.strata import singular_components
-from conftest import small_shapes, substitute
+from conftest import random_points, small_shapes, substitute
 
 RING = PolyRing(QQ, ("x", "y", "z", "s"))
 X, Y, Z, S = (RING.var(i) for i in range(4))
