@@ -284,8 +284,9 @@ class Derivation:
         Over F_p the law gives, by induction on u, exp(u*delta) =
         exp(delta)^u on X(F_p) for every u in F_p, and exp(delta)^p =
         exp(0) = id; so every cycle of exp(delta) on the rational points
-        has length 1 or p.  The oracle's orbit walk still gives up when an
-        image leaves the points or a cycle length does not divide p.
+        has length 1 or p.  The oracle's orbit walk still gives up on an
+        orbit list that does not start at its point, holds between 1 and p
+        distinct images, or reaches a point off X or already read.
         """
         return self.qlift is not None
 

@@ -777,36 +777,32 @@ def _orbit_walk(orbit, pts, sing, p):
     from the orbit map of delta.
 
     orbit(start) lists exp(u * delta)(start) for u = 0 .. p-1.  Under the
-    group law these are the iterates exp(delta)^u(start), so the cycle
-    through start is read off one orbit list: one coefficient evaluation
-    per cycle.  evaluations counts the images read, one per walked point,
-    as a step map applied once per point would.  On a cycle of length L
-    with k singular points, exp(u * delta) for u in F_p visits every cycle
-    point p/L times from each source, so the cycle contributes
-    (p/L) * 2k(L-k) singular/regular mismatches.  failures is None as soon
-    as an image leaves pts or revisits a walked point (or the cycle length
-    does not divide p): the caller then runs pointwise.
+    group law u -> exp(u * delta) is an action of F_p, so the set of these
+    images is the cycle of exp(delta) through start, of length L = 1 or p,
+    read with one coefficient evaluation.  evaluations counts one image
+    per point of each cycle read, as a step map applied once per point
+    would.  On a cycle with k singular points, exp(u * delta) for u in F_p
+    sends each cycle point onto every cycle point once, so the cycle
+    contributes 2k(L-k) singular/regular mismatches (0 when L = 1).
+    failures is None as soon as an orbit list does not start at its point,
+    its set has a length other than 1 or p, or the set is not inside the
+    points not yet read (an image off pts or on an earlier cycle): the
+    caller then runs pointwise.
     """
     remaining = set(pts)
     evaluations = failures = 0
     for start in pts:
         if start not in remaining:
             continue
-        remaining.discard(start)
         images = orbit(start)
-        length, k = 1, start in sing
-        for cur in images[1:] + images[:1]:  # u = 1 .. p; u = p is u = 0
-            evaluations += 1
-            if cur == start:
-                break
-            if cur not in remaining:
-                return evaluations, None
-            remaining.discard(cur)
-            length += 1
-            k += cur in sing
-        if p % length:  # also a list never back at start: length p + 1
+        cycle = set(images)
+        length = len(cycle)
+        if images[0] != start or length not in (1, p) or not cycle <= remaining:
             return evaluations, None
-        failures += p // length * 2 * k * (length - k)
+        remaining -= cycle
+        evaluations += length
+        k = len(cycle & sing)
+        failures += 2 * k * (length - k)
     return evaluations, failures
 
 
@@ -832,12 +828,13 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
     p * |points| pairs per derivation.  Each derivation's orbit map
     (_flow_orbit) is compiled once.  Where delta.flow_group_law() holds,
     exp(u * delta) = exp(delta)^u on the points, so the pairs are counted
-    exactly from the cycles of the step map exp(delta), each read off the
-    orbit list of its first point: one coefficient evaluation per cycle,
-    and one image per point counted in flow_evaluations instead of p.  A
-    derivation whose law fails, or whose flow leaves the points, is
-    checked pointwise: one orbit list per point, its p images counted in
-    flow_evaluations; off_variety counts the images that left.
+    exactly from the cycles of the step map exp(delta), each the set of
+    the orbit list of its first point (_orbit_walk): one coefficient
+    evaluation per cycle, and one image per point counted in
+    flow_evaluations instead of p.  A derivation whose law fails, or whose
+    orbit lists the walk refuses, is checked pointwise: one orbit list per
+    point, its p images counted in flow_evaluations; off_variety counts
+    the images that left.
     """
     p = fld.modulus
     pts = enumerate_points(shape, fld)

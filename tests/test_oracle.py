@@ -305,6 +305,26 @@ class TestFlowRegularity:
         pointwise.details.pop("flow_evaluations")
         assert walked.details == pointwise.details
 
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
+    @settings(max_examples=60, deadline=None)
+    def test_orbit_walk_equals_pointwise_generated(self, shape, p):
+        # every catalog derivation whose law holds is walked in full, with
+        # the pointwise loop's failures and no image off the variety
+        assume(oracle.point_count(shape, p) <= 600)
+        fld = PrimeField(p)
+        pts = enumerate_points(shape, fld)
+        sing = oracle.singular_set(shape, fld, pts)
+        for delta in lnd_catalog(shape, fld):
+            if not delta.flow_group_law():
+                continue
+            try:
+                orbit = oracle._flow_orbit(delta, p)
+            except MathDomainError:
+                continue
+            off, failures = oracle._pointwise_flows(orbit, pts, set(pts), sing)
+            assert off == 0, delta
+            assert oracle._orbit_walk(orbit, pts, sing, p) == (len(pts), failures), delta
+
     def test_step_leaving_the_variety_falls_back(self, monkeypatch, shape_h2):
         # twinless copies of the deltas take their divided powers in F_5,
         # where they are no flow and leave X; even under a claimed law the
@@ -355,21 +375,26 @@ class TestFlowRegularity:
         outside = oracle._orbit_walk(
             lambda pt: [(pt[0] + u,) for u in range(5)], pts, set(), 5
         )
-        assert outside == (3, None)
-        # an image another cycle already walked
+        assert outside == (0, None)
+        # an image another cycle already read
         revisit = {(0,): [(0,), (1,)], (2,): [(2,), (1,)]}.__getitem__
-        assert oracle._orbit_walk(revisit, pts, set(), 2) == (3, None)
+        assert oracle._orbit_walk(revisit, pts, set(), 2) == (2, None)
         # a cycle of length 2 is not of order 3
         two = oracle._orbit_walk(
             lambda pt: [((pt[0] + u) % 2,) for u in range(3)], pts[:2], set(), 3
         )
-        assert two == (2, None)
-        # an orbit list that never returns to its start
+        assert two == (0, None)
+        # an orbit list that does not start at its point
         shifted = oracle._orbit_walk(
             lambda pt: [((pt[0] + u + 1) % 4,) for u in range(3)],
             pts + [(3,)], set(), 3,
         )
-        assert shifted == (3, None)
+        assert shifted == (0, None)
+        # back at its start at u = 1, then moving on: no fixed point
+        restless = oracle._orbit_walk(
+            lambda pt: [pt, pt, ((pt[0] + 1) % 3,)], pts, set(), 3
+        )
+        assert restless == (0, None)
 
     @staticmethod
     def assert_orbit_kernel(shape, fld, sample):
