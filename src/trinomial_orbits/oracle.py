@@ -216,22 +216,21 @@ def _zero_mask(pt) -> int:
 
 
 def singular_set(shape: TrinomialShape, fld, pts) -> set:
-    """The singular points among pts, by vanishing of all partials.
+    """The singular points among pts (strata.is_singular).
 
     Each partial of a trinomial is a single monomial (or 0), so whether it
-    vanishes at a point depends only on which coordinates are 0: the
-    Jacobian is evaluated once per zero mask, and the verdict holds for
-    every point with that mask.  A point with no zero coordinate (0 in pt
-    is false) has mask 0 without a _zero_mask call.
+    vanishes at a point depends only on which coordinates are 0: the first
+    point of each zero mask is tested, and the verdict holds for every
+    point with that mask.  A point with no zero coordinate (0 in pt is
+    false) has mask 0 without a _zero_mask call.
     """
-    partials = shape.partials(fld)
     singular = {}
     out = set()
     for pt in pts:
         mask = _zero_mask(pt) if 0 in pt else 0
         verdict = singular.get(mask)
         if verdict is None:
-            verdict = singular[mask] = all(fld.is_zero(pp.eval(pt)) for pp in partials)
+            verdict = singular[mask] = strata.is_singular(shape, fld, pt)
         if verdict:
             out.add(pt)
     return out
@@ -317,9 +316,9 @@ class _JoinView(Sequence):
     stored.
 
     A part is a head sub-tuple, the tail sub-tuples it joins and the
-    indices of the tails taken (None: every tail), in order; ends holds the
-    cumulative part ends.  Point i is built when it is read: a bisect on
-    ends finds its part, and the point is head + tail.
+    indices of the tails taken, in order; ends holds the cumulative part
+    ends.  Point i is built when it is read: a bisect on ends finds its
+    part, and the point is head + tail.
     """
 
     __slots__ = ("parts", "ends", "size")
@@ -329,9 +328,9 @@ class _JoinView(Sequence):
         self.ends = []
         self.size = 0
 
-    def add(self, head, tails, chosen=None):
+    def add(self, head, tails, chosen):
         self.parts.append((head, tails, chosen))
-        self.size += len(tails if chosen is None else chosen)
+        self.size += len(chosen)
         self.ends.append(self.size)
 
     def __len__(self):
@@ -346,16 +345,12 @@ class _JoinView(Sequence):
         k = bisect_right(self.ends, i)
         head, tails, chosen = self.parts[k]
         j = i - self.ends[k - 1] if k else i
-        return head + tails[j if chosen is None else chosen[j]]
+        return head + tails[chosen[j]]
 
     def __iter__(self):
         for head, tails, chosen in self.parts:
-            if chosen is None:
-                for t in tails:
-                    yield head + t
-            else:
-                for j in chosen:
-                    yield head + tails[j]
+            for j in chosen:
+                yield head + tails[j]
 
 
 @dataclass
@@ -406,8 +401,8 @@ def build_census(
     takes, and every later head with that entry reuses them.  A key is
     classified at its first point, so descriptors are listed in the order
     of their first points.  A head adds one part to each descriptor's view
-    its entry reaches (all its tails when the entry lands in one list), and
-    refused tails only add to errors.
+    its entry reaches, with that descriptor's tail indices, and refused
+    tails only add to errors.
     """
     rule, heads, tails = _lex_join(shape, fld)
     p = rule.p
@@ -416,7 +411,7 @@ def build_census(
     by_desc = {}
     errors = 0
     # (monomial, zero mask, factor) of a head -> [(view or None for the
-    # refused, tail indices or None for all, how many)]
+    # refused, tail indices)]
     entries = {}
 
     def targets(a, f, mask, subs, factors, masks):
@@ -437,23 +432,20 @@ def build_census(
                 if view is None:
                     view = by_desc[cls] = _JoinView()
             taken.setdefault(view, []).append(j)
-        if len(taken) == 1:
-            (view,) = taken
-            return [(view, None, len(subs))]
-        return [(view, idx, len(idx)) for view, idx in taken.items()]
+        return list(taken.items())
 
     for a, m, f, mask in heads:
         tail = tails.get(m)
         if not tail:
             continue
         subs, factors, masks = tail
-        points.add(a, subs)
+        points.add(a, subs, range(len(subs)))
         entry = entries.get((m, mask, f))
         if entry is None:
             entry = entries[m, mask, f] = targets(a, f, mask, subs, factors, masks)
-        for view, chosen, size in entry:
+        for view, chosen in entry:
             if view is None:
-                errors += size
+                errors += len(chosen)
             else:
                 view.add(a, subs, chosen)
     counts = {desc: len(same) for desc, same in by_desc.items()}
@@ -773,24 +765,23 @@ def _flow_orbit(delta, p):
 
 
 def _orbit_walk(orbit, pts, sing, p):
-    """(evaluations, failures) of the cycles of exp(delta) on pts, read
-    from the orbit map of delta.
+    """The singular/regular mismatches of the cycles of exp(delta) on pts,
+    read from the orbit map of delta, or None when the walk is refused.
 
     orbit(start) lists exp(u * delta)(start) for u = 0 .. p-1.  Under the
     group law u -> exp(u * delta) is an action of F_p, so the set of these
     images is the cycle of exp(delta) through start, of length L = 1 or p,
-    read with one coefficient evaluation.  evaluations counts one image
-    per point of each cycle read, as a step map applied once per point
-    would.  On a cycle with k singular points, exp(u * delta) for u in F_p
-    sends each cycle point onto every cycle point once, so the cycle
-    contributes 2k(L-k) singular/regular mismatches (0 when L = 1).
-    failures is None as soon as an orbit list does not start at its point,
-    its set has a length other than 1 or p, or the set is not inside the
-    points not yet read (an image off pts or on an earlier cycle): the
-    caller then runs pointwise.
+    read with one coefficient evaluation.  On a cycle with k singular
+    points, exp(u * delta) for u in F_p sends each cycle point onto every
+    cycle point once, so the cycle contributes 2k(L-k) mismatches (0 when
+    L = 1).  The walk is refused as soon as an orbit list does not start at
+    its point, its set has a length other than 1 or p, or the set is not
+    inside the points not yet read (an image off pts or on an earlier
+    cycle): the caller then runs pointwise.  An accepted walk removes every
+    point of pts exactly once.
     """
     remaining = set(pts)
-    evaluations = failures = 0
+    failures = 0
     for start in pts:
         if start not in remaining:
             continue
@@ -798,12 +789,11 @@ def _orbit_walk(orbit, pts, sing, p):
         cycle = set(images)
         length = len(cycle)
         if images[0] != start or length not in (1, p) or not cycle <= remaining:
-            return evaluations, None
+            return None
         remaining -= cycle
-        evaluations += length
         k = len(cycle & sing)
         failures += 2 * k * (length - k)
-    return evaluations, failures
+    return failures
 
 
 def _pointwise_flows(orbit, pts, point_set, sing):
@@ -834,7 +824,8 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
     flow_evaluations instead of p.  A derivation whose law fails, or whose
     orbit lists the walk refuses, is checked pointwise: one orbit list per
     point, its p images counted in flow_evaluations; off_variety counts
-    the images that left.
+    the images that left.  The images a refused walk read before refusing
+    are not counted.
     """
     p = fld.modulus
     pts = enumerate_points(shape, fld)
@@ -845,10 +836,10 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
         runs += p * len(pts)
         orbit = _flow_orbit(delta, p)
         if delta.flow_group_law():
-            walked, walk_failures = _orbit_walk(orbit, pts, sing, p)
-            evaluations += walked
-            if walk_failures is not None:
-                failures += walk_failures
+            walked = _orbit_walk(orbit, pts, sing, p)
+            if walked is not None:
+                failures += walked
+                evaluations += len(pts)
                 continue
         if point_set is None:
             point_set = set(pts)
@@ -913,10 +904,7 @@ def _transport_checks(shape, fld, buckets, pairs: int, seed: int) -> list:
             ok += 1
         word_lengths.append(len(word.steps))
     negatives = expected_neg = 0
-    omeps = sorted(
-        (d for d in buckets if isinstance(d, orbits.OMeps)),
-        key=lambda d: (sorted(d.M), fld.fmt(d.r)),
-    )
+    omeps = [d for d in buckets if isinstance(d, orbits.OMeps)]
     for a in omeps:
         for b in omeps:
             if a.M == b.M and a.r != b.r:

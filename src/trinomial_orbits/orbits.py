@@ -242,11 +242,8 @@ def classify_point(shape: TrinomialShape, fld, pt, assume_conjecture: bool = Fal
         P = _vanishing(fld, pt, view.zs)
         Q = _vanishing(fld, pt, view.ss)
         if not P and not Q:
-            if not M and len(K) < 2:
-                return DDBigO()
-            if M:
-                return DDOMeps(M, _root_ratio(fld, pt, view))
-            return DDBigO()  # >=2 x's vanish but z,s alive: still regular
+            # no y vanishes: the open orbit, however many x's vanish
+            return DDOMeps(M, _root_ratio(fld, pt, view)) if M else DDBigO()
         if not M and len(K) < 2:
             return DDBigO()
         assert 2 * len(M) + len(K) >= 2
