@@ -9,13 +9,11 @@ X(F_p) must realize exactly that many descriptors.  Run:
 """
 
 import json
-from collections import Counter
 
 from trinomial_orbits import (
     PrimeField,
-    classify_point,
+    build_census,
     descriptor_to_json,
-    enumerate_points,
     orbit_count,
     validate_shape,
 )
@@ -36,15 +34,14 @@ def main():
         print(f"   connected-group orbits {count.aut_alg}, full-group orbits {count.aut}")
         for cls in count.listing:
             print(f"     glued: {cls}")
-        pts = enumerate_points(shape, fld)
-        census = Counter(
-            json.dumps(descriptor_to_json(classify_point(shape, fld, pt), shape, fld),
-                       sort_keys=True)
-            for pt in pts
-        )
-        print(f"   |X(F_{p})| = {len(pts)}, realized descriptors = {len(census)}")
-        assert len(census) == count.aut_alg
-        for key, n in sorted(census.items()):
+        census = build_census(shape, fld)
+        counts = {
+            json.dumps(descriptor_to_json(desc, shape, fld), sort_keys=True): n
+            for desc, n in census.counts.items()
+        }
+        print(f"   |X(F_{p})| = {len(census.points)}, realized descriptors = {len(counts)}")
+        assert len(counts) == count.aut_alg
+        for key, n in sorted(counts.items()):
             print(f"     {n:6d}  {key}")
         print()
 

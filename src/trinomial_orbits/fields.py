@@ -321,6 +321,7 @@ class PrimeField:
         self._hash = hash(("Fp", p))  # every (shape, field) cache lookup hashes it
         self._dlog_table = None
         self._sqrt_minus_one = False  # not searched yet; None when p = 3 (mod 4)
+        self._primitive_root = None
 
     def __repr__(self):
         return f"F{self.modulus}"
@@ -419,14 +420,15 @@ class PrimeField:
         return self._sqrt_minus_one
 
     def primitive_root(self) -> int:
-        p = self.modulus
-        if p == 2:
-            return 1
-        order_factors = factor(p - 1)
-        for g in range(2, p):
-            if all(pow(g, (p - 1) // q, p) != 1 for q in order_factors):
-                return g
-        raise FieldError(f"no primitive root mod {p}")  # unreachable for prime p
+        """The smallest generator of F_p^*; searched once per field."""
+        if self._primitive_root is None:
+            p = self.modulus
+            order_factors = factor(p - 1)
+            self._primitive_root = next(
+                g for g in range(1, p)
+                if all(pow(g, (p - 1) // q, p) != 1 for q in order_factors)
+            )
+        return self._primitive_root
 
     def dlog(self, a: int) -> int:
         """Discrete log of a != 0 w.r.t. the canonical primitive root."""

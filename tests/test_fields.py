@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from trinomial_orbits import fields
 from trinomial_orbits.fields import (
     FieldError,
     GaussianRational,
@@ -104,6 +105,15 @@ class TestArithmetic:
         )
         assert fld.sqrt_minus_one() == fld.sqrt_minus_one() == {7: None, 13: 5}[p]
         assert scans == [p - 1]
+
+    @pytest.mark.parametrize("p,root", [(2, 1), (13, 2), (23, 5), (41, 6)])
+    def test_primitive_root_searched_once(self, monkeypatch, p, root):
+        fld = PrimeField(p)
+        factored = []
+        real = fields.factor
+        monkeypatch.setattr(fields, "factor", lambda n: factored.append(n) or real(n))
+        assert fld.primitive_root() == fld.primitive_root() == root
+        assert factored == [p - 1]
 
     def test_dlog(self):
         fld = PrimeField(13)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from collections.abc import Sequence
 from itertools import product
 
@@ -49,6 +50,32 @@ def scanned_points(shape, p):
     return [pt for pt in product(range(p), repeat=shape.n) if equation(pt) % p == 0]
 
 
+def convolved_count(shape, p):
+    """The number of points from the per-group value distributions, each
+    the convolution of its variables' power tables: the O(p^2) reference
+    for oracle.point_count."""
+
+    def values(exps):
+        counts = {1: 1}
+        for e in exps:
+            powers = {}
+            for x in range(p):
+                w = pow(x, e, p)
+                powers[w] = powers.get(w, 0) + 1
+            nxt = {}
+            for v, c in counts.items():
+                for w, k in powers.items():
+                    vw = v * w % p
+                    nxt[vw] = nxt.get(vw, 0) + c * k
+            counts = nxt
+        return counts
+
+    c0, c1, c2 = (values(grp) for grp in shape.groups)
+    return sum(
+        a * b * c2.get(-(m0 + m1) % p, 0) for m0, a in c0.items() for m1, b in c1.items()
+    )
+
+
 class TestEnumeration:
     def test_shape_b_f2(self, shape_b):
         pts = enumerate_points(shape_b, PrimeField(2))
@@ -70,6 +97,27 @@ class TestEnumeration:
         scanned = scanned_points(shape, p)
         assert enumerate_points(shape, PrimeField(p)) == scanned
         assert oracle.point_count(shape, p) == len(scanned)
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 11, 13, 31, 37, 41]))
+    @settings(max_examples=200, deadline=None)
+    def test_point_count_equals_the_convolution(self, shape, p):
+        assert oracle.point_count(shape, p) == convolved_count(shape, p)
+
+    @pytest.mark.parametrize("groups", [SHAPE_A, SHAPE_H2])
+    def test_point_count_at_the_field_cap_is_quick(self, groups):
+        # an O(p^2) count of the residues would take over an hour here
+        shape = validate_shape(groups)
+        start = time.perf_counter()
+        count = oracle.point_count(shape, 99991)
+        assert time.perf_counter() - start < 5
+        assert count > oracle.POINT_CAP
+
+    def test_over_cap_at_the_field_cap_is_refused(self, shape_a):
+        fld = PrimeField(99991)
+        with pytest.raises(TooLarge, match="exceed the enumeration cap"):
+            enumerate_points(shape_a, fld)
+        with pytest.raises(TooLarge, match="exceed the enumeration cap"):
+            verify_all(shape_a, fld)
 
     @pytest.mark.parametrize(
         "groups,p,joined",
@@ -417,7 +465,8 @@ class TestFlowRegularity:
                     oracle._flow_orbit(delta, p)
                 continue
             orbit = oracle._flow_orbit(delta, p)
-            if oracle._fixed_by_first_powers(delta, p):
+            lengths = [len(delta.divided_power_series(v)) for v in delta.moving_variables()]
+            if max(lengths, default=1) <= p:
                 screened += 1
             else:
                 unscreened += 1
