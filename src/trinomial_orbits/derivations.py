@@ -268,7 +268,7 @@ class Derivation:
 
         True, without computation, when the flows are the reductions of a
         twin's (qlift is set); False for a derivation with no twin (custom
-        derivations, graded parts), which the oracle then checks pointwise.
+        derivations, graded parts).
 
         Why a twin proves it.  Over K = Q or Q(i) the twin is a locally
         nilpotent derivation killing F, so s*delta and t*delta commute and
@@ -284,9 +284,7 @@ class Derivation:
         Over F_p the law gives, by induction on u, exp(u*delta) =
         exp(delta)^u on X(F_p) for every u in F_p, and exp(delta)^p =
         exp(0) = id; so every cycle of exp(delta) on the rational points
-        has length 1 or p.  The oracle's orbit walk still gives up on an
-        orbit list that does not start at its point, holds between 1 and p
-        distinct images, or reaches a point off X or already read.
+        has length 1 or p.
         """
         return self.qlift is not None
 

@@ -1,11 +1,13 @@
 """Exact integer linear algebra: Smith normal form and lattice solvers.
 
 Everything is plain Python ints (no overflow).  Matrices are lists of
-row lists.  The Smith form drives three consumers:
+row lists.  The Smith form drives four consumers:
 
 * saturated kernel lattices (the torus of a trinomial hypersurface),
 * linear systems over Z and modulo a composite N (discrete-log systems
   mod p-1 for the orbit transporter),
+* the torus orbits of the flow oracle (coset representatives of the
+  torus image in (Z/(p-1))^S, through the inverse of U),
 * saturation certificates (a primitive basis has all invariant factors 1).
 """
 
@@ -160,13 +162,42 @@ def _smith_form(rows: tuple) -> tuple:
     return tuple(tuple(map(tuple, M)) for M in smith_normal_form(rows))
 
 
-def invariant_factors(A):
-    D, _, _ = smith_normal_form(A)
-    out = []
-    for i in range(min(len(D), len(D[0]) if D else 0)):
-        if D[i][i]:
-            out.append(abs(D[i][i]))
-    return out
+def unimodular_inverse(U):
+    """The integer inverse of a square integer matrix of determinant +-1.
+
+    Gauss-Jordan elimination on [U | I] with Euclidean row steps: each
+    column's pivot is its smallest nonzero entry on or below the diagonal,
+    the rows beneath it keep their remainders, and the rounds repeat until
+    the column is cleared below the pivot, so every entry stays an
+    integer.  A pivot other than +-1 means U is not unimodular:
+    ValueError.
+    """
+    n = len(U)
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(U)]
+    for k in range(n):
+        while True:
+            live = [i for i in range(k, n) if M[i][k]]
+            if not live:
+                raise ValueError("matrix is singular")
+            top = min(live, key=lambda i: abs(M[i][k]))
+            M[k], M[top] = M[top], M[k]
+            pivot = M[k]
+            for i in range(k + 1, n):
+                q = M[i][k] // pivot[k]
+                if q:
+                    M[i] = [a - q * b for a, b in zip(M[i], pivot)]
+            if not any(M[i][k] for i in range(k + 1, n)):
+                break
+        if abs(M[k][k]) != 1:
+            raise ValueError("matrix is not unimodular")
+        if M[k][k] < 0:
+            M[k] = [-a for a in M[k]]
+    for k in reversed(range(n)):
+        for i in range(k):
+            q = M[i][k]
+            if q:
+                M[i] = [a - q * b for a, b in zip(M[i], M[k])]
+    return [row[n:] for row in M]
 
 
 def kernel_basis(A):

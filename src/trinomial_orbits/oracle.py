@@ -1,8 +1,9 @@
 """Brute-force finite-field oracles.
 
-Everything variety-level claimed elsewhere is checked here by exhaustive
-enumeration over F_p: the strata partition the rational points, generator
-flows and neutral-torus steps preserve descriptors and singular-component
+Everything variety-level claimed elsewhere is checked here exhaustively
+over F_p, by enumeration or by sums over torus orbits: the strata
+partition the rational points, generator flows keep the regular locus and
+they and neutral-torus steps preserve descriptors and singular-component
 membership, transport words land exactly, and the number of realized
 descriptors matches the counting formula when p = 1 (mod 2d).
 
@@ -18,7 +19,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -34,6 +35,7 @@ from .errors import (
 )
 from .families import family_of
 from .fields import field_designator
+from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
 from .shapes import TrinomialShape, torus_lattice, torus_scaling
 
 POINT_CAP = 10**7  # points held in memory: about 0.9 GiB of 4-tuples
@@ -134,13 +136,21 @@ def _residue_rows(shape: TrinomialShape, fld) -> tuple:
     raises TooLarge.
     """
     p = fld.modulus
+    _capped_point_count(shape, fld)
+    rule = _key_rule(shape, p)
+    return rule, [_group_rows(shape, g, p, rule.ratio) for g in range(3)]
+
+
+def _capped_point_count(shape: TrinomialShape, fld) -> int:
+    """point_count over a prime field, refused with TooLarge over any other
+    field or past POINT_CAP points."""
+    p = fld.modulus
     if p is None:
         raise TooLarge("point enumeration needs a prime field")
     total = point_count(shape, p)
     if total > POINT_CAP:
         raise TooLarge(f"{total} points exceed the enumeration cap {POINT_CAP}")
-    rule = _key_rule(shape, p)
-    return rule, [_group_rows(shape, g, p, rule.ratio) for g in range(3)]
+    return total
 
 
 def _group_rows(shape: TrinomialShape, g: int, p: int, ratio: dict) -> list:
@@ -219,8 +229,8 @@ def _zero_mask(pt) -> int:
     return mask
 
 
-def singular_set(shape: TrinomialShape, fld, pts) -> set:
-    """The singular points among pts (strata.is_singular).
+def _singular_test(shape: TrinomialShape, fld):
+    """pt -> whether a point of X is singular (strata.is_singular).
 
     Each partial of a trinomial is a single monomial (or 0), so whether it
     vanishes at a point depends only on which coordinates are 0: the first
@@ -228,15 +238,70 @@ def singular_set(shape: TrinomialShape, fld, pts) -> set:
     point with that mask.  A point with no zero coordinate (0 in pt is
     false) has mask 0 without a _zero_mask call.
     """
-    singular = {}
-    out = set()
-    for pt in pts:
+    verdicts = {}
+
+    def singular(pt) -> bool:
         mask = _zero_mask(pt) if 0 in pt else 0
-        verdict = singular.get(mask)
+        verdict = verdicts.get(mask)
         if verdict is None:
-            verdict = singular[mask] = strata.is_singular(shape, fld, pt)
-        if verdict:
-            out.add(pt)
+            verdict = verdicts[mask] = strata.is_singular(shape, fld, pt)
+        return verdict
+
+    return singular
+
+
+def singular_set(shape: TrinomialShape, fld, pts) -> set:
+    """The singular points among pts, one Jacobian test per zero mask."""
+    singular = _singular_test(shape, fld)
+    return {pt for pt in pts if singular(pt)}
+
+
+def torus_orbits(shape: TrinomialShape, fld) -> list:
+    """The T(F_p)-orbits of X(F_p), one (representative, size) pair each.
+
+    Write the nonzero coordinates of a point in discrete logs to the
+    field's primitive root.  On the points with support S (the nonzero
+    coordinates), T acts through H_S, the image mod p-1 of W_S, the rows
+    of the torus lattice basis at S.  The Smith form U W_S V = D turns
+    (Z/(p-1))^S / H_S into the box 0 <= c_i < gcd(d_i, p-1) (d_i = 0 past
+    the rank), each c the coset of x = U^-1 c.  H_S acts freely, so each
+    coset is one orbit of |H_S| = (p-1)^|S| / prod gcd(d_i, p-1) points,
+    and X is T-invariant, so a coset lies on X when its representative
+    does: a monomial's log at x = U^-1 c is (l U^-1) c, for its exponent
+    row l.  A support where one monomial alone survives holds no point.
+    One Smith form per zero mask; no point outside the representatives is
+    built.
+    """
+    p = fld.modulus
+    order = p - 1
+    n = shape.n
+    basis = torus_lattice(shape).vectors
+    root = fld.primitive_root()
+    power = [pow(root, k, p) for k in range(order)]
+    exps = shape.exponents
+    groups = [shape.group_indices(g) for g in range(3)]
+    out = []
+    for zeros in range(1 << n):
+        support = [i for i in range(n) if not zeros >> i & 1]
+        alive = [grp for grp in groups if not any(zeros >> i & 1 for i in grp)]
+        if len(alive) == 1:
+            continue
+        D, U, _ = smith_normal_form([[vec[i] for vec in basis] for i in support])
+        moduli = [
+            gcd(D[i][i] if i < len(basis) else 0, order) for i in range(len(support))
+        ]
+        size = order ** len(support) // prod(moduli)
+        inverse = unimodular_inverse(U)
+        logs = mat_mul(
+            [[exps[i] if i in grp else 0 for i in support] for grp in alive], inverse
+        )
+        for c in product(*map(range, moduli)):
+            if sum(power[sum(map(mul, row, c)) % order] for row in logs) % p:
+                continue
+            pt = [0] * n
+            for i, x in zip(support, mat_vec(inverse, c)):
+                pt[i] = power[x % order]
+            out.append((tuple(pt), size))
     return out
 
 
@@ -757,50 +822,39 @@ def _flow_orbit(delta, p):
     return orbit
 
 
-def _orbit_walk(orbit, pts, sing, p):
-    """The singular/regular mismatches of the cycles of exp(delta) on pts,
-    read from the orbit map of delta, or None when the walk is refused.
+def _torus_character(delta, basis, p):
+    """The character e of delta for the torus, mod p-1, or None.
 
-    orbit(start) lists exp(u * delta)(start) for u = 0 .. p-1.  Under the
-    group law u -> exp(u * delta) is an action of F_p, so the set of these
-    images is the cycle of exp(delta) through start, of length L = 1 or p,
-    read with one coefficient evaluation.  On a cycle with k singular
-    points, exp(u * delta) for u in F_p sends each cycle point onto every
-    cycle point once, so the cycle contributes 2k(L-k) mismatches (0 when
-    L = 1).  The walk is refused as soon as an orbit list does not start at
-    its point, its set has a length other than 1 or p, or the set is not
-    inside the points not yet read (an image off pts or on an earlier
-    cycle): the caller then runs pointwise.  An accepted walk removes every
-    point of pts exactly once.
+    delta is torus-homogeneous when each term of each divided power P_k of
+    each moving variable x_v has torus degree deg(x_v) + k*e mod p-1, for
+    one e in (Z/(p-1))^r; e is read from the first P_1 term, so a
+    derivation with no P_1 term has none.  The degree of x_i is its column
+    of the lattice basis.  Then P_k(t.x) = t_v chi(t)^k P_k(x) for t in
+    T(F_p), chi(t) = t^e, so exp(u delta)(t.x) = t.exp(chi(t) u delta)(x).
     """
-    remaining = set(pts)
-    failures = 0
-    for start in pts:
-        if start not in remaining:
-            continue
-        images = orbit(start)
-        cycle = set(images)
-        length = len(cycle)
-        if images[0] != start or length not in (1, p) or not cycle <= remaining:
-            return None
-        remaining -= cycle
-        k = len(cycle & sing)
-        failures += 2 * k * (length - k)
-    return failures
+    order = p - 1
+    n = delta.shape.n
+    degree = [[vec[i] for vec in basis] for i in range(n)]
 
+    def shift(v, fac):
+        return [
+            sum(degree[i][j] * a for i, a in fac) - degree[v][j]
+            for j in range(len(basis))
+        ]
 
-def _pointwise_flows(orbit, pts, point_set, sing):
-    """(off_variety, failures) over every (u, point) pair, one image each:
-    one orbit-map call per point gives its p images."""
-    off_variety = failures = 0
-    for pt in pts:
-        side = pt in sing
-        for img in orbit(pt):
-            if img not in point_set:
-                off_variety += 1
-            elif (img in sing) != side:
-                failures += 1
-    return off_variety, failures
+    terms = [
+        (k, shift(v, fac))
+        for v in delta.moving_variables()
+        for k, P in enumerate(delta.divided_power_series(v)) if k
+        for _, fac in P.point_terms()
+    ]
+    firsts = [d for k, d in terms if k == 1]
+    if not firsts:
+        return None
+    e = [x % order for x in firsts[0]]
+    if all((x - k * y) % order == 0 for k, d in terms for x, y in zip(d, e)):
+        return e
+    return None
 
 
 def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyReport:
@@ -808,53 +862,59 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
 
     The image of each point under each exp(u * delta), u in F_p, must sit
     on the same side of the singular locus as the source; runs counts these
-    p * |points| pairs per derivation.  Each derivation's orbit map
-    (_flow_orbit) is compiled once.  Where delta.flow_group_law() holds,
-    exp(u * delta) = exp(delta)^u on the points, so the pairs are counted
-    exactly from the cycles of the step map exp(delta), each the set of
-    the orbit list of its first point (_orbit_walk): one coefficient
-    evaluation per cycle, and one image per point counted in
-    flow_evaluations instead of p.  A derivation whose law fails, or whose
-    orbit lists the walk refuses, is checked pointwise: one orbit list per
-    point, its p images counted in flow_evaluations; off_variety counts
-    the images that left.  The images a refused walk read before refusing
-    are not counted.
+    p * |points| pairs per derivation, and points is the closed-form
+    point_count.  Each derivation's orbit map (_flow_orbit) is compiled
+    once.  A torus-homogeneous delta (_torus_character) has
+    exp(u delta)(t.x) = t.exp(chi(t) u delta)(x), and chi(t) u runs over
+    F_p with u; X and its singular locus are T-invariant, so the p images
+    of every point of a T-orbit hold the same numbers of images off X and
+    across the singular locus.  Its pairs are then summed over the
+    T-orbits (torus_orbits): one orbit list per representative, its counts
+    times the orbit's size.  Any other derivation is checked pointwise
+    over enumerate_points, each point its own representative of size 1.
+    flow_evaluations counts the images read: p per representative.  The
+    orbit sizes must add up to point_count, or the check fails with their
+    sum in torus_points.  Inputs past POINT_CAP are refused with TooLarge,
+    as enumerate_points refuses them.
     """
     p = fld.modulus
-    pts = enumerate_points(shape, fld)
-    sing = singular_set(shape, fld, pts)
-    point_set = None
+    total = _capped_point_count(shape, fld)
+    t_orbits = torus_orbits(shape, fld)
+    basis = torus_lattice(shape).vectors
+    singular = _singular_test(shape, fld)
+    points = None
     runs = failures = off_variety = evaluations = 0
     for delta in derivations:
-        runs += p * len(pts)
+        runs += p * total
         orbit = _flow_orbit(delta, p)
-        if delta.flow_group_law():
-            walked = _orbit_walk(orbit, pts, sing, p)
-            if walked is not None:
-                failures += walked
-                evaluations += len(pts)
-                continue
-        if point_set is None:
-            point_set = set(pts)
-        off, fail = _pointwise_flows(orbit, pts, point_set, sing)
-        off_variety += off
-        failures += fail
-        evaluations += p * len(pts)
-    checks = [
-        CheckResult(
-            "flow_regularity",
-            failures == 0 and off_variety == 0,
-            {
-                "runs": runs,
-                "failures": failures,
-                "off_variety": off_variety,
-                "points": len(pts),
-                "singular": len(sing),
-                "flow_evaluations": evaluations,
-            },
-        )
-    ]
-    return _report(shape, fld, None, checks)
+        if _torus_character(delta, basis, p) is not None:
+            reps = t_orbits
+        else:
+            if points is None:
+                points = [(pt, 1) for pt in enumerate_points(shape, fld)]
+            reps = points
+        for rep, size in reps:
+            side = singular(rep)
+            for img in orbit(rep):
+                if not shape.on_variety(fld, img):
+                    off_variety += size
+                elif singular(img) != side:
+                    failures += size
+        evaluations += p * len(reps)
+    summed = sum(size for _, size in t_orbits)
+    details = {
+        "runs": runs,
+        "failures": failures,
+        "off_variety": off_variety,
+        "points": total,
+        "singular": sum(size for rep, size in t_orbits if singular(rep)),
+        "flow_evaluations": evaluations,
+        "torus_orbits": len(t_orbits),
+    }
+    if summed != total:
+        details["torus_points"] = summed
+    passed = failures == 0 and off_variety == 0 and summed == total
+    return _report(shape, fld, None, [CheckResult("flow_regularity", passed, details)])
 
 
 # ---------------------------------------------------------------------------

@@ -354,14 +354,14 @@ class TestEnumerateVerify:
 
     @pytest.mark.parametrize(
         "shape,points,evaluations",
-        [("[[2,2],[2,2],[5]]", 625, 1250), ("[[2],[2],[6]]", 25, 50)],
+        [("[[2,2],[2,2],[5]]", 625, 190), ("[[2],[2],[6]]", 25, 70)],
     )
     def test_delta_flows_over_f5_stay_on_the_variety(self, capsys, shape, points, evaluations):
         code, data = run_json(capsys, "verify", "flows", "--shape", shape, "--field", "Fp:5")
         assert code == 0 and data["failures"] == 0
         details = data["checks"][0]["details"]
         assert details["off_variety"] == 0 and details["points"] == points
-        assert details["flow_evaluations"] == evaluations  # one per walked point
+        assert details["flow_evaluations"] == evaluations  # p per T-orbit
         code, data = run_json(capsys, "verify", "all", "--shape", shape, "--field", "Fp:5")
         flows = next(c for c in data["checks"] if c["name"] == "flow_invariance")
         assert flows["passed"] and "refused" not in flows["details"]

@@ -23,6 +23,7 @@ from trinomial_orbits import (
     rigidity_classify,
     validate_shape,
 )
+from trinomial_orbits import oracle
 from trinomial_orbits.cli import run_cli
 from trinomial_orbits.derivations import catalog_index, delta_pair_groups
 from trinomial_orbits.fields import QI
@@ -68,9 +69,9 @@ class TestCatalog:
         assert [d.designator for d in cat if d.family.startswith("delta")] == [
             f"delta+:{i}" for i in range(1, len(third) + 1)
         ]
-        walked = verify_flow_regularity(shape, f2, cat).checks[0]
-        assert walked.passed
-        assert walked.details["runs"] == walked.details["points"] * 2 * len(cat)
+        summed = verify_flow_regularity(shape, f2, cat).checks[0]
+        assert summed.passed
+        assert summed.details["runs"] == summed.details["points"] * 2 * len(cat)
         for d in cat:
             moving = d.moving_variables()
             for v in range(shape.n):
@@ -83,8 +84,10 @@ class TestCatalog:
         f2 = PrimeField(2)
         (d,) = lnd_catalog(shape_h2, f2)
         assert d.moving_variables() == sorted(d.images) == [0, 2]
-        walked = verify_flow_regularity(shape_h2, f2, [d]).checks[0].details
-        assert (walked["runs"], walked["flow_evaluations"], walked["points"]) == (32, 16, 16)
+        summed = verify_flow_regularity(shape_h2, f2, [d]).checks[0].details
+        # T(F_2) is trivial: each of the 16 points is a T-orbit, read at u = 0, 1
+        assert (summed["runs"], summed["flow_evaluations"], summed["points"]) == (32, 32, 16)
+        assert summed["torus_orbits"] == 16
 
     def test_delta_needs_sqrt_minus_one(self, shape_h2):
         assert delta_obstruction(shape_h2, QQ) is not None
@@ -577,15 +580,15 @@ class TestGaussianTwins:
         shape = data.draw(delta_shapes(max_vars=5 if p == 5 else 4))
         fld = PrimeField(p)
         deltas = [d for d in lnd_catalog(shape, fld) if d.family.startswith("delta")]
-        walked = verify_flow_regularity(shape, fld, deltas).checks[0]
-        assert walked.passed and walked.details["off_variety"] == 0
+        summed = verify_flow_regularity(shape, fld, deltas).checks[0]
+        assert summed.passed and summed.details["off_variety"] == 0
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(Derivation, "flow_group_law", lambda self: False)
+            m.setattr(oracle, "_torus_character", lambda delta, basis, p: None)
             pointwise = verify_flow_regularity(shape, fld, deltas).checks[0]
         assert pointwise.details["flow_evaluations"] == pointwise.details["runs"]
-        walked.details.pop("flow_evaluations")
+        summed.details.pop("flow_evaluations")
         pointwise.details.pop("flow_evaluations")
-        assert walked.details == pointwise.details
+        assert summed.details == pointwise.details
 
 
 class TestCatalogCache:

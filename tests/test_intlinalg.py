@@ -1,17 +1,18 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trinomial_orbits import intlinalg
 from trinomial_orbits.intlinalg import (
     identity,
-    invariant_factors,
     kernel_basis,
     mat_mul,
     mat_vec,
     smith_normal_form,
     solve_int,
     solve_mod,
+    unimodular_inverse,
 )
 
 
@@ -77,8 +78,23 @@ class TestSmith:
             assert is_smith(D)
 
     def test_invariant_factors_divide(self):
-        facs = invariant_factors([[2, 0], [0, 4]])
-        assert facs == [2, 4]
+        D, _, _ = smith_normal_form([[2, 0], [0, 4]])
+        assert [D[0][0], D[1][1]] == [2, 4]
+
+    @given(matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_unimodular_inverse(self, A):
+        _, U, V = smith_normal_form(A)
+        for M in (U, V):
+            assert mat_mul(M, unimodular_inverse(M)) == identity(len(M))
+            assert mat_mul(unimodular_inverse(M), M) == identity(len(M))
+
+    def test_unimodular_inverse_refuses(self):
+        assert unimodular_inverse([]) == []
+        with pytest.raises(ValueError):
+            unimodular_inverse([[2, 0], [0, 1]])
+        with pytest.raises(ValueError):
+            unimodular_inverse([[1, 2], [2, 4]])
 
 
 class TestKernel:
@@ -93,7 +109,8 @@ class TestKernel:
     def test_kernel_is_saturated(self, A):
         basis = kernel_basis(A)
         if basis:
-            assert all(f == 1 for f in invariant_factors(basis))
+            D, _, _ = smith_normal_form(basis)
+            assert all(D[i][i] == 1 for i in range(len(D)))
 
     def test_rank_nullity(self):
         A = [[1, 2, 3], [2, 4, 6]]  # rank 1

@@ -324,8 +324,16 @@ class TestFlowRegularity:
         result = check(report, "flow_regularity")
         assert result.passed
         assert result.details["runs"] == result.details["points"] * 13 * 2
-        # one step image per point and derivation, not one per parameter
-        assert result.details["flow_evaluations"] == result.details["points"] * 2
+        # p images per T-orbit and derivation, not per point
+        assert result.details["torus_orbits"] == 19
+        assert result.details["flow_evaluations"] == 19 * 13 * 2
+
+    @staticmethod
+    def run_pointwise(monkeypatch, shape, fld, derivations):
+        """The flow check with every derivation sent down the pointwise loop."""
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_torus_character", lambda delta, basis, p: None)
+            return check(verify_flow_regularity(shape, fld, derivations), "flow_regularity")
 
     @pytest.mark.parametrize(
         "groups,p",
@@ -341,110 +349,141 @@ class TestFlowRegularity:
         ],
     )
     def test_orbit_walk_equals_pointwise(self, monkeypatch, groups, p):
+        # the sum over T-orbits equals the pointwise loop
         shape, fld = validate_shape(groups), PrimeField(p)
         cat = lnd_catalog(shape, fld)
-        walked = check(verify_flow_regularity(shape, fld, cat), "flow_regularity")
-        # a failing law check sends every derivation down the pointwise loop
-        monkeypatch.setattr(Derivation, "flow_group_law", lambda self: False)
-        pointwise = check(verify_flow_regularity(shape, fld, cat), "flow_regularity")
+        summed = check(verify_flow_regularity(shape, fld, cat), "flow_regularity")
+        pointwise = self.run_pointwise(monkeypatch, shape, fld, cat)
         assert pointwise.details["flow_evaluations"] == pointwise.details["runs"]
-        # every derivation here is walked: one image per point
-        assert walked.details["flow_evaluations"] == walked.details["points"] * len(cat)
-        assert walked.passed == pointwise.passed
-        walked.details.pop("flow_evaluations")
-        pointwise.details.pop("flow_evaluations")
-        assert walked.details == pointwise.details
+        # every derivation here is homogeneous: p images per T-orbit
+        orbits_read = summed.details["torus_orbits"] * p * len(cat)
+        assert summed.details["flow_evaluations"] == orbits_read
+        assert summed.passed == pointwise.passed
+        for details in (summed.details, pointwise.details):
+            details.pop("flow_evaluations")
+        assert summed.details == pointwise.details
 
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
     @settings(max_examples=60, deadline=None)
-    def test_orbit_walk_equals_pointwise_generated(self, shape, p):
-        # every catalog derivation whose law holds is walked in full, with
-        # the pointwise loop's failures and no image off the variety
+    def test_torus_sum_equals_pointwise_generated(self, shape, p):
+        # catalog derivations and their twinless copies, whose series are
+        # taken in the field: the sum over T-orbits reads the pointwise
+        # loop's numbers, written out here over every point and every u
         assume(oracle.point_count(shape, p) <= 600)
         fld = PrimeField(p)
         pts = enumerate_points(shape, fld)
+        point_set = set(pts)
         sing = oracle.singular_set(shape, fld, pts)
-        for delta in lnd_catalog(shape, fld):
-            if not delta.flow_group_law():
-                continue
+        cat = lnd_catalog(shape, fld)
+        derivations = cat + [Derivation(shape, fld, dict(d.images)) for d in cat]
+        for delta in derivations:
             try:
                 orbit = oracle._flow_orbit(delta, p)
             except MathDomainError:
                 continue
-            off, failures = oracle._pointwise_flows(orbit, pts, set(pts), sing)
-            assert off == 0, delta
-            assert oracle._orbit_walk(orbit, pts, sing, p) == failures, delta
+            off = failures = 0
+            for pt in pts:
+                for img in orbit(pt):
+                    if img not in point_set:
+                        off += 1
+                    elif (img in sing) != (pt in sing):
+                        failures += 1
+            details = check(verify_flow_regularity(shape, fld, [delta]), "flow_regularity").details
+            basis = torus_lattice(shape).vectors
+            summed = oracle._torus_character(delta, basis, p) is not None
+            read = details["torus_orbits"] if summed else len(pts)
+            assert details.pop("flow_evaluations") == p * read
+            assert details == {
+                "runs": p * len(pts),
+                "failures": failures,
+                "off_variety": off,
+                "points": len(pts),
+                "singular": len(sing),
+                "torus_orbits": details["torus_orbits"],
+            }, delta
 
     def test_step_leaving_the_variety_falls_back(self, monkeypatch, shape_h2):
         # twinless copies of the deltas take their divided powers in F_5,
-        # where they are no flow and leave X; even under a claimed law the
-        # walk stops at the first such image and the pointwise loop counts
-        # every one of them, the refused walk's reads uncounted
+        # where they are no flow and leave X; they are still homogeneous,
+        # so the T-orbit sum counts every image that left, as the pointwise
+        # loop does
         fld = PrimeField(5)
         raw = [Derivation(shape_h2, fld, dict(d.images)) for d in lnd_catalog(shape_h2, fld)]
-        monkeypatch.setattr(Derivation, "flow_group_law", lambda self: True)
         result = check(verify_flow_regularity(shape_h2, fld, raw), "flow_regularity")
         assert not result.passed
         assert (result.details["off_variety"], result.details["runs"]) == (2560, 6250)
+        assert result.details["flow_evaluations"] == 19 * 5 * 2
+        pointwise = self.run_pointwise(monkeypatch, shape_h2, fld, raw)
+        assert pointwise.details["flow_evaluations"] == pointwise.details["runs"]
+        assert (pointwise.details["off_variety"], pointwise.details["failures"]) == (
+            2560, result.details["failures"],
+        )
+
+    def test_derivation_with_no_first_power_runs_pointwise(self):
+        # over F_2 the one delta of this shape moves no variable: no P_1
+        # term gives its character, so every point is read
+        shape, fld = validate_shape([[2, 2], [4], [2, 4]]), PrimeField(2)
+        cat = lnd_catalog(shape, fld)
+        assert [d.designator for d in cat] == ["delta+:1"]
+        assert oracle._torus_character(cat[0], torus_lattice(shape).vectors, 2) is None
+        result = check(verify_flow_regularity(shape, fld, cat), "flow_regularity")
+        assert result.passed
+        assert result.details["flow_evaluations"] == result.details["runs"] == 32
+
+    def test_non_homogeneous_derivation_runs_pointwise(self, shape_h2):
+        # delta(x0) = x1 + 1 mixes torus degrees; its flow leaves X
+        fld = PrimeField(5)
+        ring = shape_h2.ring(fld)
+        delta = Derivation(shape_h2, fld, {0: ring.var(1) + ring.one})
+        assert oracle._torus_character(delta, torus_lattice(shape_h2).vectors, 5) is None
+        result = check(verify_flow_regularity(shape_h2, fld, [delta]), "flow_regularity")
+        assert not result.passed
+        assert (result.details["off_variety"], result.details["runs"]) == (1200, 3125)
         assert result.details["flow_evaluations"] == result.details["runs"]
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7])
-    def test_cycle_tally_matches_brute_force(self, p):
-        rng = random.Random(p)
-        mismatched = 0
-        for _ in range(25):
-            pts = [(i,) for i in range(rng.randrange(1, 40))]
-            order = rng.sample(pts, len(pts))
-            step = {}
-            while order:
-                length = p if len(order) >= p and rng.random() < 0.7 else 1
-                cycle, order = order[:length], order[length:]
-                step.update(zip(cycle, cycle[1:] + cycle[:1]))
-            sing = {pt for pt in pts if rng.random() < 0.3}
+    def test_orbit_sizes_must_add_up(self, monkeypatch, shape_h2):
+        # a lost T-orbit fails the check and shows the summed size; the
+        # check still reports
+        fld = PrimeField(13)
+        real = oracle.torus_orbits
+        monkeypatch.setattr(oracle, "torus_orbits", lambda shape, fld: real(shape, fld)[1:])
+        cat = lnd_catalog(shape_h2, fld)
+        result = check(verify_flow_regularity(shape_h2, fld, cat), "flow_regularity")
+        assert not result.passed
+        assert result.details["points"] == 28561
+        assert result.details["torus_points"] < 28561
+        assert result.details["torus_orbits"] == 26
 
-            def orbit(x):  # [step^u(x) for u = 0 .. p-1]
-                images = [x]
-                for _ in range(p - 1):
-                    images.append(step[images[-1]])
-                return images
+    @pytest.mark.parametrize(
+        "groups,p", [(SHAPE_H2, 5), (SHAPE_D, 7), ([[2], [2], [3]], 13)]
+    )
+    def test_torus_orbits_equal_brute_force_union(self, groups, p):
+        # every multiplier tuple through torus_scaling, applied to every point
+        shape, fld = validate_shape(groups), PrimeField(p)
+        rank = len(torus_lattice(shape).vectors)
+        scalings = [
+            torus_scaling(shape, fld, mus) for mus in product(range(1, p), repeat=rank)
+        ]
+        unseen = set(enumerate_points(shape, fld))
+        brute = set()
+        while unseen:
+            pt = unseen.pop()
+            orbit = frozenset(tuple(t * x % p for t, x in zip(ts, pt)) for ts in scalings)
+            unseen -= orbit
+            brute.add(orbit)
+        reps = oracle.torus_orbits(shape, fld)
+        by_rep = {
+            frozenset(tuple(t * x % p for t, x in zip(ts, rep)) for ts in scalings): size
+            for rep, size in reps
+        }
+        assert len(by_rep) == len(reps)
+        assert set(by_rep) == brute
+        assert all(len(orbit) == size for orbit, size in by_rep.items())
 
-            brute = 0
-            for x in pts:
-                img = x
-                for _ in range(p):  # img = step^u(x), u = 0 .. p-1
-                    brute += (img in sing) != (x in sing)
-                    img = step[img]
-            walked = oracle._orbit_walk(orbit, pts, sing, p)
-            assert walked == brute
-            mismatched += brute > 0
-        assert mismatched
-
-    def test_walk_refuses_non_permutations(self):
-        pts = [(0,), (1,), (2,)]
-        # an image outside the points
-        outside = oracle._orbit_walk(
-            lambda pt: [(pt[0] + u,) for u in range(5)], pts, set(), 5
-        )
-        assert outside is None
-        # an image another cycle already read
-        revisit = {(0,): [(0,), (1,)], (2,): [(2,), (1,)]}.__getitem__
-        assert oracle._orbit_walk(revisit, pts, set(), 2) is None
-        # a cycle of length 2 is not of order 3
-        two = oracle._orbit_walk(
-            lambda pt: [((pt[0] + u) % 2,) for u in range(3)], pts[:2], set(), 3
-        )
-        assert two is None
-        # an orbit list that does not start at its point
-        shifted = oracle._orbit_walk(
-            lambda pt: [((pt[0] + u + 1) % 4,) for u in range(3)],
-            pts + [(3,)], set(), 3,
-        )
-        assert shifted is None
-        # back at its start at u = 1, then moving on: no fixed point
-        restless = oracle._orbit_walk(
-            lambda pt: [pt, pt, ((pt[0] + 1) % 3,)], pts, set(), 3
-        )
-        assert restless is None
+    def test_h2_f13_has_27_torus_orbits(self, shape_h2):
+        reps = oracle.torus_orbits(shape_h2, PrimeField(13))
+        assert len(reps) == 27
+        assert sum(size for _, size in reps) == 28561
 
     @staticmethod
     def assert_orbit_kernel(shape, fld, sample):
