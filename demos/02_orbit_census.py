@@ -39,7 +39,7 @@ def main():
             json.dumps(descriptor_to_json(desc, shape, fld), sort_keys=True): n
             for desc, n in census.counts.items()
         }
-        print(f"   |X(F_{p})| = {len(census.points)}, realized descriptors = {len(counts)}")
+        print(f"   |X(F_{p})| = {census.points}, realized descriptors = {len(counts)}")
         assert len(counts) == count.aut_alg
         for key, n in sorted(counts.items()):
             print(f"     {n:6d}  {key}")

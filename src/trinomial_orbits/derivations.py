@@ -24,7 +24,10 @@ same designator over Q, or over the Gaussian rationals Q(i) for delta.  Its
 flows are computed as divided powers upstairs and reduced into the field
 (i to the field's sqrt(-1)); this is what makes flows over tiny prime fields
 exact (the k! divisions happen upstairs where they are exact divisions of
-p-integral polynomials), and what proves their group law once for every p.
+p-integral polynomials), and what proves their group law once for every p:
+upstairs exp(s*delta) o exp(t*delta) = exp((s+t)*delta) holds modulo F,
+and with p-integral divided powers and the coefficients of F all 1 the
+identity reduces mod p.
 """
 
 from __future__ import annotations
@@ -261,32 +264,6 @@ class Derivation:
         if not self.shape.on_variety(self.field, out):
             raise CharacteristicTooSmall(FLOW_LEFT_THE_VARIETY)
         return out
-
-    def flow_group_law(self) -> bool:
-        """Does exp(delta) o exp(u*delta) = exp((u+1)*delta) hold modulo the
-        equation F, with u an extra ring variable?
-
-        True, without computation, when the flows are the reductions of a
-        twin's (qlift is set); False for a derivation with no twin (custom
-        derivations, graded parts).
-
-        Why a twin proves it.  Over K = Q or Q(i) the twin is a locally
-        nilpotent derivation killing F, so s*delta and t*delta commute and
-        exp(s*delta) o exp(t*delta) = exp((s+t)*delta) holds modulo F in
-        K[x, s, t].  The twin's divided powers delta^k(v)/k!, reduced mod F,
-        have p-integral coefficients: their push into F_p refused none.
-        Every coefficient of F is 1, so division by F keeps p-integral
-        polynomials p-integral, and the identity reduces mod p, through
-        i -> sqrt(-1) for Q(i).  Where a denominator is divisible by p the
-        push raises CharacteristicTooSmall: exactly where the argument would
-        fail.
-
-        Over F_p the law gives, by induction on u, exp(u*delta) =
-        exp(delta)^u on X(F_p) for every u in F_p, and exp(delta)^p =
-        exp(0) = id; so every cycle of exp(delta) on the rational points
-        has length 1 or p.
-        """
-        return self.qlift is not None
 
 
 def _push_poly(p: Polynomial, ring) -> Polynomial:

@@ -1,11 +1,15 @@
 """Brute-force finite-field oracles.
 
-Everything variety-level claimed elsewhere is checked here exhaustively
-over F_p, by enumeration or by sums over torus orbits: the strata
-partition the rational points, generator flows keep the regular locus and
-they and neutral-torus steps preserve descriptors and singular-component
+Everything variety-level claimed elsewhere is checked here over F_p, on
+the orbits of the neutral torus T(F_p) on the rational points
+(torus_orbits): the descriptors, the singular locus and the catalog flows
+all commute with T, so one representative per T-orbit, weighted by the
+orbit's size, stands for every point of it.  The strata partition the
+rational points, generator flows keep the regular locus and they and
+neutral-torus steps preserve descriptors and singular-component
 membership, transport words land exactly, and the number of realized
-descriptors matches the counting formula when p = 1 (mod 2d).
+descriptors matches the counting formula when p = 1 (mod 2d).  The
+checks enumerate points only for a flow that is not torus-homogeneous.
 
 Finite-field orbits are not claimed to equal geometric orbits; the checks
 are containment/invariance statements and exact descriptor censuses, which
@@ -17,9 +21,8 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -75,72 +78,6 @@ def point_count(shape: TrinomialShape, p: int) -> int:
     return total
 
 
-@dataclass
-class _KeyRule:
-    """How a point's residue key is formed.
-
-    The key is the point's zero mask (bit i set when coordinate i is 0),
-    plus, for a power-one view, the root ratio r = prod z^(b/d) / prod
-    s^(c/d) packed above the n mask bits when some y vanishes and no z or s
-    does (y_bits and zs_bits mark those coordinates).  ratio maps each z
-    coordinate to b/d and each s coordinate to -(c/d) mod (p-1): r is the
-    product of the coordinates' powers, with no division.
-    """
-
-    n: int
-    p: int
-    ratio: dict
-    y_bits: int
-    zs_bits: int
-
-    def pack(self, mask: int, r: int) -> int:
-        """The key of a point with this zero mask and root ratio."""
-        if mask & self.y_bits and not mask & self.zs_bits:
-            return mask | r << self.n
-        return mask
-
-    def key(self, pt) -> int:
-        """The residue key of one point; r is computed only where the key
-        carries it."""
-        mask = _zero_mask(pt) if 0 in pt else 0
-        if mask & self.y_bits and not mask & self.zs_bits:
-            p = self.p
-            return self.pack(mask, prod(pow(pt[i], e, p) for i, e in self.ratio.items()) % p)
-        return mask
-
-
-def _key_rule(shape: TrinomialShape, p: int) -> _KeyRule:
-    """The residue-key rule of a shape over F_p."""
-    tag = family_of(shape)
-    view = tag.f1 or tag.f2
-    if view is None:
-        return _KeyRule(shape.n, p, {}, 0, 0)
-    ratio = {i: b // view.d for i, b in zip(view.zs, view.b)}
-    ratio.update((i, -(c // view.d) % (p - 1)) for i, c in zip(view.ss, view.c))
-    return _KeyRule(
-        shape.n,
-        p,
-        ratio,
-        sum(1 << i for i in view.ys),
-        sum(1 << i for i in view.zs + view.ss),
-    )
-
-
-def _residue_rows(shape: TrinomialShape, fld) -> tuple:
-    """The key rule and, per group, its residue rows in lexicographic order.
-
-    A row is (sub-tuple, monomial value, root-ratio factor, zero mask).  A
-    point's zero mask is the OR of its sub-tuples' masks, and wherever no s
-    vanishes its r is the product of their factors.  The value counts give
-    the exact number of points before any row is built: more than POINT_CAP
-    raises TooLarge.
-    """
-    p = fld.modulus
-    _capped_point_count(shape, fld)
-    rule = _key_rule(shape, p)
-    return rule, [_group_rows(shape, g, p, rule.ratio) for g in range(3)]
-
-
 def _capped_point_count(shape: TrinomialShape, fld) -> int:
     """point_count over a prime field, refused with TooLarge over any other
     field or past POINT_CAP points."""
@@ -153,70 +90,49 @@ def _capped_point_count(shape: TrinomialShape, fld) -> int:
     return total
 
 
-def _group_rows(shape: TrinomialShape, g: int, p: int, ratio: dict) -> list:
-    """One group's residue rows, built coordinate by coordinate in
-    lexicographic order; ratio maps a coordinate to the exponent of its
-    root-ratio factor (absent: factor 1)."""
-    rows = [((), 1, 1, 0)]
+def _group_rows(shape: TrinomialShape, g: int, p: int) -> list:
+    """One group's residue rows (sub-tuple, monomial value), built
+    coordinate by coordinate in lexicographic order."""
+    rows = [((), 1)]
     for i in shape.group_indices(g):
-        e, r = shape.exponents[i], ratio.get(i, 0)
-        coord = [((x,), pow(x, e, p), pow(x, r, p), 0 if x else 1 << i) for x in range(p)]
-        rows = [(sub + s, m * w % p, f * h % p, mask | z)
-                for sub, m, f, mask in rows for s, w, h, z in coord]
+        coord = [((x,), pow(x, shape.exponents[i], p)) for x in range(p)]
+        rows = [(sub + s, m * w % p) for sub, m in rows for s, w in coord]
     return rows
 
 
 def _join(heads, tails, p) -> list:
     """The residue rows of two adjacent groups joined, in lexicographic
     order."""
-    return [
-        (a + b, (ma + mb) % p, fa * fb % p, ka | kb)
-        for a, ma, fa, ka in heads
-        for b, mb, fb, kb in tails
-    ]
-
-
-def _lex_join(shape: TrinomialShape, fld) -> tuple:
-    """The points as a (head, tail) join, in lexicographic order.
-
-    The groups hold contiguous coordinates, so lexicographic order is the
-    order of (head, tail) pairs: each head row a, in order, is followed by
-    the tails whose monomial is -m(a), in order.  Returns the key rule, the
-    head rows and the tails by the head monomial they complete, as columns
-    (sub-tuples, factors, zero masks).  Either group 0 heads the join of
-    groups 1 and 2, or the join of groups 0 and 1 heads group 2; the split
-    whose two-group join is smaller is taken (a free term makes group 0 a
-    single row, and joining groups 1 and 2 would tabulate p times as many
-    tails as there are points).
-    """
-    rule, (r0, r1, r2) = _residue_rows(shape, fld)
-    p = rule.p
-    if len(r2) <= len(r0):
-        heads, rows = r0, _join(r1, r2, p)
-    else:
-        heads, rows = _join(r0, r1, p), r2
-    tails = {}
-    for sub, m, f, mask in rows:
-        subs, factors, masks = tails.setdefault(-m % p, ([], [], []))
-        subs.append(sub)
-        factors.append(f)
-        masks.append(mask)
-    return rule, heads, tails
+    return [(a + b, (ma + mb) % p) for a, ma in heads for b, mb in tails]
 
 
 def enumerate_points(shape: TrinomialShape, fld):
     """All F_p-points of the hypersurface, lexicographically ordered.
 
-    Each group's monomial is tabulated once (_residue_rows), and the points
-    come out of the (head, tail) join in order (_lex_join): no sort of the
-    points is needed.
+    Each group's monomial is tabulated once (_group_rows).  The groups hold
+    contiguous coordinates, so lexicographic order is the order of (head,
+    tail) pairs: each head row a, in order, is followed by the tails whose
+    monomial is -m(a), in order, and no sort is needed.  Either group 0
+    heads the join of groups 1 and 2, or the join of groups 0 and 1 heads
+    group 2; the split whose two-group join is smaller is taken (a free
+    term makes group 0 a single row, and joining groups 1 and 2 would
+    tabulate p times as many tails as there are points).  The value counts
+    give the exact number of points before any row is built: more than
+    POINT_CAP raises TooLarge.
     """
-    _, heads, tails = _lex_join(shape, fld)
+    _capped_point_count(shape, fld)
+    p = fld.modulus
+    r0, r1, r2 = [_group_rows(shape, g, p) for g in range(3)]
+    if len(r2) <= len(r0):
+        heads, rows = r0, _join(r1, r2, p)
+    else:
+        heads, rows = _join(r0, r1, p), r2
+    tails = {}
+    for sub, m in rows:
+        tails.setdefault(-m % p, []).append(sub)
     pts = []
-    for a, m, _, _ in heads:
-        tail = tails.get(m)
-        if tail:
-            pts += [a + t for t in tail[0]]
+    for a, m in heads:
+        pts += [a + t for t in tails.get(m, ())]
     return pts
 
 
@@ -376,153 +292,71 @@ def _desc_key(shape, fld, desc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# census: every point enumerated once, one point classified per residue key
+# census: one point classified per T-orbit
 # ---------------------------------------------------------------------------
-
-
-class _JoinView(Sequence):
-    """Points of the (head, tail) join, read by index; no point tuple is
-    stored.
-
-    A part is a head sub-tuple, the tail sub-tuples it joins and the
-    indices of the tails taken, in order; ends holds the cumulative part
-    ends.  Point i is built when it is read: a bisect on ends finds its
-    part, and the point is head + tail.
-    """
-
-    __slots__ = ("parts", "ends", "size")
-
-    def __init__(self):
-        self.parts = []
-        self.ends = []
-        self.size = 0
-
-    def add(self, head, tails, chosen):
-        self.parts.append((head, tails, chosen))
-        self.size += len(chosen)
-        self.ends.append(self.size)
-
-    def __len__(self):
-        return self.size
-
-    def __getitem__(self, i):
-        size = self.size
-        if i < 0:
-            i += size
-        if not 0 <= i < size:
-            raise IndexError("point index out of range")
-        k = bisect_right(self.ends, i)
-        head, tails, chosen = self.parts[k]
-        j = i - self.ends[k - 1] if k else i
-        return head + tails[chosen[j]]
-
-    def __iter__(self):
-        for head, tails, chosen in self.parts:
-            for j in chosen:
-                yield head + tails[j]
 
 
 @dataclass
 class Census:
-    """The classified points of one (shape, field).
+    """The classified points of one (shape, field), by T(F_p)-orbit.
 
-    points views them in enumeration order.  counts holds one entry per
-    distinct descriptor; buckets holds, for the open and component strata
-    (the ones transport handles), the points of each descriptor in
-    enumeration order.  points and the buckets are index views over the
-    join (_JoinView): a point tuple is built only when it is read.  Points
-    whose classification raised a MathDomainError are counted in errors
-    only.  classes maps every residue key (_KeyRule) of a point of X to its
-    descriptor or to the MathDomainError that refused it, so the class of
-    any point on X is one lookup.
+    points is the number of F_p-points (point_count).  orbits lists the
+    T-orbits (torus_orbits) as (representative, size, class) triples, the
+    class a descriptor or the MathDomainError that refused it.  counts
+    holds the summed sizes per distinct descriptor, and errors those of
+    the refused orbits.  buckets holds, for the open and component strata
+    (the ones transport handles), the (representative, size) pairs of each
+    descriptor's orbits.
     """
 
-    points: _JoinView
+    points: int
+    orbits: list
     counts: dict
     buckets: dict
     errors: int
-    classes: dict
 
 
 def build_census(
     shape: TrinomialShape, fld, assume_conjecture: bool = False
 ) -> Census:
-    """Enumerate the F_p-points once and classify one point per residue key.
+    """Classify one representative per T-orbit, weighted by its size.
 
-    A point's key (_KeyRule) is its zero mask, plus, for a power-one view,
-    the root ratio r when some y vanishes and no z or s does: there, and
-    only there, the descriptor (OMeps, DDOMeps) needs more than the mask.
-    A descriptor is a function of the key.  The power-one descriptors read
-    only which x, y, z and s coordinates vanish, plus r on the component
-    strata; torus strata read the zero set; and the singular locus is a
-    function of the zero set, because each partial of a trinomial is a
-    single monomial.  A refusal is one too: it comes from the family
-    (ConjectureNotAssumed) or the singular locus (UnsupportedFamily).  So
-    the first point of each key goes through classify_point, and its
-    descriptor or refusal counts for every point with that key.
-
-    The points are the (head, tail) join of enumerate_points in
-    lexicographic order, so nothing is sorted, and no point tuple is built
-    but the ones classified: points and every bucket are index views over
-    the join.  The keys of a head's points depend only on the head's
-    monomial, zero mask and factor and on the tails': each such entry
-    computes its tails' keys once, with the tail indices each descriptor
-    takes, and every later head with that entry reuses them.  A key is
-    classified at its first point, so descriptors are listed in the order
-    of their first points.  A head adds one part to each descriptor's view
-    its entry reaches, with that descriptor's tail indices, and refused
-    tails only add to errors.
+    A descriptor is T-invariant.  The power-one descriptors read which x,
+    y, z and s coordinates vanish, plus, on the component strata, the root
+    ratio r, which t in T multiplies by a character of the connected torus
+    whose d-th power is trivial, so by 1; torus strata read the zero set;
+    and the singular locus is a function of the zero set, because each
+    partial of a trinomial is a single monomial.  A refusal is T-invariant
+    too: it comes from the family (ConjectureNotAssumed) or the singular
+    locus (UnsupportedFamily).  So classify_point on the representative
+    answers for every point of its orbit.  The family is read first, so a
+    degenerate shape raises DegenerateShape before any census work, and
+    the closed-form point count refuses inputs past POINT_CAP before any
+    orbit is listed.  The orbits are classified in torus_orbits order, so
+    descriptors are listed in the order of their first orbits.
     """
-    rule, heads, tails = _lex_join(shape, fld)
-    p = rule.p
-    points = _JoinView()
-    classes = {}
-    by_desc = {}
-    errors = 0
-    # (monomial, zero mask, factor) of a head -> [(view or None for the
-    # refused, tail indices)]
-    entries = {}
+    family_of(shape)
+    census = Census(_capped_point_count(shape, fld), [], {}, {}, 0)
+    for rep, size in torus_orbits(shape, fld):
+        try:
+            cls = orbits.classify_point(shape, fld, rep, assume_conjecture)
+        except MathDomainError as exc:
+            cls = exc
+            census.errors += size
+        else:
+            census.counts[cls] = census.counts.get(cls, 0) + size
+            if isinstance(cls, (orbits.BigO, orbits.OMeps)):
+                census.buckets.setdefault(cls, []).append((rep, size))
+        census.orbits.append((rep, size, cls))
+    return census
 
-    def targets(a, f, mask, subs, factors, masks):
-        taken = {}
-        for j, (t, g, k) in enumerate(zip(subs, factors, masks)):
-            key = rule.pack(mask | k, f * g % p)
-            cls = classes.get(key)
-            if cls is None:
-                try:
-                    cls = orbits.classify_point(shape, fld, a + t, assume_conjecture)
-                except MathDomainError as exc:
-                    cls = exc
-                classes[key] = cls
-            if isinstance(cls, MathDomainError):
-                view = None
-            else:
-                view = by_desc.get(cls)
-                if view is None:
-                    view = by_desc[cls] = _JoinView()
-            taken.setdefault(view, []).append(j)
-        return list(taken.items())
 
-    for a, m, f, mask in heads:
-        tail = tails.get(m)
-        if not tail:
-            continue
-        subs, factors, masks = tail
-        points.add(a, subs, range(len(subs)))
-        entry = entries.get((m, mask, f))
-        if entry is None:
-            entry = entries[m, mask, f] = targets(a, f, mask, subs, factors, masks)
-        for view, chosen in entry:
-            if view is None:
-                errors += len(chosen)
-            else:
-                view.add(a, subs, chosen)
-    counts = {desc: len(same) for desc, same in by_desc.items()}
-    buckets = {
-        desc: same for desc, same in by_desc.items()
-        if isinstance(desc, (orbits.BigO, orbits.OMeps))
-    }
-    return Census(points, counts, buckets, errors, classes)
+def _orbit_draw(items, rng):
+    """A function drawing one of items, (representative, size, ...) tuples
+    of T-orbits, with probability proportional to its size: the orbit of a
+    uniform point.  The draw uses integers only."""
+    ends = list(accumulate(item[1] for item in items))
+    return lambda: items[bisect_right(ends, rng.randrange(ends[-1]))]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +408,7 @@ def verify_partition(
     """
     census = build_census(shape, fld, assume_conjecture)
     checks = _partition_checks(
-        shape, fld, census.counts, len(census.points), census.errors
+        shape, fld, census.counts, census.points, census.errors
     )
     return _report(shape, fld, None, checks)
 
@@ -608,7 +442,7 @@ def _selftest_checks(shape, fld, census: Census) -> list:
         key = _planted(shape, fld, desc)
         planted[key] = planted.get(key, 0) + c
     checks = _partition_checks(
-        shape, fld, planted, len(census.points), census.errors
+        shape, fld, planted, census.points, census.errors
     )
     caught = any(c.name == "descriptor_census" and not c.passed for c in checks)
     checks.append(CheckResult("selftest_planted_merge_caught", caught, {}))
@@ -633,26 +467,28 @@ class _DescriptorTally:
     UnsupportedFamily, ...), or whose image the field refuses (a flow
     leaving X raises CharacteristicTooSmall), is not compared; refused
     counts it, and the other pairs still run.  The check reads skipped,
-    with the first refusal's code, only when every pair was refused."""
+    with the first refusal's code, only when every pair was refused.  A
+    pair that stands for a whole T-orbit counts with the orbit's size as
+    its weight."""
 
     def __init__(self):
         self.runs = self.failures = self.refused = 0
         self.refusal = None
 
-    def refuse(self, exc: MathDomainError):
-        self.refused += 1
+    def refuse(self, exc: MathDomainError, weight: int = 1):
+        self.refused += weight
         self.refusal = self.refusal or exc
 
-    def compare(self, a, b):
+    def compare(self, a, b, weight: int = 1):
         """Compare two classes, each a descriptor or the MathDomainError
         that refused it: the first refusal, in (a, b) order, refuses the
         pair."""
         for cls in (a, b):
             if isinstance(cls, MathDomainError):
-                self.refuse(cls)
+                self.refuse(cls, weight)
                 return
-        self.runs += 1
-        self.failures += a != b
+        self.runs += weight
+        self.failures += weight * (a != b)
 
     def result(self, name, **details) -> CheckResult:
         if self.refused and not self.runs:
@@ -663,29 +499,39 @@ class _DescriptorTally:
         return CheckResult(name, self.failures == 0, details)
 
 
-def _invariance_checks(shape, fld, census: Census, trials, seed) -> list:
-    """The checks of verify_invariance over the census points.  A flow
-    whose image the field refuses makes no component-membership run.
+def _invariance_checks(shape, fld, census: Census, trials, seed, assume_conjecture) -> list:
+    """The checks of verify_invariance over the census T-orbits.
 
-    The sources are census points, on X by construction, so only the
-    images are checked, each with one on_variety call: a flow image off X
-    is refused with CharacteristicTooSmall and a torus image off X with
-    PointNotOnVariety, as Derivation.exp_flow and classify_point would
-    refuse them.  census.classes holds every residue key of X, so the
-    classes of both sides (descriptor or refusal) are read from it by key,
-    and no point is classified here.  N(S) depends only on a point's zero
-    mask, the low n bits of its key, so it is read once per mask.
+    A flow case is a (T-orbit, derivation, u) triple, its source the
+    orbit's representative and its class the orbit's.  Every catalog
+    derivation is torus-homogeneous (_torus_character), so
+    exp(u delta)(t.x) = t.exp(chi(t) u delta)(x) and chi(t) u runs over F_p
+    with u: the cases of one orbit's points are those of its
+    representative, each taken size times.  So the cases are all run, each
+    weighted by its orbit's size so that runs counts points, when the
+    p * |T-orbits| * |catalog| of them number at most trials, and trials
+    of them are drawn otherwise, the orbit with probability proportional
+    to its size.  Only the image is classified: one off X was refused by
+    the field (CharacteristicTooSmall) and makes no component-membership
+    run.  N(S) depends only on a point's zero mask, so it is read once per
+    mask.  Each T-orbit's class is compared with the class of its
+    representative moved by each generator of T(F_p), the primitive root
+    in one slot of torus_scaling: |T-orbits| * rank runs.
     """
     p = fld.modulus
     rng = random.Random(seed)
     catalog = lnd_catalog(shape, fld)
-    basis = torus_lattice(shape).vectors
-    pts, classes, key = census.points, census.classes, _key_rule(shape, p).key
+    t_orbits = census.orbits
     components = {}  # zero mask -> generator sets of N(S)
-    low = (1 << shape.n) - 1
 
-    def containing(k):
-        mask = k & low
+    def classify(pt):
+        try:
+            return orbits.classify_point(shape, fld, pt, assume_conjecture)
+        except MathDomainError as exc:
+            return exc
+
+    def containing(pt):
+        mask = _zero_mask(pt)
         gens = components.get(mask)
         if gens is None:
             zeros = frozenset(i for i in range(shape.n) if mask >> i & 1)
@@ -693,35 +539,34 @@ def _invariance_checks(shape, fld, census: Census, trials, seed) -> list:
         return gens
 
     flows, nsets = _DescriptorTally(), _DescriptorTally()
-    exhaustive = p * len(pts) * len(catalog) <= trials
+    exhaustive = p * len(t_orbits) * len(catalog) <= trials
     if exhaustive:
-        cases = ((pt, d, u) for d in catalog for pt in pts for u in range(p))
+        cases = ((orb, orb[1], d, u) for d in catalog for orb in t_orbits for u in range(p))
     else:
+        draw = _orbit_draw(t_orbits, rng)
         cases = (
-            (rng.choice(pts), rng.choice(catalog), rng.randrange(p))
-            for _ in range(trials)
+            (draw(), 1, rng.choice(catalog), rng.randrange(p)) for _ in range(trials)
         )
-    for pt, delta, u in cases:
-        img = delta.flow_image(u, pt)
-        if not shape.on_variety(fld, img):
-            flows.refuse(CharacteristicTooSmall(FLOW_LEFT_THE_VARIETY))
+    for (rep, _, cls), weight, delta, u in cases:
+        img = delta.flow_image(u, rep)
+        img_cls = classify(img)
+        if isinstance(img_cls, PointNotOnVariety):
+            flows.refuse(CharacteristicTooSmall(FLOW_LEFT_THE_VARIETY), weight)
             continue
-        k_img, k_pt = key(img), key(pt)
-        flows.compare(classes[k_img], classes[k_pt])
-        before = containing(k_pt)
+        flows.compare(img_cls, cls, weight)
+        before = containing(rep)
         if before:
-            nsets.compare(containing(k_img), before)
+            nsets.compare(containing(img), before, weight)
 
     torus = _DescriptorTally()
-    if basis and pts:
-        for _ in range(trials):
-            pt = rng.choice(pts)
-            mus = [rng.randrange(1, p) for _ in basis]
-            img = orbits.TorusStep(torus_scaling(shape, fld, mus)).apply(fld, pt)
-            if shape.on_variety(fld, img):
-                torus.compare(classes[key(img)], classes[key(pt)])
-            else:
-                torus.refuse(PointNotOnVariety("point does not satisfy the equation"))
+    rank, root = len(torus_lattice(shape).vectors), fld.primitive_root()
+    steps = [
+        orbits.TorusStep(torus_scaling(shape, fld, [1] * i + [root] + [1] * (rank - i - 1)))
+        for i in range(rank)
+    ]
+    for rep, _, cls in t_orbits:
+        for step in steps:
+            torus.compare(classify(step.apply(fld, rep)), cls)
 
     return [
         flows.result("flow_invariance", exhaustive=exhaustive),
@@ -739,14 +584,15 @@ def verify_invariance(
 ) -> VerifyReport:
     """Descriptors and singular-component membership survive the generators.
 
-    Runs every (point, catalog derivation, parameter) flow when there are
+    Runs every (T-orbit, catalog derivation, parameter) flow when there are
     at most trials of them, and samples trials of them otherwise; the
-    flow_invariance details say which.  Samples trials neutral-torus steps.
-    The checks run on a census of their own (build_census), which
-    classifies one point per residue key of X; they classify nothing.
+    flow_invariance details say which.  Moves every T-orbit by each
+    generator of the neutral torus.  The checks run on a census of their
+    own (build_census), which classifies one point per T-orbit.
     """
     census = build_census(shape, fld, assume_conjecture)
-    return _report(shape, fld, seed, _invariance_checks(shape, fld, census, trials, seed))
+    checks = _invariance_checks(shape, fld, census, trials, seed, assume_conjecture)
+    return _report(shape, fld, seed, checks)
 
 
 def _flow_orbit(delta, p):
@@ -931,18 +777,29 @@ def _skipped_transport(exc: MathDomainError) -> list:
 def _transport_checks(shape, fld, buckets, pairs: int, seed: int) -> list:
     """Both transport checks over the census buckets of a power-one shape.
 
+    src and dst are uniform points of one bucket: an orbit drawn with
+    probability proportional to its size, moved by a uniform torus element
+    (torus_scaling of uniform multipliers), which is uniform on the orbit.
     A same-descriptor pair that transport cannot join (DifferentOrbits,
     RootUnavailable, DlogUnsolvable, ...) is a failed run: the classifier
     and transport disagree.  Only CharacteristicTooSmall, the field refusing
     the flows, skips both checks, and only if no run has failed before it.
     """
+    p = fld.modulus
     rng = random.Random(seed)
-    usable = [b for b in buckets.values() if len(b) >= 2]
+    rank = len(torus_lattice(shape).vectors)
+    usable = [_orbit_draw(b, rng) for b in buckets.values() if sum(s for _, s in b) >= 2]
+
+    def point(draw):
+        rep, _ = draw()
+        mus = [rng.randrange(1, p) for _ in range(rank)]
+        return orbits.TorusStep(torus_scaling(shape, fld, mus)).apply(fld, rep)
+
     ok = runs = 0
     word_lengths = []
     for _ in range(pairs):
-        bucket = rng.choice(usable)
-        src, dst = rng.choice(bucket), rng.choice(bucket)
+        draw = rng.choice(usable)
+        src, dst = point(draw), point(draw)
         try:
             word = orbits.transport(shape, fld, src, dst)
         except CharacteristicTooSmall as exc:
@@ -953,7 +810,7 @@ def _transport_checks(shape, fld, buckets, pairs: int, seed: int) -> list:
             runs += 1
             continue
         runs += 1
-        if word.apply(shape, fld, src) == tuple(dst):
+        if word.apply(shape, fld, src) == dst:
             ok += 1
         word_lengths.append(len(word.steps))
     negatives = expected_neg = 0
@@ -963,7 +820,7 @@ def _transport_checks(shape, fld, buckets, pairs: int, seed: int) -> list:
             if a.M == b.M and a.r != b.r:
                 expected_neg += 1
                 try:
-                    orbits.transport(shape, fld, buckets[a][0], buckets[b][0])
+                    orbits.transport(shape, fld, buckets[a][0][0], buckets[b][0][0])
                 except DifferentOrbits:
                     negatives += 1
     return [
@@ -1008,20 +865,19 @@ def verify_all(
 ) -> VerifyReport:
     """Partition + census + invariance + transport + harness self-test.
 
-    One census serves every check: the points are enumerated once and one
-    point per residue key is classified.  Invariance samples from the
-    census points and reads the classes of both sides of each pair from
-    the census classes, which hold every residue key of X, so it classifies
-    no point; transport draws its pairs from the census buckets, and the
-    planted self-test relabels the census counts.  Each check equals the
-    one the standalone verify_* function reports, which builds the same
-    census.  A skipped check does not count as a failure.
+    One census serves every check: the T-orbits are listed once and one
+    representative per orbit is classified.  Invariance reads each
+    source's class from its orbit and classifies only the images;
+    transport draws its pairs from the census buckets, and the planted
+    self-test relabels the census counts.  Each check equals the one the
+    standalone verify_* function reports, which builds the same census.  A
+    skipped check does not count as a failure.
     """
     census = build_census(shape, fld, assume_conjecture)
     checks = _partition_checks(
-        shape, fld, census.counts, len(census.points), census.errors
+        shape, fld, census.counts, census.points, census.errors
     )
-    checks += _invariance_checks(shape, fld, census, trials, seed)
+    checks += _invariance_checks(shape, fld, census, trials, seed, assume_conjecture)
     tag = family_of(shape)
     if tag.kind == "F1":
         checks += _transport_checks(

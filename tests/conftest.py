@@ -187,8 +187,9 @@ def substitute(f, images):
 def prove_group_law(d):
     """Check exp(delta) o exp(u*delta) = exp((u+1)*delta) modulo the
     equation by symbolic substitution over the derivation's field, with u
-    an extra ring variable, from the flow_polynomial series.  The reference
-    for Derivation.flow_group_law, which answers without computing."""
+    an extra ring variable, from the flow_polynomial series: the law that
+    a characteristic-0 twin gives every catalog flow, checked by
+    computation."""
     n = d.ring.nvars
     ring = PolyRing(d.field, d.ring.names + ("u",))
     xs = [ring.var(i) for i in range(n)]

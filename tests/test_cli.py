@@ -53,6 +53,13 @@ class TestClassify:
         code, data = run_json(capsys, "classify", "--shape", "[[1],[3],[3]]")
         assert code == 2 and data["error"] == "degenerate_shape"
 
+    @pytest.mark.parametrize("sub", ["all", "partition"])
+    def test_degenerate_census_exit_2(self, capsys, sub):
+        # X is an affine space: refused before any census work, not
+        # counted as classification errors
+        code, data = run_json(capsys, "verify", sub, "--shape", "[[],[1],[2]]", "--field", "Fp:3")
+        assert code == 2 and data["error"] == "degenerate_shape"
+
 
 class TestLnd:
     def test_list(self, capsys):

@@ -2,7 +2,6 @@ import json
 import math
 import random
 import time
-from collections.abc import Sequence
 from itertools import product
 
 import pytest
@@ -11,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from trinomial_orbits import (
     CharacteristicTooSmall,
     ConjectureNotAssumed,
+    DegenerateShape,
     Derivation,
     DifferentOrbits,
     DlogUnsolvable,
@@ -273,11 +273,30 @@ class TestInvariance:
         assert details["runs"] == 27 * 4 * 3  # points x derivations x parameters
 
     def test_trials_rule(self, shape_a, f3):
-        # 27 points x 4 derivations x 3 parameters = 324 flow cases
-        full = check(verify_invariance(shape_a, f3, trials=324), "flow_invariance")
+        # 10 T-orbits x 4 derivations x 3 parameters = 120 flow cases, each
+        # weighted by its orbit's size: the 27 x 4 x 3 = 324 point cases
+        assert len(oracle.torus_orbits(shape_a, f3)) == 10
+        full = check(verify_invariance(shape_a, f3, trials=120), "flow_invariance")
         assert full.details["runs"] == 324 and full.details["exhaustive"]
-        drawn = check(verify_invariance(shape_a, f3, trials=323), "flow_invariance")
-        assert drawn.details["runs"] == 323 and not drawn.details["exhaustive"]
+        drawn = check(verify_invariance(shape_a, f3, trials=119), "flow_invariance")
+        assert drawn.details["runs"] == 119 and not drawn.details["exhaustive"]
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
+    @settings(max_examples=80, deadline=None)
+    def test_catalog_derivations_are_torus_homogeneous(self, shape, p):
+        """flow_invariance reads each T-orbit through its representative,
+        which needs exp(u delta)(t.x) = t.exp(chi(t) u delta)(x): every
+        catalog derivation has a torus character.  Over F_2 some have none
+        (no P_1 term), but T(F_2) is trivial: every T-orbit is one point,
+        its own representative."""
+        assume(oracle.point_count(shape, p) <= 3000)
+        fld = PrimeField(p)
+        if p == 2:
+            assert all(size == 1 for _, size in oracle.torus_orbits(shape, fld))
+            return
+        basis = torus_lattice(shape).vectors
+        for delta in lnd_catalog(shape, fld):
+            assert oracle._torus_character(delta, basis, p) is not None, delta
 
     def test_f2_singular_flows_stay_in_component_class(self, shape_c, f3):
         # exhaustive over X(F_3): points never leave their N(S)-intersection
@@ -613,79 +632,95 @@ class TestVerifyAll:
 class TestCensus:
     def test_counts_and_buckets(self, shape_a, f7):
         census = build_census(shape_a, f7)
-        assert list(census.points) == enumerate_points(shape_a, f7)
+        assert census.points == len(enumerate_points(shape_a, f7)) == 427
         assert census.errors == 0
-        assert sum(census.counts.values()) == len(census.points)
+        assert sum(census.counts.values()) == census.points
+        assert sum(size for _, size, _ in census.orbits) == census.points
         for desc, bucket in census.buckets.items():
             assert isinstance(desc, (orbits.BigO, orbits.OMeps))
-            assert len(bucket) == census.counts[desc]
-        assert all(orbits.classify_point(shape_a, f7, pt) == desc
-                   for desc, bucket in census.buckets.items() for pt in bucket)
+            assert sum(size for _, size in bucket) == census.counts[desc]
+        assert all(orbits.classify_point(shape_a, f7, rep) == desc
+                   for desc, bucket in census.buckets.items() for rep, _ in bucket)
+        assert all(orbits.classify_point(shape_a, f7, rep) == cls
+                   for rep, _, cls in census.orbits)
 
     def test_verify_all_enumerates_and_classifies_once(self, monkeypatch, shape_a):
-        calls = {"tables": 0, "classify": 0}
-        real_enumerate = oracle.enumerate_points
-        real_rows = oracle._residue_rows
-        real_classify = orbits.classify_point
+        # one listing of the T-orbits and one classification per T-orbit;
+        # after that only images are classified: one per flow case, one per
+        # (T-orbit, torus generator), two per transport pair.  No point is
+        # enumerated.
+        calls = {"orbits": 0, "classify": 0}
+        real_orbits, real_classify = oracle.torus_orbits, orbits.classify_point
         trials, fld = 100, PrimeField(13)
-        # a point's residue key is its zero pattern, plus r on the component
-        # strata: the distinct (zero pattern, descriptor) pairs
-        keys = len({
-            (tuple(x == 0 for x in pt), real_classify(shape_a, fld, pt))
-            for pt in real_enumerate(shape_a, fld)
-        })
+        t_orbits = len(real_orbits(shape_a, fld))
 
-        def counted_rows(*args, **kwargs):
-            calls["tables"] += 1
-            return real_rows(*args, **kwargs)
+        def counted_orbits(*args):
+            calls["orbits"] += 1
+            return real_orbits(*args)
 
         def counted_classify(*args, **kwargs):
             calls["classify"] += 1
             return real_classify(*args, **kwargs)
 
-        monkeypatch.setattr(oracle, "_residue_rows", counted_rows)
+        def no_points(*args):
+            raise AssertionError("the census enumerated points")
+
+        monkeypatch.setattr(oracle, "torus_orbits", counted_orbits)
+        monkeypatch.setattr(oracle, "enumerate_points", no_points)
         monkeypatch.setattr(orbits, "classify_point", counted_classify)
         build_census(shape_a, fld)
-        assert calls["classify"] == keys
-        calls.update(tables=0, classify=0)
+        assert calls == {"orbits": 1, "classify": t_orbits}
+        calls.update(orbits=0, classify=0)
         report = verify_all(shape_a, fld, trials=trials, seed=2)
         assert report.failures == 0
         assert check(report, "selftest_planted_merge_caught").passed
-        assert calls["tables"] == 1
+        assert calls["orbits"] == 1
+        torus = check(report, "torus_invariance").details["runs"]
+        assert torus == t_orbits * 2  # A has a rank-2 torus
         pairs = check(report, "transport_roundtrip").details["pairs"]
         negatives = check(report, "transport_negative").details["expected"]
-        # once per key, two per transport; invariance reads the census classes
-        assert calls["classify"] <= keys + 2 * (pairs + negatives)
+        assert calls["classify"] <= t_orbits + trials + torus + 2 * (pairs + negatives)
 
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_standalone_invariance_classifies_once_per_key(self, shape, p, assume_conjecture):
         # verify_invariance builds a census, which classifies one point per
-        # residue key of X; the checks on it read every class by key
+        # T-orbit of X; the checks on it read each source's class from its
+        # orbit and classify only the images
         assume(0 < oracle.point_count(shape, p) <= 3000)
         fld = PrimeField(p)
-        keys = len(build_census(shape, fld, assume_conjecture).classes)
+        t_orbits = len(oracle.torus_orbits(shape, fld))
+        cases = p * t_orbits * len(lnd_catalog(shape, fld))
+        images = min(cases, 60)  # every case when there are at most trials
+        images += t_orbits * len(torus_lattice(shape).vectors)
         real_classify, real_checks = orbits.classify_point, oracle._invariance_checks
-        calls = {"classify": 0, "checks": 0}
+        calls = {"classify": 0, "images": 0}
 
         def counted_classify(*args):
             calls["classify"] += 1
             return real_classify(*args)
 
-        def no_classify(*args):
-            raise AssertionError("_invariance_checks classified a point")
-
-        def checks_classifying_nothing(*args):
-            calls["checks"] += 1
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(orbits, "classify_point", no_classify)
-                return real_checks(*args)
+        def checks_counting_images(*args):
+            before = calls["classify"]
+            out = real_checks(*args)
+            calls["images"] = calls["classify"] - before
+            return out
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(orbits, "classify_point", counted_classify)
-            mp.setattr(oracle, "_invariance_checks", checks_classifying_nothing)
+            mp.setattr(oracle, "_invariance_checks", checks_counting_images)
             verify_invariance(shape, fld, trials=60, seed=3, assume_conjecture=assume_conjecture)
-        assert calls == {"classify": keys, "checks": 1}
+        assert calls == {"classify": t_orbits + images, "images": images}
+
+    def test_degenerate_shape_is_refused_first(self, monkeypatch):
+        # X is an affine space: its points are refused before any T-orbit
+        # is listed, not counted as classification errors
+        def no_orbits(*args):
+            raise AssertionError("T-orbits listed for a degenerate shape")
+
+        monkeypatch.setattr(oracle, "torus_orbits", no_orbits)
+        with pytest.raises(DegenerateShape):
+            build_census(validate_shape([[], [1], [2]]), PrimeField(3))
 
     @pytest.mark.parametrize("groups,p", [(SHAPE_A, 7), (SHAPE_D, 13), (SHAPE_E, 7)])
     @pytest.mark.parametrize("seed", [3, 8])
@@ -718,11 +753,6 @@ class TestCensus:
         assert check(report, "partition").details["counts"] == dict(sorted(counts.items()))
 
 
-def listed(buckets):
-    """The (descriptor, points) pairs of census buckets, each view as a list."""
-    return [(desc, list(same)) for desc, same in buckets.items()]
-
-
 def pointwise_census(shape, fld, assume_conjecture):
     """The census by classifying every point: counts, buckets, errors."""
     counts, buckets, errors = {}, {}, 0
@@ -738,13 +768,36 @@ def pointwise_census(shape, fld, assume_conjecture):
     return counts, buckets, errors
 
 
-def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
-    """The invariance checks classifying both sides of every pair with
-    classify_point: the loop the residue-key map replaced."""
+def assert_census_equals_pointwise(shape, fld, assume_conjecture):
+    """build_census, one class per T-orbit weighted by its size, equals
+    the pointwise tally; every bucket's orbits add up to its points."""
+    census = build_census(shape, fld, assume_conjecture)
+    counts, buckets, errors = pointwise_census(shape, fld, assume_conjecture)
+    assert census.points == sum(counts.values()) + errors
+    assert census.counts == counts
+    assert census.errors == errors
+    assert census.buckets.keys() == buckets.keys()
+    for desc, bucket in census.buckets.items():
+        assert sum(size for _, size in bucket) == len(buckets[desc])
+        assert {rep for rep, _ in bucket} <= set(buckets[desc])
+    return census
+
+
+def torus_generators(shape, fld):
+    """The torus steps of the primitive root in one lattice slot each."""
+    rank, root = len(torus_lattice(shape).vectors), fld.primitive_root()
+    return [
+        orbits.TorusStep(torus_scaling(shape, fld, [root if j == i else 1 for j in range(rank)]))
+        for i in range(rank)
+    ]
+
+
+def ref_invariance_checks(shape, fld, assume_conjecture):
+    """The invariance checks over every point of X, classifying both sides
+    of every pair with classify_point: every (point, derivation, u) flow
+    and every (point, torus generator) step."""
     p = fld.modulus
-    rng = random.Random(seed)
-    catalog = lnd_catalog(shape, fld)
-    basis = torus_lattice(shape).vectors
+    pts = enumerate_points(shape, fld)
 
     def classify(pt):
         """The descriptor of pt, or the MathDomainError that refused it."""
@@ -754,41 +807,31 @@ def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
             return exc
 
     flows = oracle._DescriptorTally()
-    exhaustive = p * len(pts) * len(catalog) <= trials
     nset_fail = nset_runs = 0
-    if exhaustive:
-        cases = ((pt, d, u) for d in catalog for pt in pts for u in range(p))
-    else:
-        cases = (
-            (rng.choice(pts), rng.choice(catalog), rng.randrange(p))
-            for _ in range(trials)
-        )
-    for pt, delta, u in cases:
-        try:
-            img = delta.exp_flow(u, pt)
-        except CharacteristicTooSmall as exc:
-            flows.refuse(exc)
-            continue
-        flows.compare(classify(img), classify(pt))
-        support = strata.support_zero_set(shape, fld, pt)
-        if strata.n_set(shape, support):
-            nset_runs += 1
-            img_support = strata.support_zero_set(shape, fld, img)
-            before = {c.generators for c in strata.n_set(shape, support)}
-            after = {c.generators for c in strata.n_set(shape, img_support)}
-            if before != after:
-                nset_fail += 1
+    for delta in lnd_catalog(shape, fld):
+        for pt in pts:
+            for u in range(p):
+                try:
+                    img = delta.exp_flow(u, pt)
+                except CharacteristicTooSmall as exc:
+                    flows.refuse(exc)
+                    continue
+                flows.compare(classify(img), classify(pt))
+                support = strata.support_zero_set(shape, fld, pt)
+                if strata.n_set(shape, support):
+                    nset_runs += 1
+                    img_support = strata.support_zero_set(shape, fld, img)
+                    before = {c.generators for c in strata.n_set(shape, support)}
+                    after = {c.generators for c in strata.n_set(shape, img_support)}
+                    nset_fail += before != after
 
     torus = oracle._DescriptorTally()
-    if basis and pts:
-        for _ in range(trials):
-            pt = rng.choice(pts)
-            mus = [rng.randrange(1, p) for _ in basis]
-            step = orbits.TorusStep(torus_scaling(shape, fld, mus))
+    for pt in pts:
+        for step in torus_generators(shape, fld):
             torus.compare(classify(step.apply(fld, pt)), classify(pt))
 
     return [
-        flows.result("flow_invariance", exhaustive=exhaustive),
+        flows.result("flow_invariance", exhaustive=True),
         oracle.CheckResult(
             "component_membership",
             nset_fail == 0,
@@ -798,29 +841,51 @@ def ref_invariance_checks(shape, fld, pts, trials, seed, assume_conjecture):
     ]
 
 
-class TestKeyedInvariance:
-    """_invariance_checks reads descriptors from the census classes by
-    residue key; it must equal the reference that classifies both sides of
-    every pair."""
+def torus_verdict(result):
+    """What a torus check says whatever its runs count: passed, skipped
+    with which code, and whether it ran, failed and refused any pair."""
+    details = result.details
+    return (
+        result.passed,
+        result.skipped,
+        details.get("code"),
+        details.get("runs", 0) > 0,
+        details.get("failures", 0) > 0,
+        details.get("refused", 0) > 0,
+    )
 
-    @staticmethod
-    def assert_keyed_equals_reference(shape, fld, trials, seed, assume_conjecture):
+
+class TestKeyedInvariance:
+    """_invariance_checks reads each source's class from its T-orbit's key
+    in the census; with every case run, weighted by the orbit sizes, it
+    must equal the reference that classifies both sides of every pair at
+    every point."""
+
+    EVERY_CASE = 10**9  # trials: every (T-orbit, derivation, u) case runs
+
+    @classmethod
+    def assert_keyed_equals_reference(cls, shape, fld, assume_conjecture):
         census = build_census(shape, fld, assume_conjecture)
-        want = ref_invariance_checks(shape, fld, census.points, trials, seed, assume_conjecture)
-        got = oracle._invariance_checks(shape, fld, census, trials, seed)
-        assert [c.to_json() for c in got] == [c.to_json() for c in want]
+        want = ref_invariance_checks(shape, fld, assume_conjecture)
+        got = oracle._invariance_checks(
+            shape, fld, census, cls.EVERY_CASE, 0, assume_conjecture
+        )
+        assert [c.to_json() for c in got[:2]] == [c.to_json() for c in want[:2]]
+        assert torus_verdict(got[2]) == torus_verdict(want[2])
+        if not got[2].skipped:  # one run or refusal per (T-orbit, generator)
+            steps = len(census.orbits) * len(torus_generators(shape, fld))
+            assert got[2].details["runs"] + got[2].details.get("refused", 0) == steps
         return want
 
     @given(
         small_shapes(),
         st.sampled_from([2, 3, 5, 7, 13]),
         st.booleans(),
-        st.sampled_from([1, 6]),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_keyed_equals_reference(self, shape, p, assume_conjecture, seed):
-        assume(0 < oracle.point_count(shape, p) <= 3000)
-        self.assert_keyed_equals_reference(shape, PrimeField(p), 60, seed, assume_conjecture)
+    @settings(max_examples=60, deadline=None)
+    def test_keyed_equals_reference(self, shape, p, assume_conjecture):
+        assume(0 < oracle.point_count(shape, p) <= 400)
+        self.assert_keyed_equals_reference(shape, PrimeField(p), assume_conjecture)
 
     @staticmethod
     def refusal_codes(checks):
@@ -839,29 +904,41 @@ class TestKeyedInvariance:
     )
     @pytest.mark.parametrize("seed", [0, 5])
     def test_refusing_shapes_equal_reference(self, groups, assume_conjecture, refused, seed):
+        # every case runs, so the seed draws nothing: both give one report
         shape, f5 = validate_shape(groups), PrimeField(5)
-        want = self.assert_keyed_equals_reference(shape, f5, 200, seed, assume_conjecture)
+        want = self.assert_keyed_equals_reference(shape, f5, assume_conjecture)
         codes, counted = self.refusal_codes(want)
         assert bool(codes or counted) == refused
+        census = build_census(shape, f5, assume_conjecture)
+        again = oracle._invariance_checks(
+            shape, f5, census, self.EVERY_CASE, seed, assume_conjecture
+        )
+        assert [c.to_json() for c in again[:2]] == [c.to_json() for c in want[:2]]
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
     @pytest.mark.parametrize("seed", [0, 5])
     def test_flows_leaving_the_variety_equal_reference(self, twinless_delta, groups, seed):
-        # over F_5 the twinless delta flows leave X: CharacteristicTooSmall
+        # over F_5 the twinless delta flows leave X: CharacteristicTooSmall;
+        # their copies are still torus-homogeneous, so every orbit stands
+        # for its points.  Sampled, both kinds of case still show.
         shape, f5 = validate_shape(groups), PrimeField(5)
-        want = self.assert_keyed_equals_reference(shape, f5, 200, seed, False)
+        want = self.assert_keyed_equals_reference(shape, f5, False)
         assert want[0].details["refused"] > 0 and want[0].details["runs"] > 0
+        census = build_census(shape, f5)
+        drawn = oracle._invariance_checks(shape, f5, census, 60, seed, False)[0].details
+        assert not drawn["exhaustive"] and drawn["runs"] + drawn["refused"] == 60
+        assert drawn["refused"] > 0 and drawn["runs"] > 0
 
     def test_planted_descriptor_change_is_caught(self, monkeypatch, shape_a, f7):
         # z -> 2z keeps x*y^2 + z^3 + s^3 (2^3 = 1 mod 7) but multiplies r by
         # 2: a planted step that moves OMeps points to another component
-        # stratum with the same zero pattern, which only the r in the key
-        # tells apart
+        # stratum with the same zero pattern, which only the r of the
+        # image's classification tells apart
         def twisted(self, fld, pt):
             return (*pt[:2], 2 * pt[2] % fld.modulus, pt[3])
 
         monkeypatch.setattr(orbits.TorusStep, "apply", twisted)
-        want = self.assert_keyed_equals_reference(shape_a, f7, 300, 2, False)
+        want = self.assert_keyed_equals_reference(shape_a, f7, False)
         assert want[2].details["failures"] > 0
 
     def test_planted_component_change_is_caught(self, monkeypatch, shape_a, f7):
@@ -870,25 +947,24 @@ class TestKeyedInvariance:
         # containing it, which component_membership must count as the
         # reference does
         monkeypatch.setattr(Derivation, "flow_image", lambda self, u, pt: (0, 1, 0, 0))
-        want = self.assert_keyed_equals_reference(shape_a, f7, 1000, 3, False)
+        want = self.assert_keyed_equals_reference(shape_a, f7, False)
         membership = want[1].details
         assert membership["failures"] == membership["runs"] > 0
 
     def test_images_off_the_variety_are_refused(self, monkeypatch, shape_a, f7):
-        # an image off X whose zero pattern is a census key still raises
-        # PointNotOnVariety: the key map never answers for it
+        # an image off X is refused with PointNotOnVariety by classify_point
         def shifted(self, fld, pt):
             return ((pt[0] + 1) % fld.modulus, *pt[1:])
 
         monkeypatch.setattr(orbits.TorusStep, "apply", shifted)
-        want = self.assert_keyed_equals_reference(shape_a, f7, 100, 2, False)
+        want = self.assert_keyed_equals_reference(shape_a, f7, False)
         torus = want[2].details
         assert torus["refused"] > 0 and torus["runs"] > 0
 
     def test_each_image_is_evaluated_once(self, monkeypatch, shape_d):
-        # the sources are census points, on X by construction: only the
-        # images go through on_variety, once each, and the census map holds
-        # every key, so classify_point evaluates none
+        # the sources are T-orbit representatives, on X by construction:
+        # only the images go through on_variety, once each, inside
+        # classify_point
         fld, trials = PrimeField(13), 200
         census = build_census(shape_d, fld)
         real_on_variety = type(shape_d).on_variety
@@ -903,44 +979,34 @@ class TestKeyedInvariance:
 
         monkeypatch.setattr(type(shape_d), "on_variety", counted)
         monkeypatch.setattr(strata, "support_zero_set", no_support)
-        checks = oracle._invariance_checks(shape_d, fld, census, trials, 5)
+        checks = oracle._invariance_checks(shape_d, fld, census, trials, 5, False)
         flows, membership, torus = (c.details for c in checks)
-        assert flows["runs"] == torus["runs"] == trials and membership["runs"] > 0
-        assert calls["on_variety"] == 2 * trials
+        assert flows["runs"] == trials and membership["runs"] > 0
+        assert torus["runs"] == len(census.orbits) * 3 == 144  # D has a rank-3 torus
+        assert calls["on_variety"] == trials + torus["runs"]
 
 
 class TestResidueKey:
-    """build_census classifies one point per residue key, singular_set
-    decides one point per zero mask; both must equal the pointwise scans."""
+    """build_census classifies one point per T-orbit, singular_set decides
+    one point per zero mask; both must equal the pointwise scans."""
 
-    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 11, 13]), st.booleans())
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_census_equals_pointwise(self, shape, p, assume_conjecture):
         # 7 and 13 are 1 (mod 3): d = 3 shapes carry several r labels per M
         assume(oracle.point_count(shape, p) <= 3000)
-        fld = PrimeField(p)
-        census = build_census(shape, fld, assume_conjecture)
-        assert list(census.points) == enumerate_points(shape, fld)
-        counts, buckets, errors = pointwise_census(shape, fld, assume_conjecture)
-        assert list(census.counts.items()) == list(counts.items())
-        assert listed(census.buckets) == list(buckets.items())
-        assert census.errors == errors
+        assert_census_equals_pointwise(shape, PrimeField(p), assume_conjecture)
 
     @pytest.mark.parametrize(
         "groups,p",
         [
-            ([[3], [3], [1, 2]], 13),  # heads join the z and s groups: factors vary
+            ([[3], [3], [1, 2]], 13),  # three r labels per M, x in group 2
             ([[3], [3], [1, 3]], 7),
-            (SHAPE_E, 7),  # a free term: the heads are groups 0 and 1 joined
+            (SHAPE_E, 7),  # a free term
         ],
     )
     def test_census_equals_pointwise_fixed(self, groups, p):
-        shape, fld = validate_shape(groups), PrimeField(p)
-        census = build_census(shape, fld)
-        counts, buckets, errors = pointwise_census(shape, fld, False)
-        assert list(census.counts.items()) == list(counts.items())
-        assert listed(census.buckets) == list(buckets.items())
-        assert census.errors == errors
+        assert_census_equals_pointwise(validate_shape(groups), PrimeField(p), False)
 
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=80, deadline=None)
@@ -954,55 +1020,26 @@ class TestResidueKey:
     def test_root_ratio_splits_component_strata(self, shape_d):
         # d = 3 and 13 = 1 (mod 3): r^3 = -1 has three roots, so each
         # vanishing set M carries three OMeps labels, told apart only by r
-        fld = PrimeField(13)
-        census = build_census(shape_d, fld)
+        census = assert_census_equals_pointwise(shape_d, PrimeField(13), False)
         labels = {}
         for desc in census.counts:
             if isinstance(desc, orbits.OMeps):
                 labels.setdefault(desc.M, set()).add(desc.r)
         assert sorted(map(sorted, labels)) == [[1], [1, 2], [2]]
         assert all(len(rs) == 3 for rs in labels.values())
-        counts, buckets, errors = pointwise_census(shape_d, fld, False)
-        assert census.counts == counts and census.errors == errors == 0
-        assert listed(census.buckets) == list(buckets.items())
+        assert census.errors == 0
 
-
-class TestJoinView:
-    """census.points and the buckets are index views over the join; read
-    any way, they must equal the pointwise lists."""
-
-    @staticmethod
-    def assert_view_equals(view, pts):
-        # a Sequence, so Hypothesis's sampled_from draws from it directly
-        assert isinstance(view, Sequence)
-        assert list(view) == pts and len(view) == len(pts)
-        assert [view[i] for i in range(len(pts))] == pts
-        assert view[-1] == pts[-1] and view[-len(pts)] == pts[0]
-        for i in (len(pts), -len(pts) - 1):
-            with pytest.raises(IndexError):
-                view[i]
-        for seed in range(5):
-            assert random.Random(seed).choice(view) == random.Random(seed).choice(pts)
-
-    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]), st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_views_equal_pointwise_lists(self, shape, p, assume_conjecture):
-        assume(0 < oracle.point_count(shape, p) <= 3000)
-        fld = PrimeField(p)
-        census = build_census(shape, fld, assume_conjecture)
-        self.assert_view_equals(census.points, enumerate_points(shape, fld))
-        _, buckets, _ = pointwise_census(shape, fld, assume_conjecture)
-        assert list(census.buckets) == list(buckets)
-        for desc, view in census.buckets.items():
-            self.assert_view_equals(view, buckets[desc])
-
-    def test_empty_view(self):
-        view = oracle._JoinView()
-        assert len(view) == 0 and list(view) == []
-        with pytest.raises(IndexError):
-            view[0]
-        with pytest.raises(IndexError):
-            random.Random(0).choice(view)
+    def test_lost_orbit_fails_the_partition(self, monkeypatch, shape_h2):
+        # points is the closed-form count, so an orbit the listing loses
+        # fails partition (classified + errors != points); nothing crashes
+        fld = PrimeField(13)
+        real = oracle.torus_orbits
+        monkeypatch.setattr(oracle, "torus_orbits", lambda shape, fld: real(shape, fld)[1:])
+        report = verify_all(shape_h2, fld)
+        partition = check(report, "partition")
+        assert not partition.passed and partition.details["errors"] == 0
+        assert partition.details["points"] == 28561 > partition.details["classified"]
+        assert report.failures == 1
 
 
 class TestSkipped:
@@ -1070,7 +1107,11 @@ class TestSkipped:
         assert flows.passed and not flows.skipped
         assert flows.details["refused"] > 0
         membership = check(report, "component_membership").details["runs"]
-        assert flows.details["runs"] + flows.details["refused"] == 200
+        # 19 and 7 T-orbits x 2 deltas x 5 parameters are at most the 200
+        # trials: every case runs, weighted by its orbit's size
+        assert flows.details["exhaustive"]
+        cases = 5 * oracle.point_count(shape, 5) * 2
+        assert flows.details["runs"] + flows.details["refused"] == cases
         assert membership <= flows.details["runs"]
         standalone = verify_invariance(shape, f5)
         assert [c.to_json() for c in standalone.checks] == [

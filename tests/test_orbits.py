@@ -44,7 +44,7 @@ from trinomial_orbits.orbits import (
     AutWord,
 )
 from trinomial_orbits.oracle import build_census, enumerate_points, point_count
-from trinomial_orbits.shapes import symmetry_group
+from trinomial_orbits.shapes import symmetry_group, torus_lattice, torus_scaling
 from conftest import power_one_shapes, small_shapes
 
 
@@ -441,8 +441,17 @@ class TestTransport:
         fld = PrimeField(p)
         buckets = list(build_census(shape, fld).buckets.values())
         bucket = data.draw(st.sampled_from(buckets))
-        src = data.draw(st.sampled_from(bucket))
-        dst = data.draw(st.sampled_from(bucket))
+        rank = len(torus_lattice(shape).vectors)
+        multipliers = st.lists(st.integers(1, p - 1), min_size=rank, max_size=rank)
+
+        def point():
+            """Any point of the bucket: an orbit's representative, moved by
+            a torus element."""
+            rep, _ = data.draw(st.sampled_from(bucket))
+            step = TorusStep(torus_scaling(shape, fld, data.draw(multipliers)))
+            return step.apply(fld, rep)
+
+        src, dst = point(), point()
         word = transport(shape, fld, src, dst)
         assert word.apply(shape, fld, src) == dst
         assert self.inverse_word(word, fld).apply(shape, fld, dst) == src
@@ -478,7 +487,7 @@ class TestTransport:
 
     def test_perm_step_applies(self, shape_a, f7):
         from trinomial_orbits.orbits import PermStep
-        from trinomial_orbits.shapes import symmetry_group
+        from trinomial_orbits.shapes import symmetry_group, torus_lattice, torus_scaling
 
         perm = symmetry_group(shape_a).generators[0]  # z <-> s swap
         word = AutWord((PermStep(perm),))
