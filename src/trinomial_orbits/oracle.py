@@ -27,7 +27,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from . import orbits, strata
-from .derivations import FLOW_LEFT_THE_VARIETY, lnd_catalog
+from .derivations import FLOW_LEFT_THE_VARIETY, GradingWeight, lnd_catalog
 from .errors import (
     CharacteristicTooSmall,
     DifferentOrbits,
@@ -41,7 +41,9 @@ from .fields import field_designator
 from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
 from .shapes import TrinomialShape, torus_lattice, torus_scaling
 
-POINT_CAP = 10**7  # points held in memory: about 0.9 GiB of 4-tuples
+# candidate points built (enumerate_points: about 0.9 GiB of 4-tuples) or
+# tested (torus_orbits: one per coset of the torus image)
+POINT_CAP = 10**7
 
 
 def _value_counts(exps, p) -> dict:
@@ -78,18 +80,6 @@ def point_count(shape: TrinomialShape, p: int) -> int:
     return total
 
 
-def _capped_point_count(shape: TrinomialShape, fld) -> int:
-    """point_count over a prime field, refused with TooLarge over any other
-    field or past POINT_CAP points."""
-    p = fld.modulus
-    if p is None:
-        raise TooLarge("point enumeration needs a prime field")
-    total = point_count(shape, p)
-    if total > POINT_CAP:
-        raise TooLarge(f"{total} points exceed the enumeration cap {POINT_CAP}")
-    return total
-
-
 def _group_rows(shape: TrinomialShape, g: int, p: int) -> list:
     """One group's residue rows (sub-tuple, monomial value), built
     coordinate by coordinate in lexicographic order."""
@@ -118,10 +108,14 @@ def enumerate_points(shape: TrinomialShape, fld):
     term makes group 0 a single row, and joining groups 1 and 2 would
     tabulate p times as many tails as there are points).  The value counts
     give the exact number of points before any row is built: more than
-    POINT_CAP raises TooLarge.
+    POINT_CAP, or a field that is not prime, raises TooLarge.
     """
-    _capped_point_count(shape, fld)
     p = fld.modulus
+    if p is None:
+        raise TooLarge("point enumeration needs a prime field")
+    total = point_count(shape, p)
+    if total > POINT_CAP:
+        raise TooLarge(f"{total} points exceed the enumeration cap {POINT_CAP}")
     r0, r1, r2 = [_group_rows(shape, g, p) for g in range(3)]
     if len(r2) <= len(r0):
         heads, rows = r0, _join(r1, r2, p)
@@ -166,12 +160,6 @@ def _singular_test(shape: TrinomialShape, fld):
     return singular
 
 
-def singular_set(shape: TrinomialShape, fld, pts) -> set:
-    """The singular points among pts, one Jacobian test per zero mask."""
-    singular = _singular_test(shape, fld)
-    return {pt for pt in pts if singular(pt)}
-
-
 def torus_orbits(shape: TrinomialShape, fld) -> list:
     """The T(F_p)-orbits of X(F_p), one (representative, size) pair each.
 
@@ -186,9 +174,14 @@ def torus_orbits(shape: TrinomialShape, fld) -> list:
     does: a monomial's log at x = U^-1 c is (l U^-1) c, for its exponent
     row l.  A support where one monomial alone survives holds no point.
     One Smith form per zero mask; no point outside the representatives is
-    built.
+    built.  A field that is not prime raises TooLarge, and so does a box
+    that would take the coset tests past POINT_CAP, before it is tested:
+    the full support comes first and carries the whole box, about (p-1)^2
+    cosets.
     """
     p = fld.modulus
+    if p is None:
+        raise TooLarge("point enumeration needs a prime field")
     order = p - 1
     n = shape.n
     basis = torus_lattice(shape).vectors
@@ -197,6 +190,7 @@ def torus_orbits(shape: TrinomialShape, fld) -> list:
     exps = shape.exponents
     groups = [shape.group_indices(g) for g in range(3)]
     out = []
+    tests = 0
     for zeros in range(1 << n):
         support = [i for i in range(n) if not zeros >> i & 1]
         alive = [grp for grp in groups if not any(zeros >> i & 1 for i in grp)]
@@ -206,7 +200,11 @@ def torus_orbits(shape: TrinomialShape, fld) -> list:
         moduli = [
             gcd(D[i][i] if i < len(basis) else 0, order) for i in range(len(support))
         ]
-        size = order ** len(support) // prod(moduli)
+        box = prod(moduli)
+        tests += box
+        if tests > POINT_CAP:
+            raise TooLarge(f"{tests} coset tests exceed the enumeration cap {POINT_CAP}")
+        size = order ** len(support) // box
         inverse = unimodular_inverse(U)
         logs = mat_mul(
             [[exps[i] if i in grp else 0 for i in support] for grp in alive], inverse
@@ -330,14 +328,17 @@ def build_census(
     too: it comes from the family (ConjectureNotAssumed) or the singular
     locus (UnsupportedFamily).  So classify_point on the representative
     answers for every point of its orbit.  The family is read first, so a
-    degenerate shape raises DegenerateShape before any census work, and
-    the closed-form point count refuses inputs past POINT_CAP before any
-    orbit is listed.  The orbits are classified in torus_orbits order, so
-    descriptors are listed in the order of their first orbits.
+    degenerate shape raises DegenerateShape before any census work; then
+    torus_orbits, which refuses a field that is not prime and inputs past
+    POINT_CAP coset tests, and only then the closed-form point count,
+    which holds no point and is not capped.  The orbits are classified in
+    torus_orbits order, so descriptors are listed in the order of their
+    first orbits.
     """
     family_of(shape)
-    census = Census(_capped_point_count(shape, fld), [], {}, {}, 0)
-    for rep, size in torus_orbits(shape, fld):
+    t_orbits = torus_orbits(shape, fld)
+    census = Census(point_count(shape, fld.modulus), [], {}, {}, 0)
+    for rep, size in t_orbits:
         try:
             cls = orbits.classify_point(shape, fld, rep, assume_conjecture)
         except MathDomainError as exc:
@@ -504,7 +505,7 @@ def _invariance_checks(shape, fld, census: Census, trials, seed, assume_conjectu
 
     A flow case is a (T-orbit, derivation, u) triple, its source the
     orbit's representative and its class the orbit's.  Every catalog
-    derivation is torus-homogeneous (_torus_character), so
+    derivation is torus-homogeneous (_torus_homogeneous), so
     exp(u delta)(t.x) = t.exp(chi(t) u delta)(x) and chi(t) u runs over F_p
     with u: the cases of one orbit's points are those of its
     representative, each taken size times.  So the cases are all run, each
@@ -668,39 +669,26 @@ def _flow_orbit(delta, p):
     return orbit
 
 
-def _torus_character(delta, basis, p):
-    """The character e of delta for the torus, mod p-1, or None.
+def _torus_homogeneous(delta) -> bool:
+    """Whether delta is homogeneous for the torus grading: every image term
+    of its twin (delta.qlift), or of delta when it has none, shifts the
+    degree by one e over Z (monomial degree - deg x_v, under each lattice
+    basis vector w as a GradingWeight).
 
-    delta is torus-homogeneous when each term of each divided power P_k of
-    each moving variable x_v has torus degree deg(x_v) + k*e mod p-1, for
-    one e in (Z/(p-1))^r; e is read from the first P_1 term, so a
-    derivation with no P_1 term has none.  The degree of x_i is its column
-    of the lattice basis.  Then P_k(t.x) = t_v chi(t)^k P_k(x) for t in
-    T(F_p), chi(t) = t^e, so exp(u delta)(t.x) = t.exp(chi(t) u delta)(x).
+    Each w is admissible, so derive adds e, reduce_mod by the homogeneous
+    equation keeps the degree, and pushing a twin's series into F_p keeps
+    exponents: each P_k of x_v has degree deg x_v + k*e.  Then
+    P_k(t.x) = t_v chi(t)^k P_k(x) for t in T(F_p), chi(t) = t^e, so
+    exp(u delta)(t.x) = t.exp(chi(t) u delta)(x).
     """
-    order = p - 1
-    n = delta.shape.n
-    degree = [[vec[i] for vec in basis] for i in range(n)]
-
-    def shift(v, fac):
-        return [
-            sum(degree[i][j] * a for i, a in fac) - degree[v][j]
-            for j in range(len(basis))
-        ]
-
-    terms = [
-        (k, shift(v, fac))
-        for v in delta.moving_variables()
-        for k, P in enumerate(delta.divided_power_series(v)) if k
-        for _, fac in P.point_terms()
-    ]
-    firsts = [d for k, d in terms if k == 1]
-    if not firsts:
-        return None
-    e = [x % order for x in firsts[0]]
-    if all((x - k * y) % order == 0 for k, d in terms for x, y in zip(d, e)):
-        return e
-    return None
+    source = delta.qlift or delta
+    weights = [GradingWeight(w) for w in torus_lattice(delta.shape).vectors]
+    shifts = {
+        tuple(w.monomial_degree(e) - w.weights[v] for w in weights)
+        for v, img in source.images.items()
+        for e in img.terms
+    }
+    return len(shifts) <= 1
 
 
 def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyReport:
@@ -710,7 +698,7 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
     on the same side of the singular locus as the source; runs counts these
     p * |points| pairs per derivation, and points is the closed-form
     point_count.  Each derivation's orbit map (_flow_orbit) is compiled
-    once.  A torus-homogeneous delta (_torus_character) has
+    once.  A torus-homogeneous delta (_torus_homogeneous) has
     exp(u delta)(t.x) = t.exp(chi(t) u delta)(x), and chi(t) u runs over
     F_p with u; X and its singular locus are T-invariant, so the p images
     of every point of a T-orbit hold the same numbers of images off X and
@@ -720,20 +708,21 @@ def verify_flow_regularity(shape: TrinomialShape, fld, derivations) -> VerifyRep
     over enumerate_points, each point its own representative of size 1.
     flow_evaluations counts the images read: p per representative.  The
     orbit sizes must add up to point_count, or the check fails with their
-    sum in torus_points.  Inputs past POINT_CAP are refused with TooLarge,
-    as enumerate_points refuses them.
+    sum in torus_points.  torus_orbits is listed first: it refuses a field
+    that is not prime, and inputs past POINT_CAP coset tests, with
+    TooLarge.  The point count is not capped; enumerate_points refuses
+    past POINT_CAP points only when a derivation runs pointwise.
     """
     p = fld.modulus
-    total = _capped_point_count(shape, fld)
     t_orbits = torus_orbits(shape, fld)
-    basis = torus_lattice(shape).vectors
+    total = point_count(shape, p)
     singular = _singular_test(shape, fld)
     points = None
     runs = failures = off_variety = evaluations = 0
     for delta in derivations:
         runs += p * total
         orbit = _flow_orbit(delta, p)
-        if _torus_character(delta, basis, p) is not None:
+        if _torus_homogeneous(delta):
             reps = t_orbits
         else:
             if points is None:

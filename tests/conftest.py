@@ -11,6 +11,7 @@ from trinomial_orbits import (
     derivations,
     family_of,
     shapes,
+    strata,
     validate_shape,
 )
 from trinomial_orbits.oracle import point_count
@@ -165,6 +166,12 @@ def random_points(shape, fld, count: int, rng) -> list:
         vec[v] = rng.choice(roots)
         out.append(tuple(vec))
     return out
+
+
+def singular_set(shape, fld, pts) -> set:
+    """The singular points among pts, by the Jacobian test
+    (strata.is_singular) at every point."""
+    return {pt for pt in pts if strata.is_singular(shape, fld, pt)}
 
 
 # -- the reference proof of the flow group law -------------------------------

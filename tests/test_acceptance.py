@@ -35,11 +35,13 @@ from trinomial_orbits import (
 )
 from trinomial_orbits.derivations import catalog_derivation, delta_obstruction
 from trinomial_orbits.intlinalg import mat_vec, smith_normal_form
-from trinomial_orbits.oracle import singular_set, verify_flow_regularity
+from trinomial_orbits.oracle import verify_flow_regularity
 from trinomial_orbits.orbits import SingTorus
 from trinomial_orbits.shapes import constraint_rows
 
-from conftest import SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points
+from conftest import (
+    SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points, singular_set,
+)
 
 TABLE_SHAPES = [SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2,
                 [[1, 1], [1, 1, 4], [7]], [[1, 2], [1, 3], [4]]]

@@ -578,7 +578,7 @@ class TestGaussianTwins:
         summed = verify_flow_regularity(shape, fld, deltas).checks[0]
         assert summed.passed and summed.details["off_variety"] == 0
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(oracle, "_torus_character", lambda delta, basis, p: None)
+            m.setattr(oracle, "_torus_homogeneous", lambda delta: False)
             pointwise = verify_flow_regularity(shape, fld, deltas).checks[0]
         assert pointwise.details["flow_evaluations"] == pointwise.details["runs"]
         summed.details.pop("flow_evaluations")

@@ -30,7 +30,9 @@ from trinomial_orbits import oracle, orbits, strata
 from trinomial_orbits.oracle import build_census, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
 from trinomial_orbits.shapes import torus_lattice, torus_scaling
-from conftest import SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points, small_shapes
+from conftest import (
+    SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points, singular_set, small_shapes,
+)
 
 SHAPE_H2_POWER_ONE = [[1, 3], [2], [2, 2]]  # flexible, exponent-1 variable
 
@@ -116,8 +118,31 @@ class TestEnumeration:
         fld = PrimeField(99991)
         with pytest.raises(TooLarge, match="exceed the enumeration cap"):
             enumerate_points(shape_a, fld)
-        with pytest.raises(TooLarge, match="exceed the enumeration cap"):
+        with pytest.raises(TooLarge, match="coset tests exceed the enumeration cap"):
             verify_all(shape_a, fld)
+
+    def test_census_past_the_point_cap_runs_on_torus_orbits(self, shape_d):
+        # the census holds one triple per T-orbit, not the 14.7M points
+        report = verify_all(shape_d, PrimeField(61))
+        assert report.failures == 0
+        assert report.totals["points"] == 14731561 > oracle.POINT_CAP
+
+    def test_flows_past_the_point_cap_run_on_torus_orbits(self, shape_h2):
+        fld = PrimeField(61)
+        result = check(
+            verify_flow_regularity(shape_h2, fld, lnd_catalog(shape_h2, fld)), "flow_regularity"
+        )
+        assert result.passed and result.details["torus_orbits"] == 83
+        assert result.details["points"] > oracle.POINT_CAP
+
+    def test_over_cap_coset_box_is_refused_before_any_test(self, monkeypatch, shape_a):
+        # the full support comes first, and its (p-1)^2 cosets are over the cap
+        def no_box(*args):
+            raise AssertionError("a coset box was tested past the cap")
+
+        monkeypatch.setattr(oracle, "product", no_box)
+        with pytest.raises(TooLarge, match="9998000100 coset tests"):
+            verify_all(shape_a, PrimeField(99991))
 
     @pytest.mark.parametrize(
         "groups,p,joined",
@@ -286,17 +311,40 @@ class TestInvariance:
     def test_catalog_derivations_are_torus_homogeneous(self, shape, p):
         """flow_invariance reads each T-orbit through its representative,
         which needs exp(u delta)(t.x) = t.exp(chi(t) u delta)(x): every
-        catalog derivation has a torus character.  Over F_2 some have none
-        (no P_1 term), but T(F_2) is trivial: every T-orbit is one point,
-        its own representative."""
+        catalog derivation is homogeneous for the torus grading."""
+        assume(oracle.point_count(shape, p) <= 3000)
+        for delta in lnd_catalog(shape, PrimeField(p)):
+            assert oracle._torus_homogeneous(delta), delta
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
+    @settings(max_examples=60, deadline=None)
+    def test_homogeneous_divided_powers_shift_by_k_times_e(self, shape, p):
+        """Where _torus_homogeneous holds, with e the degree shift of the
+        image terms, every term of every divided power P_k of x_v has torus
+        degree deg x_v + k*e over Z: the lemma the T-orbit sums rest on,
+        on the catalog and its twinless copies."""
         assume(oracle.point_count(shape, p) <= 3000)
         fld = PrimeField(p)
-        if p == 2:
-            assert all(size == 1 for _, size in oracle.torus_orbits(shape, fld))
-            return
         basis = torus_lattice(shape).vectors
-        for delta in lnd_catalog(shape, fld):
-            assert oracle._torus_character(delta, basis, p) is not None, delta
+
+        def degree(exps):
+            return [sum(w * a for w, a in zip(vec, exps)) for vec in basis]
+
+        cat = lnd_catalog(shape, fld)
+        for delta in cat + [Derivation(shape, fld, dict(d.images)) for d in cat]:
+            source = delta.qlift or delta
+            if not source.images or not oracle._torus_homogeneous(delta):
+                continue
+            v, img = next(iter(source.images.items()))
+            e = [a - vec[v] for a, vec in zip(degree(next(iter(img.terms))), basis)]
+            try:
+                series = [(v, delta.divided_power_series(v)) for v in delta.moving_variables()]
+            except MathDomainError:
+                continue
+            for v, powers in series:
+                for k, P in enumerate(powers):
+                    want = [vec[v] + k * x for vec, x in zip(basis, e)]
+                    assert all(degree(t) == want for t in P.terms), (delta, v, k)
 
     def test_f2_singular_flows_stay_in_component_class(self, shape_c, f3):
         # exhaustive over X(F_3): points never leave their N(S)-intersection
@@ -351,7 +399,7 @@ class TestFlowRegularity:
     def run_pointwise(monkeypatch, shape, fld, derivations):
         """The flow check with every derivation sent down the pointwise loop."""
         with monkeypatch.context() as m:
-            m.setattr(oracle, "_torus_character", lambda delta, basis, p: None)
+            m.setattr(oracle, "_torus_homogeneous", lambda delta: False)
             return check(verify_flow_regularity(shape, fld, derivations), "flow_regularity")
 
     @pytest.mark.parametrize(
@@ -392,7 +440,7 @@ class TestFlowRegularity:
         fld = PrimeField(p)
         pts = enumerate_points(shape, fld)
         point_set = set(pts)
-        sing = oracle.singular_set(shape, fld, pts)
+        sing = singular_set(shape, fld, pts)
         cat = lnd_catalog(shape, fld)
         derivations = cat + [Derivation(shape, fld, dict(d.images)) for d in cat]
         for delta in derivations:
@@ -408,8 +456,7 @@ class TestFlowRegularity:
                     elif (img in sing) != (pt in sing):
                         failures += 1
             details = check(verify_flow_regularity(shape, fld, [delta]), "flow_regularity").details
-            basis = torus_lattice(shape).vectors
-            summed = oracle._torus_character(delta, basis, p) is not None
+            summed = oracle._torus_homogeneous(delta)
             read = details["torus_orbits"] if summed else len(pts)
             assert details.pop("flow_evaluations") == p * read
             assert details == {
@@ -439,12 +486,14 @@ class TestFlowRegularity:
         )
 
     def test_derivation_with_no_first_power_runs_pointwise(self):
-        # over F_2 the one delta of this shape moves no variable: no P_1
-        # term gives its character, so every point is read
+        # over F_2 the one delta of this shape has no P_1 term, but its twin
+        # is homogeneous, so it is summed over T-orbits; T(F_2) is trivial,
+        # so each T-orbit is one point and every point is read
         shape, fld = validate_shape([[2, 2], [4], [2, 4]]), PrimeField(2)
         cat = lnd_catalog(shape, fld)
         assert [d.designator for d in cat] == ["delta+:1"]
-        assert oracle._torus_character(cat[0], torus_lattice(shape).vectors, 2) is None
+        assert oracle._torus_homogeneous(cat[0])
+        assert all(size == 1 for _, size in oracle.torus_orbits(shape, fld))
         result = check(verify_flow_regularity(shape, fld, cat), "flow_regularity")
         assert result.passed
         assert result.details["flow_evaluations"] == result.details["runs"] == 32
@@ -454,7 +503,7 @@ class TestFlowRegularity:
         fld = PrimeField(5)
         ring = shape_h2.ring(fld)
         delta = Derivation(shape_h2, fld, {0: ring.var(1) + ring.one})
-        assert oracle._torus_character(delta, torus_lattice(shape_h2).vectors, 5) is None
+        assert not oracle._torus_homogeneous(delta)
         result = check(verify_flow_regularity(shape_h2, fld, [delta]), "flow_regularity")
         assert not result.passed
         assert (result.details["off_variety"], result.details["runs"]) == (1200, 3125)
@@ -987,7 +1036,7 @@ class TestKeyedInvariance:
 
 
 class TestResidueKey:
-    """build_census classifies one point per T-orbit, singular_set decides
+    """build_census classifies one point per T-orbit, _singular_test decides
     one point per zero mask; both must equal the pointwise scans."""
 
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]), st.booleans())
@@ -1014,8 +1063,8 @@ class TestResidueKey:
         assume(oracle.point_count(shape, p) <= 3000)
         fld = PrimeField(p)
         pts = enumerate_points(shape, fld)
-        scanned = {pt for pt in pts if strata.is_singular(shape, fld, pt)}
-        assert oracle.singular_set(shape, fld, pts) == scanned
+        singular = oracle._singular_test(shape, fld)
+        assert {pt for pt in pts if singular(pt)} == singular_set(shape, fld, pts)
 
     def test_root_ratio_splits_component_strata(self, shape_d):
         # d = 3 and 13 = 1 (mod 3): r^3 = -1 has three roots, so each

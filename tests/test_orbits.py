@@ -45,7 +45,7 @@ from trinomial_orbits.orbits import (
 )
 from trinomial_orbits.oracle import build_census, enumerate_points, point_count
 from trinomial_orbits.shapes import symmetry_group, torus_lattice, torus_scaling
-from conftest import power_one_shapes, small_shapes
+from conftest import power_one_shapes, singular_set, small_shapes
 
 
 class TestFamilies:
@@ -225,7 +225,6 @@ class TestSAut:
     def test_singular_points_are_flow_fixed(self, shape_a, shape_d, f7):
         # every singular point is literally fixed by every catalog flow
         from trinomial_orbits.derivations import lnd_catalog
-        from trinomial_orbits.oracle import singular_set
 
         f13 = PrimeField(13)
         for shape, fld in ((shape_a, f7), (shape_d, f13)):

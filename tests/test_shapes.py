@@ -25,7 +25,7 @@ from trinomial_orbits import (
 )
 from trinomial_orbits import strata
 from trinomial_orbits.intlinalg import mat_vec, smith_normal_form
-from trinomial_orbits.oracle import point_count, singular_set
+from trinomial_orbits.oracle import point_count
 from trinomial_orbits.polynomials import MissingCoordinate
 from trinomial_orbits.shapes import (
     EQUATION_CACHE_SIZE,
@@ -37,6 +37,7 @@ from trinomial_orbits.shapes import (
 )
 from conftest import (
     random_points,
+    singular_set,
     small_shapes,
     SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_E_BASE, SHAPE_FIELD_CACHES, SHAPE_H2,
 )

@@ -16,9 +16,9 @@ from trinomial_orbits import (
     support_zero_set,
     validate_shape,
 )
-from trinomial_orbits.oracle import enumerate_points, singular_set
+from trinomial_orbits.oracle import enumerate_points
 from trinomial_orbits.strata import n_set, var_set_from_names, var_set_to_json
-from conftest import small_shapes
+from conftest import singular_set, small_shapes
 
 
 def all_subsets(n):
