@@ -1,14 +1,17 @@
 """Exact coefficient fields: the rationals Q, the Gaussian rationals Q(i)
 and prime fields F_p.
 
-Every value handled by this package is exact.  Rational elements are
-`fractions.Fraction` (canonical: gcd-reduced, positive denominator);
-Gaussian-rational elements are `GaussianRational` pairs a + b*i of
-Fractions; prime-field elements are plain ints in ``[0, p)``.  A field
-object bundles the arithmetic so that the polynomial layer can stay
-generic.  That layer sums and multiplies elements with their own + and *,
-and each field's `normalize` turns the accumulated values back into
-canonical elements.  Point evaluation goes through one hook,
+Every value handled by this package is exact.  A rational value is a
+plain int when it is integral and a `fractions.Fraction` (gcd-reduced,
+positive denominator) only where a denominator appears; Gaussian-rational
+elements are `GaussianRational` pairs a + b*i whose parts follow the same
+rule; prime-field elements are plain ints in ``[0, p)``.  Division over Q
+and Q(i) builds Fractions from their parts and never uses ``/``, which
+would give a float on two ints.  A field object bundles the arithmetic so
+that the polynomial layer can stay generic.  That layer sums and multiplies
+elements with their own + and *, and each field's `normalize` turns the
+accumulated values back into canonical elements, so integral coefficients
+stay ints.  Point evaluation goes through one hook,
 `eval_terms(terms, point)`: the value of sum c * prod x_i^k over compiled
 (c, ((i, k), ...)) terms, accumulated natively and normalised once per value.
 Coordinates (and coefficients) may also be plain ints: any int over F_p,
@@ -96,12 +99,6 @@ class _CharZeroField:
     def is_zero(self, a) -> bool:
         return not a
 
-    def normalize(self, acc: dict) -> dict:
-        """The nonzero entries of natively accumulated values.  Fractions
-        (and the parts of Gaussian rationals) are kept in lowest terms, so
-        each value is already canonical."""
-        return {k: v for k, v in acc.items() if v}
-
     def fmt(self, a) -> str:
         return str(a)
 
@@ -110,7 +107,9 @@ class _CharZeroField:
 
 
 class Rationals(_CharZeroField):
-    """The field Q.  Elements are Fraction; overflow is impossible."""
+    """The field Q.  Elements are ints or Fractions; overflow is impossible.
+    `one`, `zero`, `from_int`, `parse`, `inv`, `div` and `eval_terms` give
+    Fractions; polynomial coefficients are ints where integral."""
 
     kind = "Q"
 
@@ -131,12 +130,18 @@ class Rationals(_CharZeroField):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return Fraction(1, a)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by 0")
-        return a / b
+        return Fraction(a, b)
+
+    def normalize(self, acc: dict) -> dict:
+        """The nonzero entries of natively accumulated values, each integral
+        one as an int: Fractions are in lowest terms, so only denominator 1
+        needs a change."""
+        return {k: v.numerator if v.denominator == 1 else v for k, v in acc.items() if v}
 
     def eval_terms(self, terms, point):
         """sum c * prod x_i^k over (c, ((i, k), ...)) terms, as numerator
@@ -185,17 +190,25 @@ class Rationals(_CharZeroField):
         return set() if k % 2 == 0 else {-r}
 
 
-class GaussianRational:
-    """a + b*i with Fraction parts a = real, b = imag, and i^2 = -1.
+def _rational(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
-    Mixed arithmetic with ints and Fractions gives GaussianRationals, so the
-    polynomial kernel accumulates these with their own + and *."""
+
+class GaussianRational:
+    """a + b*i with exact rational parts a = real, b = imag, and i^2 = -1.
+
+    A part is an int when integral and a Fraction otherwise, so products of
+    integral values cost int operations only.  Mixed arithmetic with ints
+    and Fractions gives GaussianRationals, so the polynomial kernel
+    accumulates these with their own + and *."""
 
     __slots__ = ("real", "imag")
 
     def __init__(self, real=0, imag=0):
-        self.real = Fraction(real)
-        self.imag = Fraction(imag)
+        self.real = real if type(real) is int else _rational(real)
+        self.imag = imag if type(imag) is int else _rational(imag)
 
     def __add__(self, other):
         if isinstance(other, GaussianRational):
@@ -279,11 +292,16 @@ class GaussianRationals(_CharZeroField):
     def from_int(self, n: int):
         return GaussianRational(n)
 
+    def normalize(self, acc: dict) -> dict:
+        """The nonzero entries of natively accumulated values: the parts are
+        canonical as built, so each value already is."""
+        return {k: v for k, v in acc.items() if v}
+
     def inv(self, a):
         norm = a.real * a.real + a.imag * a.imag
         if not norm:
             raise ZeroDivisionError("inverse of 0")
-        return GaussianRational(a.real / norm, -a.imag / norm)
+        return GaussianRational(Fraction(a.real, norm), Fraction(-a.imag, norm))
 
     def div(self, a, b):
         return a * self.inv(b)

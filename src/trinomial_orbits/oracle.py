@@ -608,29 +608,16 @@ def _flow_orbit(delta, p):
     point where every P_k(pt), k >= 1, is 0 is fixed and maps to [pt] * p
     with no image built; a moving point builds the columns of the
     coordinates that change and repeats the others.
-
-    When every series stops below p (max_k <= p), P_1 decides fixedness,
-    so P_2 .. P_K are evaluated only where some P_1(pt) is nonzero.  Why:
-    for k < p, k! is a unit mod p and P_k = delta^k(x_v)/k! on X, for the
-    derivation delta(x_w) = P_1 of w (0 for a variable that does not
-    move).  In-field series are built so; a twin's series reduce the twin's
-    powers, whose images are p-integral.  If P_1(pt) = 0 for every moving
-    v, then delta(x_w)(pt) = 0 for every w, so (delta g)(pt) = sum_w
-    delta(x_w)(pt) * (dg/dx_w)(pt) = 0 for every g; with
-    g = delta^(k-1)(x_v), every P_k(pt) is 0 and pt is fixed.  A series
-    that reaches P_p (H2 over F_5 reaches P_5) lies outside the argument,
-    since p! = 0 mod p: there every P_k is evaluated at every point.
     """
     compiled = []
     max_exp = max_k = 1
     for v in delta.moving_variables():
         series = [P.point_terms() for P in delta.divided_power_series(v)]
-        compiled.append((v, series[1], series[2:]))
+        compiled.append((v, series[1:]))
         max_k = max(max_k, len(series))
         max_exp = max(
             [max_exp] + [e for terms in series for _, fac in terms for _, e in fac]
         )
-    screen = max_k <= p
     pw = [[pow(x, e, p) for e in range(max_exp + 1)] for x in range(p)]
     # the column (u^k mod p, u = 0 .. p-1) packed into one integer, digit u
     # at bit width * u (ones for k = 0, upw[k - 1] for k >= 1): digit u of
@@ -651,12 +638,9 @@ def _flow_orbit(delta, p):
 
     def orbit(pt):
         rows = [pw[x] for x in pt]
-        firsts = [value(first, rows) for _, first, _ in compiled]
-        if screen and not any(firsts):
-            return [pt] * p
         columns = None
-        for (v, _, rest), first in zip(compiled, firsts):
-            coeffs = [first] + [value(terms, rows) for terms in rest]
+        for v, series in compiled:
+            coeffs = [value(terms, rows) for terms in series]
             if any(coeffs):
                 if columns is None:
                     columns = list(map(repeat, pt))

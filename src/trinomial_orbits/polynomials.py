@@ -9,13 +9,15 @@ Division by one divisor decides principal-ideal membership exactly:
 f is a multiple of g iff the division remainder vanishes.
 
 Sums and products accumulate with the coefficients' own + and * (ints for
-F_p, Fractions for Q), and each result passes once through the field's
-`normalize`, which drops the zeros and brings every value to its canonical
-element.  Evaluation at a point works the same way: the terms are compiled
-once per polynomial to (coefficient, ((variable, exponent), ...)) pairs,
-and the field's `eval_terms` accumulates their values natively and
-normalises once per value.  Polynomials are never mutated after
-construction, so a cached one, and its compiled terms, may be shared.
+F_p; over Q ints, and Fractions only where a denominator appears), and
+each result passes once through the field's `normalize`, which drops the
+zeros and brings every value to its canonical element: over Q and Q(i) an
+integral coefficient, or part, is always an int.  Evaluation at a point
+works the same way: the terms are compiled once per polynomial to
+(coefficient, ((variable, exponent), ...)) pairs, and the field's
+`eval_terms` accumulates their values natively and normalises once per
+value.  Polynomials are never mutated after construction, so a cached
+one, and its compiled terms, may be shared.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ class PolyRing:
     def var(self, i: int) -> "Polynomial":
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): self.field.one})
+        return self.monomial(exps)
 
     def monomial(self, exps, coeff=None) -> "Polynomial":
         return self.from_terms({tuple(exps): self.field.one if coeff is None else coeff})
@@ -254,7 +256,7 @@ class Polynomial:
                 h.update(fld.normalize(step))
             else:
                 r[e] = c
-        return Polynomial(self.ring, q), Polynomial(self.ring, r)
+        return self.ring.from_terms(q), Polynomial(self.ring, r)
 
     def reduce_mod(self, g: "Polynomial") -> "Polynomial":
         return self.divmod_single(g)[1]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, strategies as st
 
@@ -14,6 +16,7 @@ from trinomial_orbits import (
     strata,
     validate_shape,
 )
+from trinomial_orbits.fields import GaussianRational
 from trinomial_orbits.oracle import point_count
 
 # the recurring cast of shapes
@@ -166,6 +169,16 @@ def random_points(shape, fld, count: int, rng) -> list:
         vec[v] = rng.choice(roots)
         out.append(tuple(vec))
     return out
+
+
+def exact_coefficient(c) -> bool:
+    """A Q or Q(i) coefficient is exact and canonical: an int when integral,
+    else a Fraction, and a Gaussian rational's parts likewise (never a
+    float)."""
+    parts = (c.real, c.imag) if isinstance(c, GaussianRational) else (c,)
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in parts
+    )
 
 
 def singular_set(shape, fld, pts) -> set:

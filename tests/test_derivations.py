@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from math import factorial
+from operator import add, sub
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -39,6 +41,7 @@ from conftest import (
     SHAPE_E,
     SHAPE_FIELD_CACHES,
     SHAPE_H2,
+    exact_coefficient,
     power_one_shapes,
     prove_group_law,
     random_points,
@@ -318,6 +321,92 @@ class TestReducedPowersAgainstReference:
         monkeypatch.setattr(Polynomial, "reduce_mod", None)
         assert D1.nilpotency_index(1) == 1
         assert D1.divided_power_series(1) == [shape_a.ring(qq).var(1)]
+
+
+# -- a reference over Fractions only: each Q or Q(i) coefficient is a pair
+# (real, imaginary) of Fractions, whatever type the library keeps -----------
+
+
+def fraction_terms(poly):
+    return {e: (F(c.real), F(c.imag)) for e, c in poly.terms.items()}
+
+
+def _times(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _accumulate(out, e, c):
+    total = out.pop(e, (F(0), F(0)))
+    total = (total[0] + c[0], total[1] + c[1])
+    if any(total):
+        out[e] = total
+
+
+def fraction_derive(images, f):
+    """The Leibniz rule: sum over v of (df/dv) * images[v]."""
+    out = {}
+    for e, c in f.items():
+        for v, img in images.items():
+            k = e[v]
+            if k:
+                de = e[:v] + (k - 1,) + e[v + 1:]
+                for ie, ic in img.items():
+                    _accumulate(out, tuple(map(add, de, ie)), _times((c[0] * k, c[1] * k), ic))
+    return out
+
+
+def fraction_reduce(f, g):
+    """The remainder of f by the single divisor g, graded-lex leading term."""
+    lead = max(g, key=lambda e: (sum(e), e))
+    a, b = g[lead]
+    inv = (a / (a * a + b * b), -b / (a * a + b * b))
+    f, rem = dict(f), {}
+    while f:
+        e = max(f, key=lambda e: (sum(e), e))
+        c = f.pop(e)
+        if all(x >= y for x, y in zip(e, lead)):
+            q, qe = _times(c, inv), tuple(map(sub, e, lead))
+            for ge, gc in g.items():
+                if ge != lead:
+                    qg = _times(q, gc)
+                    _accumulate(f, tuple(map(add, qe, ge)), (-qg[0], -qg[1]))
+        else:
+            rem[e] = c
+    return rem
+
+
+def fraction_powers(d, v):
+    """delta^k(v) mod the equation for k = 1, 2, ... while nonzero."""
+    g = fraction_terms(d.shape.equation(d.field))
+    images = {w: fraction_terms(p) for w, p in d.images.items()}
+    cur, out = fraction_reduce(images.get(v, {}), g), []
+    while cur:
+        out.append(cur)
+        assert len(out) < derivations.NILPOTENCY_CAP
+        cur = fraction_reduce(fraction_derive(images, cur), g)
+    return out
+
+
+class TestExactCoefficients:
+    @given(small_shapes(), st.sampled_from([QQ, QI]))
+    @settings(max_examples=60, deadline=None)
+    def test_catalog_series_and_powers(self, shape, fld):
+        # no float, every integral coefficient an int, the Fraction values
+        for d in lnd_catalog(shape, fld):
+            for v in range(shape.n):
+                powers = list(d._reduced_powers(v))
+                series = d.divided_power_series(v)
+                for poly in powers + series:
+                    assert all(map(exact_coefficient, poly.terms.values())), (d, v, poly)
+                ref = fraction_powers(d, v)
+                assert [fraction_terms(p) for p in powers] == ref, (d, v)
+                assert d.nilpotency_index(v) == 1 + len(ref)
+                unit = (0,) * v + (1,) + (0,) * (shape.n - v - 1)
+                ref_series = [{unit: (F(1), F(0))}] + [
+                    {e: (x / factorial(k), y / factorial(k)) for e, (x, y) in p.items()}
+                    for k, p in enumerate(ref, start=1)
+                ]
+                assert [fraction_terms(p) for p in series] == ref_series, (d, v)
 
 
 class TestFlows:

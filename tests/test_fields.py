@@ -80,6 +80,16 @@ class TestArithmetic:
         if b % 101:
             assert fld.div(fld.mul(a, b), b) == a % 101
 
+    def test_division_of_ints_is_exact(self):
+        # a / b would give a float on two ints
+        third = Fraction(1, 3)
+        for q in (QQ.inv(3), QQ.div(1, 3), QQ.inv(Fraction(3)), QQ.div(Fraction(2), 6)):
+            assert type(q) is Fraction and q == third
+        z = QI.inv(QI.from_int(3))
+        assert type(z.real) is Fraction and z.real == third and z.imag == 0
+        w = QI.inv(GaussianRational(0, 3))
+        assert w.real == 0 and type(w.imag) is Fraction and w.imag == -third
+
     def test_inverse_of_zero(self):
         with pytest.raises(ZeroDivisionError):
             PrimeField(7).inv(0)
@@ -148,6 +158,12 @@ class TestGaussianRationals:
         assert [QI.fmt(GaussianRational(*ab)) for ab in parts] == [
             "3", "i", "-i", "1/2*i", "(1 - 2*i)",
         ]
+
+    @given(gaussian, gaussian)
+    def test_integral_parts_are_ints(self, a, b):
+        for z in (a, b, a + b, a - b, a * b, -a, a * 2, a**2):
+            for part in (z.real, z.imag):
+                assert type(part) is (int if part.denominator == 1 else Fraction)
 
     def test_mixed_arithmetic_and_equality(self):
         i = QI.sqrt_minus_one()

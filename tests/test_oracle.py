@@ -557,10 +557,11 @@ class TestFlowRegularity:
     def assert_orbit_kernel(shape, fld, sample):
         """_flow_orbit equals the flow polynomials at every u, on sample, for
         every catalog derivation; returns (fixed points met, derivations
-        whose first divided powers decide fixedness, derivations whose do
-        not).  A derivation the characteristic refuses is refused by both."""
+        whose series all stop below P_p, derivations with a series that
+        reaches it).  A derivation the characteristic refuses is refused by
+        both."""
         p = fld.modulus
-        fixed = screened = unscreened = 0
+        fixed = below_p = reach_p = 0
         for delta in lnd_catalog(shape, fld):
             try:
                 flows = [
@@ -574,14 +575,14 @@ class TestFlowRegularity:
             orbit = oracle._flow_orbit(delta, p)
             lengths = [len(delta.divided_power_series(v)) for v in delta.moving_variables()]
             if max(lengths, default=1) <= p:
-                screened += 1
+                below_p += 1
             else:
-                unscreened += 1
+                reach_p += 1
             for pt in sample:
                 expected = [tuple(f.eval(pt) for f in row) for row in flows]
                 assert orbit(pt) == expected, (delta, pt)
                 fixed += expected == [pt] * p
-        return fixed, screened, unscreened
+        return fixed, below_p, reach_p
 
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
     @settings(max_examples=60, deadline=None)
@@ -592,7 +593,7 @@ class TestFlowRegularity:
         self.assert_orbit_kernel(shape, fld, enumerate_points(shape, fld))
 
     @pytest.mark.parametrize(
-        "groups,p,screened",
+        "groups,p,below_p",
         [
             (SHAPE_H2, 5, False),  # series of length 6 > 5
             ([[2], [2], [6]], 5, False),  # length 7 > 5
@@ -602,11 +603,12 @@ class TestFlowRegularity:
             (SHAPE_A, 2, False),  # every catalog series of A reaches P_3
         ],
     )
-    def test_flow_orbit_every_point_first_powers_on_and_off(self, groups, p, screened):
+    def test_flow_orbit_every_point_first_powers_on_and_off(self, groups, p, below_p):
+        # series that stop below P_p and series that reach it (p! = 0 mod p)
         shape, fld = validate_shape(groups), PrimeField(p)
-        fixed, on, off = self.assert_orbit_kernel(shape, fld, enumerate_points(shape, fld))
-        assert (on, off) == ((on + off, 0) if screened else (0, on + off))
-        assert on + off >= 2 and fixed >= 1
+        fixed, short, long = self.assert_orbit_kernel(shape, fld, enumerate_points(shape, fld))
+        assert (short, long) == ((short + long, 0) if below_p else (0, short + long))
+        assert short + long >= 2 and fixed >= 1
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [3]]])
     def test_flow_orbit_fixed_cases(self, groups):
@@ -614,8 +616,8 @@ class TestFlowRegularity:
         pts = enumerate_points(shape, fld)
         sample = pts[:1] + random.Random(13).sample(pts, 60)
         # the origin is a fixed point of both delta flows
-        fixed, screened, unscreened = self.assert_orbit_kernel(shape, fld, sample)
-        assert fixed >= 2 and (screened, unscreened) == (2, 0)
+        fixed, below_p, reach_p = self.assert_orbit_kernel(shape, fld, sample)
+        assert fixed >= 2 and (below_p, reach_p) == (2, 0)
 
 
 class TestClosedFormCensus:

@@ -380,6 +380,14 @@ class TestTransport:
         word = transport(shape_a, qq, src, dst)
         assert word.apply(shape_a, qq, src) == dst
 
+    def test_plain_int_points_rational(self, shape_a, qq):
+        # ints are valid coordinates over Q: the torus ratios must stay exact
+        src, dst = (-1, 3, 1, 2), (-9, 1, 1, 2)
+        word = transport(shape_a, qq, src, dst)
+        assert word.to_json(qq) == {"steps": [{"step": "torus", "coords": ["9", "1/3", "1", "1"]}]}
+        assert word.apply(shape_a, qq, src) == dst
+        assert word == transport(shape_a, qq, tuple(map(F, src)), tuple(map(F, dst)))
+
     def test_random_pairs_f7(self, shape_a, f7):
         rng = random.Random(2)
         pts = enumerate_points(shape_a, f7)

@@ -16,7 +16,7 @@ from trinomial_orbits.polynomials import (
 from trinomial_orbits.oracle import point_count
 from trinomial_orbits.shapes import symmetry_group
 from trinomial_orbits.strata import singular_components
-from conftest import random_points, small_shapes, substitute
+from conftest import exact_coefficient, random_points, small_shapes, substitute
 
 RING = PolyRing(QQ, ("x", "y", "z", "s"))
 X, Y, Z, S = (RING.var(i) for i in range(4))
@@ -384,6 +384,21 @@ class TestKernelAgainstReference:
         assert (f**k).terms == ref_pow(fld, ring.nvars, f.terms, k)
         for v in range(ring.nvars):
             assert f.partial(v).terms == ref_partial(fld, f.terms, v)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_char_zero_coefficients_stay_exact(self, data):
+        # canonical inputs, as the ring builds them: integral values as ints
+        ring = data.draw(rings().filter(lambda r: r.field.modulus is None))
+        f, g = (ring.from_terms(data.draw(polys(ring)).terms) for _ in range(2))
+        c = data.draw(coordinates(ring.field))
+        results = [f + g, f * g, f.scale(c)] + [f.partial(v) for v in range(ring.nvars)]
+        if not g.is_zero():
+            q, r = f.divmod_single(g)
+            assert q * g + r == f
+            results += [q, r]
+        for h in results:
+            assert all(map(exact_coefficient, h.terms.values())), h.terms
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
