@@ -32,7 +32,6 @@ identity reduces mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
@@ -46,6 +45,7 @@ from .errors import (
 from .families import family_of, require_f1
 from .fields import QI, QQ
 from .polynomials import Polynomial
+from .records import record
 from .shapes import EQUATION_CACHE_SIZE, TrinomialShape, nonrigidity_witnesses
 
 NILPOTENCY_CAP = 50
@@ -480,7 +480,7 @@ def catalog_derivation(shape: TrinomialShape, fld, designator: str) -> Derivatio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GradingWeight:
     """An integer weight per variable; admissible when the equation is
     homogeneous (all monomials of the equation get equal weight)."""

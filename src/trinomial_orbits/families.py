@@ -15,10 +15,10 @@ Detection priority: flexible table match > F1 > F2 > rigid > other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import UnsupportedFamily
+from .records import record
 from .shapes import (
     FLEXIBLE,
     NONRIGID_OTHER,
@@ -29,7 +29,7 @@ from .shapes import (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PowerOneView:
     """Variable indices and exponents in x/y/z/s coordinates; xs are the k
     exponent-1 variables, all in the group of the ys."""
@@ -68,7 +68,7 @@ class PowerOneView:
         return gcd(*(self.b + self.c))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FamilyTag:
     kind: str  # "flexible_h" | "F1" | "F2" | "rigid" | "other"
     h_type: str = None
@@ -121,14 +121,16 @@ def family_of(shape: TrinomialShape) -> FamilyTag:
         return FamilyTag("flexible_h", h_type=verdict.h_type)
     if verdict.tag == RIGID:
         return FamilyTag("rigid")
-    assert verdict.tag == NONRIGID_OTHER
+    if verdict.tag != NONRIGID_OTHER:
+        raise AssertionError(f"unknown rigidity tag {verdict.tag!r}")
     ones = [i for i, l in enumerate(shape.exponents) if l == 1]
     groups_of_ones = {shape.group_of(i) for i in ones}
     if len(groups_of_ones) == 1:
         gx = groups_of_ones.pop()
         ys = tuple(i for i in shape.group_indices(gx) if i not in ones)
-        # an all-ones group would have matched the flexible table
-        assert ys, "m=0 is the all-ones flexible row"
+        if not ys:
+            # an all-ones group would have matched the flexible table
+            raise AssertionError("m=0 is the all-ones flexible row")
         a = tuple(shape.exponents[i] for i in ys)
         view = PowerOneView(tuple(ones), ys, a, *_split_view(shape, gx))
         return FamilyTag("F1", f1=view) if view.k == 1 else FamilyTag("F2", f2=view)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, product, repeat
 from math import gcd, lcm, prod
 from operator import mul
@@ -39,6 +38,7 @@ from .errors import (
 from .families import family_of
 from .fields import field_designator
 from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
+from .records import field, record
 from .shapes import TrinomialShape, torus_lattice, torus_scaling
 
 # candidate points built (enumerate_points: about 0.9 GiB of 4-tuples) or
@@ -224,7 +224,7 @@ def torus_orbits(shape: TrinomialShape, fld) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class CheckResult:
     """One check's outcome.  A skipped check could not run in this field;
     its details carry the MathDomainError code and message, and it counts
@@ -242,7 +242,7 @@ class CheckResult:
         return out
 
 
-@dataclass
+@record
 class VerifyReport:
     shape: dict
     field: str
@@ -294,7 +294,7 @@ def _desc_key(shape, fld, desc) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class Census:
     """The classified points of one (shape, field), by T(F_p)-orbit.
 

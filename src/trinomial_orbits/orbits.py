@@ -20,7 +20,6 @@ point to another inside the open or component strata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import intlinalg, strata
@@ -36,6 +35,7 @@ from .errors import (
 )
 from .families import family_of
 from .fields import factor
+from .records import fields, record
 from .shapes import (
     TrinomialShape,
     apply_permutation_to_point,
@@ -49,43 +49,43 @@ from .shapes import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BigO:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OMeps:
     M: frozenset
     r: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class O1:
     M: frozenset
     P: frozenset
     Q: frozenset
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class O2:
     M: frozenset
     P: frozenset
     Q: frozenset
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DDBigO:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DDOMeps:
     M: frozenset
     r: object
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DD:
     K: frozenset
     M: frozenset
@@ -93,17 +93,17 @@ class DD:
     Q: frozenset
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TorusStratum:
     S: frozenset
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RegularFlex:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SingTorus:
     S: frozenset
 
@@ -159,7 +159,7 @@ def descriptor_from_json(data: dict, shape: TrinomialShape = None, fld=None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MLVerdict:
     status: str  # proven | conjectural | whole_ring | constants | unknown
     generators: tuple  # variable indices
@@ -225,8 +225,8 @@ def classify_point(shape: TrinomialShape, fld, pt, assume_conjecture: bool = Fal
         Q = _vanishing(fld, pt, view.ss)
         if not P and not Q:
             return OMeps(M, _root_ratio(fld, pt, view))
-        # on the variety the two live monomials vanish together
-        assert bool(P) == bool(Q) if view.q else not P
+        if not (bool(P) == bool(Q) if view.q else not P):
+            raise AssertionError("on the variety the two live monomials vanish together")
         if fld.is_zero(pt[view.x]):
             return O2(M, P, Q)
         return O1(M, P, Q)
@@ -246,7 +246,8 @@ def classify_point(shape: TrinomialShape, fld, pt, assume_conjecture: bool = Fal
             return DDOMeps(M, _root_ratio(fld, pt, view)) if M else DDBigO()
         if not M and len(K) < 2:
             return DDBigO()
-        assert 2 * len(M) + len(K) >= 2
+        if 2 * len(M) + len(K) < 2:
+            raise AssertionError("a DD stratum has 2|M| + |K| >= 2")
         return DD(K, M, P, Q)
     if tag.kind == "rigid":
         return TorusStratum(strata.support_zero_set(shape, fld, pt))
@@ -285,17 +286,17 @@ def descriptor_dim(shape: TrinomialShape, desc) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Sheet:
     y_values: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LineOrbit:
     point: tuple
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FixedPoint:
     pass
 
@@ -363,7 +364,7 @@ class _UnionFind:
         return list(out.values())
 
 
-@dataclass
+@record
 class OrbitCount:
     aut_alg: int
     aut: int
@@ -435,7 +436,8 @@ def orbit_count(shape: TrinomialShape) -> OrbitCount:
 
     uf = _UnionFind(glued)
     for perm in symmetry_group(shape).generators:
-        assert perm[view.x] == view.x, "a symmetry moved the power-one variable"
+        if perm[view.x] != view.x:
+            raise AssertionError("a symmetry moved the power-one variable")
         for label in glued:
             uf.union(label, _act(perm, view, label))
     classes = uf.classes()
@@ -451,7 +453,7 @@ def orbit_count(shape: TrinomialShape) -> OrbitCount:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TorusStep:
     coords: tuple
 
@@ -463,7 +465,7 @@ class TorusStep:
         return {"step": "torus", "coords": [fld.fmt(c) for c in self.coords]}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FlowStep:
     designator: str
     u: object
@@ -472,7 +474,7 @@ class FlowStep:
         return {"step": "flow", "derivation": self.designator, "u": fld.fmt(self.u)}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PermStep:
     perm: tuple
 
@@ -480,7 +482,7 @@ class PermStep:
         return {"step": "perm", "perm": list(self.perm)}
 
 
-@dataclass
+@record
 class AutWord:
     steps: tuple
 
@@ -589,7 +591,8 @@ def _torus_step(shape, fld, src, dst, rows):
     step = TorusStep(torus_scaling(shape, fld, mus))
     cur = step.apply(fld, src)
     for i in rows:
-        assert cur[i] == dst[i], "torus step missed a matched coordinate"
+        if cur[i] != dst[i]:
+            raise AssertionError("torus step missed a matched coordinate")
     return step, cur
 
 

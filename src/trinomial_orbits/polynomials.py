@@ -22,8 +22,8 @@ one, and its compiled terms, may be shared.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import add, ge, sub
-from typing import Iterable
 
 
 class MissingCoordinate(KeyError):

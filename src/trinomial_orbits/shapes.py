@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from math import gcd
 
 from . import intlinalg
 from .errors import DegenerateShape, EmptyGroup12, NonPositiveExponent, ShapeError
 from .polynomials import PolyRing, Polynomial
+from .records import field, record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrinomialShape:
     groups: tuple
     aliases: tuple = field(default=None, compare=False)
@@ -36,8 +36,9 @@ class TrinomialShape:
 
     @cached_property
     def _hash(self) -> int:
-        """The dataclass hash of (groups,), computed once: every (shape,
-        field) cache lookup hashes the shape.  aliases stay out of it."""
+        """The frozen-record hash of the compared fields, (groups,),
+        computed once: every (shape, field) cache lookup hashes the shape.
+        aliases stay out of it."""
         return hash((self.groups,))
 
     # -- structure -----------------------------------------------------------
@@ -267,7 +268,7 @@ FLEXIBLE = "flexible"
 NONRIGID_OTHER = "nonrigid_other"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RigidityVerdict:
     tag: str
     h_type: str = None
@@ -361,7 +362,7 @@ def rigidity_classify(shape: TrinomialShape) -> RigidityVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Factoriality:
     d: tuple  # (d0 or None, d1, d2)
     is_factorial: bool
@@ -398,7 +399,7 @@ def factoriality(shape: TrinomialShape) -> Factoriality:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LatticeBasis:
     vectors: tuple
     rank: int
@@ -477,7 +478,7 @@ def torus_scaling(shape: TrinomialShape, fld, multipliers):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SymmetryGroup:
     generators: tuple  # variable permutations, each a tuple i -> sigma(i)
     order: int

@@ -10,15 +10,15 @@ which singular torus strata cannot be separated by component membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
 from .errors import EmptyStratum, PointNotOnVariety
+from .records import record
 from .shapes import TrinomialShape, shape_fact
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SingComponent:
     generators: frozenset
 

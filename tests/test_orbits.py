@@ -1,6 +1,9 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +28,7 @@ from trinomial_orbits import (
     family_of,
     ml_generators,
     orbit_count,
+    orbits,
     saut_descriptor,
     transport,
     validate_shape,
@@ -463,6 +467,30 @@ class TestTransport:
         assert word.apply(shape, fld, src) == dst
         assert self.inverse_word(word, fld).apply(shape, fld, dst) == src
         assert transport(shape, fld, dst, src).apply(shape, fld, dst) == src
+
+    def test_torus_step_miss_is_an_error(self, monkeypatch, shape_a):
+        monkeypatch.setattr(orbits, "torus_scaling", lambda shape, fld, mus: (fld.one,) * shape.n)
+        with pytest.raises(AssertionError, match="torus step missed a matched coordinate"):
+            transport(shape_a, PrimeField(13), (11, 1, 1, 1), (3, 2, 3, 0))
+
+    def test_torus_step_miss_is_an_error_under_optimize(self):
+        # python -O strips assert statements; the library's checks must stay
+        code = """if True:
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from trinomial_orbits import PrimeField, orbits, validate_shape
+            orbits.torus_scaling = lambda shape, fld, mus: (fld.one,) * shape.n
+            try:
+                orbits.transport(validate_shape([[1, 2], [3], [3]]), PrimeField(13),
+                                 (11, 1, 1, 1), (3, 2, 3, 0))
+            except AssertionError as exc:
+                print(exc)
+        """
+        src = os.path.dirname(os.path.dirname(orbits.__file__))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code, src], capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "torus step missed a matched coordinate"
 
     def test_word_json_roundtrip(self, shape_a, f7):
         word = transport(shape_a, f7, (5, 0, 6, 1), (0, 0, 6, 1))

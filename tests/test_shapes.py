@@ -91,7 +91,7 @@ class TestValidation:
         assert aliased.group_indices(0) == (0, 1) and aliased.exponents == (1, 2, 3, 3)
         assert plain == aliased and hash(plain) == hash(aliased)
         assert {plain: "seen"}[aliased] == "seen"
-        # the hash is computed once, the dataclass's hash of (groups,)
+        # the hash is computed once, the record hash of its compared fields (groups,)
         assert hash(aliased) == hash((aliased.groups,)) == aliased.__dict__["_hash"]
         assert aliased.to_json() == before
         again = TrinomialShape.from_json(aliased.to_json())
