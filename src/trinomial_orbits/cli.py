@@ -242,11 +242,9 @@ def cmd_strata(args) -> int:
     payload = {"singular_components": [c.names(shape) for c in comps]}
     if args.set:
         S = strata.var_set_from_names(shape, _load_var_names(args.set))
+        point = strata.stratum_point(shape, fld, S)  # EmptyStratum before any output
         payload["set"] = strata.var_set_to_json(shape, S)
-        payload["containing_components"] = [
-            c.names(shape) for c in strata.containing_components(shape, fld, S)
-        ]
-        point = strata.stratum_point(shape, fld, S)
+        payload["containing_components"] = [c.names(shape) for c in strata.n_set(shape, S)]
         payload["witness_point"] = [fld.fmt(v) for v in point]
     _emit(payload, args.json)
     return 0

@@ -337,6 +337,7 @@ class PrimeField:
             raise FieldError(f"modulus {p} exceeds the scan cap {PRIME_FIELD_CAP}")
         self.modulus = p
         self._hash = hash(("Fp", p))  # every (shape, field) cache lookup hashes it
+        self._powers = None
         self._dlog_table = None
         self._sqrt_minus_one = False  # not searched yet; None when p = 3 (mod 4)
         self._primitive_root = None
@@ -448,19 +449,24 @@ class PrimeField:
             )
         return self._primitive_root
 
+    def powers(self) -> list:
+        """g^k for k in [0, p-1), g the canonical primitive root; built once
+        per field."""
+        if self._powers is None:
+            g, p = self.primitive_root(), self.modulus
+            table = [1] * (p - 1)
+            for k in range(1, p - 1):
+                table[k] = table[k - 1] * g % p
+            self._powers = table
+        return self._powers
+
     def dlog(self, a: int) -> int:
         """Discrete log of a != 0 w.r.t. the canonical primitive root."""
         a %= self.modulus
         if a == 0:
             raise ZeroDivisionError("dlog of 0")
         if self._dlog_table is None:
-            g = self.primitive_root()
-            table = {}
-            acc = 1
-            for e in range(self.modulus - 1):
-                table[acc] = e
-                acc = acc * g % self.modulus
-            self._dlog_table = table
+            self._dlog_table = {x: e for e, x in enumerate(self.powers())}
         return self._dlog_table[a]
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_right
-from itertools import accumulate, product, repeat
-from math import gcd, lcm, prod
+from itertools import accumulate, repeat
+from math import gcd, lcm
 from operator import mul
 
 from . import orbits, strata
@@ -37,7 +37,6 @@ from .errors import (
 )
 from .families import family_of
 from .fields import field_designator
-from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
 from .records import field, record
 from .shapes import TrinomialShape, torus_lattice, torus_scaling
 
@@ -161,61 +160,26 @@ def _singular_test(shape: TrinomialShape, fld):
 
 
 def torus_orbits(shape: TrinomialShape, fld) -> list:
-    """The T(F_p)-orbits of X(F_p), one (representative, size) pair each.
-
-    Write the nonzero coordinates of a point in discrete logs to the
-    field's primitive root.  On the points with support S (the nonzero
-    coordinates), T acts through H_S, the image mod p-1 of W_S, the rows
-    of the torus lattice basis at S.  The Smith form U W_S V = D turns
-    (Z/(p-1))^S / H_S into the box 0 <= c_i < gcd(d_i, p-1) (d_i = 0 past
-    the rank), each c the coset of x = U^-1 c.  H_S acts freely, so each
-    coset is one orbit of |H_S| = (p-1)^|S| / prod gcd(d_i, p-1) points,
-    and X is T-invariant, so a coset lies on X when its representative
-    does: a monomial's log at x = U^-1 c is (l U^-1) c, for its exponent
-    row l.  A support where one monomial alone survives holds no point.
-    One Smith form per zero mask; no point outside the representatives is
-    built.  A field that is not prime raises TooLarge, and so does a box
-    that would take the coset tests past POINT_CAP, before it is tested:
-    the full support comes first and carries the whole box, about (p-1)^2
-    cosets.
+    """The T(F_p)-orbits of X(F_p), one (representative, size) pair each:
+    those of every stratum U(S) (strata.stratum_orbits), one Smith form
+    per zero mask; no point outside the representatives is built.  A field
+    that is not prime raises TooLarge, and so does a box that would take
+    the coset tests past POINT_CAP, before it is tested: the full support
+    comes first and carries the whole box, about (p-1)^2 cosets.
     """
-    p = fld.modulus
-    if p is None:
+    if fld.modulus is None:
         raise TooLarge("point enumeration needs a prime field")
-    order = p - 1
     n = shape.n
-    basis = torus_lattice(shape).vectors
-    root = fld.primitive_root()
-    power = [pow(root, k, p) for k in range(order)]
-    exps = shape.exponents
-    groups = [shape.group_indices(g) for g in range(3)]
     out = []
     tests = 0
     for zeros in range(1 << n):
-        support = [i for i in range(n) if not zeros >> i & 1]
-        alive = [grp for grp in groups if not any(zeros >> i & 1 for i in grp)]
-        if len(alive) == 1:
-            continue
-        D, U, _ = smith_normal_form([[vec[i] for vec in basis] for i in support])
-        moduli = [
-            gcd(D[i][i] if i < len(basis) else 0, order) for i in range(len(support))
-        ]
-        box = prod(moduli)
+        box, cosets = strata.stratum_orbits(
+            shape, fld, frozenset(i for i in range(n) if zeros >> i & 1)
+        )
         tests += box
         if tests > POINT_CAP:
             raise TooLarge(f"{tests} coset tests exceed the enumeration cap {POINT_CAP}")
-        size = order ** len(support) // box
-        inverse = unimodular_inverse(U)
-        logs = mat_mul(
-            [[exps[i] if i in grp else 0 for i in support] for grp in alive], inverse
-        )
-        for c in product(*map(range, moduli)):
-            if sum(power[sum(map(mul, row, c)) % order] for row in logs) % p:
-                continue
-            pt = [0] * n
-            for i, x in zip(support, mat_vec(inverse, c)):
-                pt[i] = power[x % order]
-            out.append((tuple(pt), size))
+        out.extend(cosets)
     return out
 
 

@@ -532,8 +532,8 @@ def _solve_torus_fp(fld, basis, rows, ratios):
         raise DlogUnsolvable(
             "the discrete-log system mod p-1 has no solution; raise p or retry"
         )
-    g = fld.primitive_root()
-    return [pow(g, e, p) for e in sol]
+    powers = fld.powers()
+    return [powers[e] for e in sol]
 
 
 def _solve_torus_q(fld, basis, rows, ratios):

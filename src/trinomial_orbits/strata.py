@@ -11,11 +11,13 @@ which singular torus strata cannot be separated by component membership.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
+from operator import mul
 
 from .errors import EmptyStratum, PointNotOnVariety
+from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
 from .records import record
-from .shapes import TrinomialShape, shape_fact
+from .shapes import TrinomialShape, shape_fact, torus_lattice
 
 
 @record(frozen=True)
@@ -125,34 +127,49 @@ def linked(shape: TrinomialShape, S, P) -> bool:
     return True
 
 
-def _nonzero_values(exps, p) -> dict:
-    """Monomial value -> the first sub-tuple of nonzero coordinates of one
-    group giving it (the empty group is the free term 1)."""
-    table = {1: ()}
-    for k, e in enumerate(exps, start=1):
-        size = (p - 1) // gcd(p - 1, *exps[:k])  # the values form this subgroup
-        powers = {}
-        for x in range(1, p):
-            powers.setdefault(pow(x, e, p), x)
-        nxt = {}
-        for m, sub in table.items():
-            for w, x in powers.items():
-                nxt.setdefault(m * w % p, sub + (x,))
-            if len(nxt) == size:
-                break
-        table = nxt
-    return table
+def stratum_orbits(shape: TrinomialShape, fld, S):
+    """The T(F_p)-orbits of U(S) over a prime field: the number of cosets
+    to test, and a lazy iterator of one (representative, size) pair each.
 
+    Write the nonzero coordinates of a point in discrete logs to the
+    field's primitive root.  On the points with support S^c (the nonzero
+    coordinates), T acts through H, the image mod p-1 of W, the rows of
+    the torus lattice basis at S^c.  The Smith form U W V = D turns
+    (Z/(p-1))^(S^c) / H into the box 0 <= c_i < gcd(d_i, p-1) (d_i = 0
+    past the rank), each c the coset of x = U^-1 c.  H acts freely, so each
+    coset is one orbit of |H| = (p-1)^|S^c| / prod gcd(d_i, p-1) points,
+    and X is T-invariant, so a coset lies on X when its representative
+    does: a monomial's log at x = U^-1 c is (l U^-1) c, for its exponent
+    row l.  The box size is known from the one Smith form, before any
+    coset is tested.  A stratum where one monomial alone survives holds no
+    point: (0, empty).
+    """
+    p = fld.modulus
+    order = p - 1
+    support = [i for i in range(shape.n) if i not in S]
+    alive = [grp for grp in map(shape.group_indices, range(3)) if not any(i in S for i in grp)]
+    if len(alive) == 1:
+        return 0, iter(())
+    basis = torus_lattice(shape).vectors
+    D, U, _ = smith_normal_form([[vec[i] for vec in basis] for i in support])
+    moduli = [gcd(D[i][i] if i < len(basis) else 0, order) for i in range(len(support))]
+    box = prod(moduli)
+    size = order ** len(support) // box
+    inverse = unimodular_inverse(U)
+    exps = shape.exponents
+    logs = mat_mul([[exps[i] if i in grp else 0 for i in support] for grp in alive], inverse)
+    power = fld.powers()
 
-def _nonzero_witness(shape: TrinomialShape, p: int, live):
-    """Nonzero coordinates of the live groups whose monomials sum to 0 over
-    F_p, one sub-tuple per live group, or None when there are none."""
-    *first, last = (_nonzero_values(shape.groups[g], p) for g in live)
-    for combo in product(*(t.items() for t in first)):
-        need = -sum(m for m, _ in combo) % p
-        if need in last:
-            return [sub for _, sub in combo] + [last[need]]
-    return None
+    def cosets():
+        for c in product(*map(range, moduli)):
+            if sum(power[sum(map(mul, row, c)) % order] for row in logs) % p:
+                continue
+            pt = [0] * shape.n
+            for i, x in zip(support, mat_vec(inverse, c)):
+                pt[i] = power[x % order]
+            yield tuple(pt), size
+
+    return box, cosets()
 
 
 def stratum_point(shape: TrinomialShape, fld, S):
@@ -161,8 +178,8 @@ def stratum_point(shape: TrinomialShape, fld, S):
     Vanishing variables are 0.  If at least two monomials survive S, all
     other variables are 1 except one adjusting variable v, solved from the
     one-remaining-monomial cancellation v^l = -(rest) via k-th roots.  When
-    no variable admits that root, over F_p the live groups' nonzero value
-    tables are searched for a point, so EmptyStratum(structural=False)
+    no variable admits that root, over F_p the point is the first
+    representative of stratum_orbits, so EmptyStratum(structural=False)
     means U(S) has no F_p-point; over Q it only means that construction
     found no witness, and U(S) may still have rational points.  With
     precisely one surviving monomial the stratum is empty over every field
@@ -208,12 +225,7 @@ def stratum_point(shape: TrinomialShape, fld, S):
             pt[v] = min(roots) if fld.modulus else max(roots)
             return finish(pt)
     if fld.modulus:
-        subs = _nonzero_witness(shape, fld.modulus, live)
-        if subs is not None:
-            pt = list(base)
-            for g, sub in zip(live, subs):
-                for i, x in zip(shape.group_indices(g), sub):
-                    pt[i] = x
+        for pt, _ in stratum_orbits(shape, fld, S)[1]:
             return finish(pt)
     raise EmptyStratum(
         "no coordinate admits the required root over this field", structural=False

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import trinomial_orbits
+from trinomial_orbits import strata
 from trinomial_orbits.cli import build_parser, run_cli
 
 SHAPE_A_JSON = '{"groups": [[1,2],[3],[3]], "aliases": {"T0_1":"x","T0_2":"y","T1_1":"z","T2_1":"s"}}'
@@ -199,6 +200,22 @@ class TestStrata:
         )
         assert code == 0
         assert data["witness_point"] == ["3", "3", "3"]
+
+    def test_set_builds_one_witness(self, capsys, monkeypatch):
+        # -2 is no square or sixth power mod 99991: the witness comes from
+        # the F_p fallback, the costly path, so it is built once
+        calls = []
+        real = strata.stratum_point
+        monkeypatch.setattr(strata, "stratum_point", lambda *a: calls.append(a) or real(*a))
+        code, out = run(
+            capsys, "strata", "--shape", "[[2],[2],[6]]", "--field", "Fp:99991", "--set", "[]",
+        )
+        assert code == 0 and len(calls) == 1
+        # the text output keeps the payload's key order
+        keys = [line.split(": ", 1)[0] for line in out.splitlines()]
+        assert keys == ["singular_components", "set", "containing_components", "witness_point"]
+        witness = json.loads(out.splitlines()[-1].split(": ", 1)[1])
+        assert len(witness) == 3 and "0" not in witness
 
     def test_set_as_bare_list(self, capsys):
         args = ("strata", "--shape", "[[1,1,2],[3],[3]]", "--field", "Fp:7")

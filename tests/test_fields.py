@@ -131,6 +131,15 @@ class TestArithmetic:
         for a in range(1, 13):
             assert pow(g, fld.dlog(a), 13) == a
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 101])
+    def test_dlog_inverts_the_power_table(self, p):
+        fld = PrimeField(p)
+        powers = fld.powers()
+        assert fld.powers() is powers and len(powers) == p - 1
+        assert powers == [pow(fld.primitive_root(), e, p) for e in range(p - 1)]
+        for e in range(p - 1):
+            assert fld.dlog(powers[e]) == e
+
 
 rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 gaussian = st.builds(GaussianRational, rationals, rationals)

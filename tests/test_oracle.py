@@ -140,7 +140,7 @@ class TestEnumeration:
         def no_box(*args):
             raise AssertionError("a coset box was tested past the cap")
 
-        monkeypatch.setattr(oracle, "product", no_box)
+        monkeypatch.setattr(strata, "product", no_box)
         with pytest.raises(TooLarge, match="9998000100 coset tests"):
             verify_all(shape_a, PrimeField(99991))
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, combinations
 
@@ -17,7 +18,7 @@ from trinomial_orbits import (
     validate_shape,
 )
 from trinomial_orbits.oracle import enumerate_points
-from trinomial_orbits.strata import n_set, var_set_from_names, var_set_to_json
+from trinomial_orbits.strata import n_set, stratum_orbits, var_set_from_names, var_set_to_json
 from conftest import singular_set, small_shapes
 
 
@@ -153,6 +154,24 @@ class TestNSet:
             stratum_point(shape, PrimeField(2), frozenset())
         assert not exc.value.structural
 
+    @pytest.mark.parametrize(
+        "groups,p", [([[2], [2], [6]], 99991), ([[4], [6], [3]], 1009), ([[2], [3], [3]], 13)]
+    )
+    def test_fallback_at_larger_primes(self, groups, p):
+        # -2 is no l-th power for any exponent l, so the k-th-root
+        # construction fails and the point is a stratum_orbits representative
+        shape, fld = validate_shape(groups), PrimeField(p)
+        assert not any(fld.kth_roots(p - 2, l) for l in set(shape.exponents))
+        pt = stratum_point(shape, fld, frozenset())
+        assert support_zero_set(shape, fld, pt) == frozenset()
+
+    def test_empty_at_larger_prime(self):
+        # T2_1 = 0 leaves x^2 + y^2, and -1 is no square mod 10007 = 3 (mod 4)
+        shape = validate_shape([[2], [2], [3]])
+        with pytest.raises(EmptyStratum) as exc:
+            stratum_point(shape, PrimeField(10007), frozenset([2]))
+        assert not exc.value.structural
+
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=80, deadline=None)
     def test_stratum_point_agrees_with_enumeration(self, shape, p):
@@ -165,6 +184,26 @@ class TestNSet:
             else:
                 with pytest.raises(EmptyStratum):
                     stratum_point(shape, fld, S)
+
+
+class TestStratumOrbits:
+    @pytest.mark.parametrize(
+        "groups,p", [([[1, 2], [3], [3]], 7), ([[2], [2], [3]], 13), ([[], [1, 3, 3], [3, 3]], 5)]
+    )
+    def test_orbits_partition_each_stratum(self, groups, p):
+        shape, fld = validate_shape(groups), PrimeField(p)
+        by_support = Counter(support_zero_set(shape, fld, pt) for pt in enumerate_points(shape, fld))
+        for S in all_subsets(shape.n):
+            box, cosets = stratum_orbits(shape, fld, S)
+            reps = list(cosets)
+            assert len(reps) <= box
+            assert all(support_zero_set(shape, fld, rep) == S for rep, _ in reps)
+            assert sum(size for _, size in reps) == by_support[S]
+
+    def test_one_live_monomial_has_no_box(self, shape_a, f7):
+        # z = s = 0 leaves x*y^2 alone
+        box, cosets = stratum_orbits(shape_a, f7, frozenset([2, 3]))
+        assert box == 0 and list(cosets) == []
 
 
 class TestLinked:
