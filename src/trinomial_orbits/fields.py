@@ -21,9 +21,10 @@ Q(i) is the characteristic-0 home of the derivations that need a square
 root of -1: Q has none, so over F_p those derivations take their exact
 divided powers from a twin over Q(i), reduced through i -> sqrt(-1) mod p.
 
-Prime fields are capped at p <= 10^5: root extraction and discrete
-logarithms are done by exhaustive scan, which is the whole point of the
-finite-field oracle (desk-scale, trivially correct).
+Prime fields are capped at p <= 10^5: each field builds one table of the
+powers of its primitive root, and discrete logarithms and k-th roots are
+read from it, which keeps the finite-field oracle desk-scale and plainly
+correct.
 """
 
 from __future__ import annotations
@@ -422,17 +423,30 @@ class PrimeField:
         return range(self.modulus)
 
     def kth_roots(self, a, k: int) -> set:
-        """All x in F_p with x^k = a, by exhaustive scan."""
+        """All x in F_p with x^k = a, read from the power table.
+
+        For a != 0 and h = gcd(k, p-1), x = g^e is a root iff
+        k e = dlog(a) (mod p-1): there are roots iff h divides dlog(a), and
+        then they are the h powers at e = e0 + j (p-1)/h.
+        """
         if k < 1:
             raise ValueError("k must be >= 1")
         a %= self.modulus
-        if k == 1:
+        if k == 1 or a == 0:
             return {a}
-        return {x for x in range(self.modulus) if pow(x, k, self.modulus) == a}
+        order = self.modulus - 1
+        h = gcd(k, order)
+        log = self.dlog(a)
+        if log % h:
+            return set()
+        step = order // h
+        e0 = log // h * pow(k // h, -1, step) % step
+        power = self.powers()
+        return {power[e] for e in range(e0, order, step)}
 
     def sqrt_minus_one(self):
-        """Smallest j with j^2 = -1, or None when p = 3 (mod 4); searched
-        once per field."""
+        """Smallest j with j^2 = -1, or None when p = 3 (mod 4); read from
+        kth_roots once per field."""
         if self._sqrt_minus_one is False:
             roots = self.kth_roots(self.modulus - 1, 2)
             self._sqrt_minus_one = min(roots) if roots else None

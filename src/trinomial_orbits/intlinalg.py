@@ -6,8 +6,9 @@ row lists.  The Smith form drives four consumers:
 * saturated kernel lattices (the torus of a trinomial hypersurface),
 * linear systems over Z and modulo a composite N (discrete-log systems
   mod p-1 for the orbit transporter),
-* the torus orbits of the flow oracle (coset representatives of the
-  torus image in (Z/(p-1))^S, through the inverse of U),
+* the torus orbits of each stratum over F_p (coset representatives of
+  the torus image in (Z/(p-1))^S, through U_inv from the same
+  elimination, read from the same cache as the solvers),
 * saturation certificates (a primitive basis has all invariant factors 1).
 """
 
@@ -60,20 +61,23 @@ def _xgcd(a: int, b: int):
 def smith_normal_form(A):
     """U @ A @ V = D with U, V unimodular and D in Smith normal form.
 
-    Returns (D, U, V).  A is not modified.  Pivots are improved with
+    Returns (D, U, V, U_inv).  A is not modified.  Pivots are improved with
     extended-gcd 2x2 transforms, so each clearing round replaces the pivot
     by a divisor of itself and the rounds per stage are logarithmic (plain
     subtraction pivoting blows up coefficients badly on dense matrices).
+    U_inv, the integer inverse of U, comes from the same elimination: each
+    row step on U is mirrored as its inverse column step on U_inv.
     """
     D = [list(row) for row in A]
     m = len(D)
     n = len(D[0]) if m else 0
     U = identity(m)
     V = identity(n)
+    Ui_t = identity(m)  # U_inv transposed, so its column steps are row steps
 
     def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        for M in (D, U, Ui_t):
+            M[i], M[j] = M[j], M[i]
 
     def swap_cols(i, j):
         for row in D:
@@ -87,6 +91,12 @@ def smith_normal_form(A):
             r1, r2 = M[i1], M[i2]
             M[i1] = [a * x + b * y for x, y in zip(r1, r2)]
             M[i2] = [c * x + d * y for x, y in zip(r1, r2)]
+        # U_inv takes the inverse step on its columns: e * [[d, -b], [-c, a]],
+        # the inverse of [[a, b], [c, d]] since e = ad - bc = +-1
+        e = a * d - b * c
+        r1, r2 = Ui_t[i1], Ui_t[i2]
+        Ui_t[i1] = [e * (d * x - c * y) for x, y in zip(r1, r2)]
+        Ui_t[i2] = [e * (a * y - b * x) for x, y in zip(r1, r2)]
 
     def col_transform(j1, j2, a, b, c, d):
         # (col j1, col j2) <- (a*c1 + b*c2, c*c1 + d*c2); ad - bc = +-1
@@ -149,55 +159,20 @@ def smith_normal_form(A):
         if D[t][t] < 0:
             D[t] = [-x for x in D[t]]
             U[t] = [-x for x in U[t]]
+            Ui_t[t] = [-x for x in Ui_t[t]]
         t += 1
-    return D, U, V
+    return D, U, V, [list(col) for col in zip(*Ui_t)]
 
 
 @lru_cache(maxsize=SMITH_CACHE_SIZE)
 def _smith_form(rows: tuple) -> tuple:
     """smith_normal_form of a matrix given as a tuple of row tuples, with
-    D, U and V as tuples of row tuples, so that no caller can change the
-    cached form.  The solvers meet the same torus system again and again
-    (one per transport, several per transport over Q)."""
+    D, U, V and U_inv as tuples of row tuples, so that no caller can change
+    the cached form.  The solvers meet the same torus system again and
+    again (one per transport, several per transport over Q), and so do the
+    stratum quotients: their key, the lattice rows at S^c, does not depend
+    on p, so one entry serves every prime and every repeated census."""
     return tuple(tuple(map(tuple, M)) for M in smith_normal_form(rows))
-
-
-def unimodular_inverse(U):
-    """The integer inverse of a square integer matrix of determinant +-1.
-
-    Gauss-Jordan elimination on [U | I] with Euclidean row steps: each
-    column's pivot is its smallest nonzero entry on or below the diagonal,
-    the rows beneath it keep their remainders, and the rounds repeat until
-    the column is cleared below the pivot, so every entry stays an
-    integer.  A pivot other than +-1 means U is not unimodular:
-    ValueError.
-    """
-    n = len(U)
-    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(U)]
-    for k in range(n):
-        while True:
-            live = [i for i in range(k, n) if M[i][k]]
-            if not live:
-                raise ValueError("matrix is singular")
-            top = min(live, key=lambda i: abs(M[i][k]))
-            M[k], M[top] = M[top], M[k]
-            pivot = M[k]
-            for i in range(k + 1, n):
-                q = M[i][k] // pivot[k]
-                if q:
-                    M[i] = [a - q * b for a, b in zip(M[i], pivot)]
-            if not any(M[i][k] for i in range(k + 1, n)):
-                break
-        if abs(M[k][k]) != 1:
-            raise ValueError("matrix is not unimodular")
-        if M[k][k] < 0:
-            M[k] = [-a for a in M[k]]
-    for k in reversed(range(n)):
-        for i in range(k):
-            q = M[i][k]
-            if q:
-                M[i] = [a - q * b for a, b in zip(M[i], M[k])]
-    return [row[n:] for row in M]
 
 
 def kernel_basis(A):
@@ -210,7 +185,7 @@ def kernel_basis(A):
     n = len(A[0]) if m else 0
     if n == 0:
         return []
-    D, _, V = smith_normal_form(A)
+    D, _, V, _ = smith_normal_form(A)
     rank = sum(1 for i in range(min(m, n)) if D[i][i])
     # columns of V beyond the rank span the kernel
     return [[V[i][j] for i in range(n)] for j in range(rank, n)]
@@ -228,7 +203,7 @@ def solve_mod(A, b, N: int):
     n = len(A[0]) if m else 0
     if m == 0:
         return [0] * n
-    D, U, V = _smith_form(tuple(map(tuple, A)))
+    D, U, V, _ = _smith_form(tuple(map(tuple, A)))
     c = mat_vec(U, b)
     y = [0] * n
     for i in range(m):
@@ -254,7 +229,7 @@ def solve_int(A, b):
     n = len(A[0]) if m else 0
     if m == 0:
         return [0] * n
-    D, U, V = _smith_form(tuple(map(tuple, A)))
+    D, U, V, _ = _smith_form(tuple(map(tuple, A)))
     c = mat_vec(U, b)
     y = [0] * n
     for i in range(m):

@@ -415,24 +415,10 @@ def constraint_rows(shape: TrinomialShape):
     span of the equation iff the three monomials get equal weight, i.e.
     <l0,a0> = <l1,a1> = <l2,a2> (the free term forcing weight 0).
     """
-    n = shape.n
+    m0, m1, m2 = map(shape.monomial_exps, range(3))
     if shape.is_free_term:
-        rows = []
-        for g in (1, 2):
-            row = [0] * n
-            for idx in shape.group_indices(g):
-                row[idx] = shape.exponents[idx]
-            rows.append(row)
-        return rows
-    rows = []
-    for g in (0, 1):
-        row = [0] * n
-        for idx in shape.group_indices(g):
-            row[idx] = shape.exponents[idx]
-        for idx in shape.group_indices(g + 1):
-            row[idx] = -shape.exponents[idx]
-        rows.append(row)
-    return rows
+        return [list(m1), list(m2)]
+    return [[x - y for x, y in zip(m0, m1)], [x - y for x, y in zip(m1, m2)]]
 
 
 @shape_fact

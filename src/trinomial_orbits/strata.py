@@ -15,7 +15,7 @@ from math import gcd, prod
 from operator import mul
 
 from .errors import EmptyStratum, PointNotOnVariety
-from .intlinalg import mat_mul, mat_vec, smith_normal_form, unimodular_inverse
+from .intlinalg import _smith_form, mat_mul, mat_vec
 from .records import record
 from .shapes import TrinomialShape, shape_fact, torus_lattice
 
@@ -140,9 +140,11 @@ def stratum_orbits(shape: TrinomialShape, fld, S):
     coset is one orbit of |H| = (p-1)^|S^c| / prod gcd(d_i, p-1) points,
     and X is T-invariant, so a coset lies on X when its representative
     does: a monomial's log at x = U^-1 c is (l U^-1) c, for its exponent
-    row l.  The box size is known from the one Smith form, before any
-    coset is tested.  A stratum where one monomial alone survives holds no
-    point: (0, empty).
+    row l.  D and U^-1 come from one elimination, kept in the Smith-form
+    cache under W alone, so every prime and every repeated census reads
+    the same entry; the box size is known from it before any coset is
+    tested.  A stratum where one monomial alone survives holds no point:
+    (0, empty).
     """
     p = fld.modulus
     order = p - 1
@@ -151,11 +153,10 @@ def stratum_orbits(shape: TrinomialShape, fld, S):
     if len(alive) == 1:
         return 0, iter(())
     basis = torus_lattice(shape).vectors
-    D, U, _ = smith_normal_form([[vec[i] for vec in basis] for i in support])
+    D, _, _, inverse = _smith_form(tuple(tuple(vec[i] for vec in basis) for i in support))
     moduli = [gcd(D[i][i] if i < len(basis) else 0, order) for i in range(len(support))]
     box = prod(moduli)
     size = order ** len(support) // box
-    inverse = unimodular_inverse(U)
     exps = shape.exponents
     logs = mat_mul([[exps[i] if i in grp else 0 for i in support] for grp in alive], inverse)
     power = fld.powers()

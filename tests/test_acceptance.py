@@ -222,7 +222,7 @@ def test_criterion_7_lattice_suite():
         rows = constraint_rows(shape)
         for vec in lattice.vectors:
             assert all(x == 0 for x in mat_vec(rows, list(vec)))
-        D, _, _ = smith_normal_form([list(v) for v in lattice.vectors])
+        D, _, _, _ = smith_normal_form([list(v) for v in lattice.vectors])
         assert all(D[i][i] == 1 for i in range(len(D)))  # saturated
 
     # realized component count per M over F_7 equals d = 3 for shape A

@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from trinomial_orbits import intlinalg
@@ -12,7 +11,6 @@ from trinomial_orbits.intlinalg import (
     smith_normal_form,
     solve_int,
     solve_mod,
-    unimodular_inverse,
 )
 
 
@@ -55,14 +53,14 @@ class TestSmith:
     @given(matrices)
     @settings(max_examples=200, deadline=None)
     def test_uav_equals_d_and_unimodular(self, A):
-        D, U, V = smith_normal_form(A)
+        D, U, V, _ = smith_normal_form(A)
         assert mat_mul(mat_mul(U, A), V) == D
         assert is_smith(D)
         assert det(U) in (1, -1)
         assert det(V) in (1, -1)
 
     def test_known_form(self):
-        D, _, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
+        D, _, _, _ = smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
         assert [D[i][i] for i in range(3)] == [2, 2, 156]
 
     def test_dense_matrices_terminate_fast(self):
@@ -73,28 +71,21 @@ class TestSmith:
         for _ in range(40):
             m, n = rng.randrange(1, 7), rng.randrange(1, 7)
             A = [[rng.randint(-60, 60) for _ in range(n)] for _ in range(m)]
-            D, U, V = smith_normal_form(A)
+            D, U, V, U_inv = smith_normal_form(A)
             assert mat_mul(mat_mul(U, A), V) == D
             assert is_smith(D)
+            assert mat_mul(U, U_inv) == mat_mul(U_inv, U) == identity(m)
 
     def test_invariant_factors_divide(self):
-        D, _, _ = smith_normal_form([[2, 0], [0, 4]])
+        D, _, _, _ = smith_normal_form([[2, 0], [0, 4]])
         assert [D[0][0], D[1][1]] == [2, 4]
 
     @given(matrices)
     @settings(max_examples=200, deadline=None)
     def test_unimodular_inverse(self, A):
-        _, U, V = smith_normal_form(A)
-        for M in (U, V):
-            assert mat_mul(M, unimodular_inverse(M)) == identity(len(M))
-            assert mat_mul(unimodular_inverse(M), M) == identity(len(M))
-
-    def test_unimodular_inverse_refuses(self):
-        assert unimodular_inverse([]) == []
-        with pytest.raises(ValueError):
-            unimodular_inverse([[2, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            unimodular_inverse([[1, 2], [2, 4]])
+        # U_inv comes from the elimination's own row steps, not a second solve
+        _, U, _, U_inv = smith_normal_form(A)
+        assert mat_mul(U, U_inv) == mat_mul(U_inv, U) == identity(len(U))
 
 
 class TestKernel:
@@ -109,7 +100,7 @@ class TestKernel:
     def test_kernel_is_saturated(self, A):
         basis = kernel_basis(A)
         if basis:
-            D, _, _ = smith_normal_form(basis)
+            D, _, _, _ = smith_normal_form(basis)
             assert all(D[i][i] == 1 for i in range(len(D)))
 
     def test_rank_nullity(self):
@@ -170,8 +161,9 @@ class TestSmithCache:
         A = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
         b = [2, 6, 10]
         first = solve_int(A, b)
-        D, U, V = intlinalg._smith_form(tuple(map(tuple, A)))
-        assert all(isinstance(row, tuple) for M in (D, U, V) for row in M)
+        forms = intlinalg._smith_form(tuple(map(tuple, A)))
+        assert len(forms) == 4  # D, U, V and U_inv
+        assert all(isinstance(row, tuple) for M in forms for row in M)
         A[0][0] = 3  # the key is a copy: the caller's matrix may change
         assert solve_int([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], b) == first
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -552,6 +553,21 @@ class TestFlowRegularity:
         reps = oracle.torus_orbits(shape_h2, PrimeField(13))
         assert len(reps) == 27
         assert sum(size for _, size in reps) == 28561
+
+    @pytest.mark.parametrize(
+        "groups,p,count,digest",
+        [
+            (SHAPE_D, 13, 48, "e15486bb1c013f65"),
+            (SHAPE_H2, 13, 27, "aa21d458b7914adf"),
+            (SHAPE_A, 37, 50, "81403307cc4ea531"),
+            (SHAPE_E, 7, 45, "6a220de0d3b4e0ef"),
+        ],
+    )
+    def test_torus_orbit_representatives_are_pinned(self, groups, p, count, digest):
+        # the sampled checks draw from these lists, so their points must not move
+        reps = list(oracle.torus_orbits(validate_shape(groups), PrimeField(p)))
+        assert len(reps) == count
+        assert hashlib.sha256(repr(reps).encode()).hexdigest()[:16] == digest
 
     @staticmethod
     def assert_orbit_kernel(shape, fld, sample):

@@ -232,7 +232,7 @@ class TestTorusLattice:
     def test_saturated(self):
         for raw in CURATED:
             basis = [list(v) for v in torus_lattice(validate_shape(raw)).vectors]
-            D, _, _ = smith_normal_form(basis)
+            D, _, _, _ = smith_normal_form(basis)
             assert all(D[i][i] == 1 for i in range(len(D)))
 
     def test_shape_a_constraint_meaning(self, shape_a):
