@@ -65,16 +65,14 @@ class Derivation:
         self._image_terms = [(v, p.terms.items()) for v, p in self.images.items()]
         self.family = family
         self.params = tuple(params)
+        # family and params never change, so neither does the designator
+        self.designator = (
+            "custom" if family == "custom" else f"{family}:{','.join(map(str, self.params))}"
+        )
         self._qlift = None
         self._twin_field = None  # the catalog field of a twin not yet looked up
         self._series = {}
         self._flow = None
-
-    @property
-    def designator(self) -> str:
-        if self.family == "custom":
-            return "custom"
-        return f"{self.family}:{','.join(str(p) for p in self.params)}"
 
     def __repr__(self):
         return f"Derivation({self.designator})"

@@ -73,7 +73,7 @@ class DifferentOrbits(MathDomainError):
 
 
 class DlogUnsolvable(MathDomainError):
-    """The discrete-log linear system mod p-1 has no solution; raise p or retry."""
+    """No torus element over F_p matches the coordinate ratios."""
 
     code = "dlog_unsolvable"
 

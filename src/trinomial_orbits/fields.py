@@ -480,8 +480,25 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("dlog of 0")
         if self._dlog_table is None:
-            self._dlog_table = {x: e for e, x in enumerate(self.powers())}
+            table = [0] * self.modulus  # indexed by the residue; 0 has no log
+            for e, x in enumerate(self.powers()):
+                table[x] = e
+            self._dlog_table = table
         return self._dlog_table[a]
+
+
+def power_product(fld, bases, exponents):
+    """prod b^e over the pairs, in fld, with one inverse: of the product of
+    the negative-exponent powers (a zero base there raises
+    ZeroDivisionError)."""
+    num, den = fld.one, None
+    for b, e in zip(bases, exponents):
+        if e > 0:
+            num = fld.mul(num, fld.pow(b, e))
+        elif e < 0:
+            power = fld.pow(b, -e)
+            den = power if den is None else fld.mul(den, power)
+    return num if den is None else fld.mul(num, fld.inv(den))
 
 
 def factor(n: int) -> dict:

@@ -1,21 +1,20 @@
-"""Exact integer linear algebra: Smith normal form and lattice solvers.
+"""Exact integer linear algebra: Smith normal form and kernel lattices.
 
 Everything is plain Python ints (no overflow).  Matrices are lists of
 row lists.  The Smith form drives four consumers:
 
 * saturated kernel lattices (the torus of a trinomial hypersurface),
-* linear systems over Z and modulo a composite N (discrete-log systems
-  mod p-1 for the orbit transporter),
+* the transporter's torus step, which solves prod_j mu_j^(A_ij) = r_i in
+  the unit group K^* through U, D and V (orbits._solve_torus),
 * the torus orbits of each stratum over F_p (coset representatives of
   the torus image in (Z/(p-1))^S, through U_inv from the same
-  elimination, read from the same cache as the solvers),
+  elimination, read from the same cache as the torus step),
 * saturation certificates (a primitive basis has all invariant factors 1).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 SMITH_CACHE_SIZE = 32
 
@@ -168,10 +167,10 @@ def smith_normal_form(A):
 def _smith_form(rows: tuple) -> tuple:
     """smith_normal_form of a matrix given as a tuple of row tuples, with
     D, U, V and U_inv as tuples of row tuples, so that no caller can change
-    the cached form.  The solvers meet the same torus system again and
-    again (one per transport, several per transport over Q), and so do the
-    stratum quotients: their key, the lattice rows at S^c, does not depend
-    on p, so one entry serves every prime and every repeated census."""
+    the cached form.  The transporter's torus step meets the same exponent
+    matrix again and again (one per transport), and so do the stratum
+    quotients: their key, the lattice rows at S^c, does not depend on p, so
+    one entry serves every prime and every repeated census."""
     return tuple(tuple(map(tuple, M)) for M in smith_normal_form(rows))
 
 
@@ -189,56 +188,3 @@ def kernel_basis(A):
     rank = sum(1 for i in range(min(m, n)) if D[i][i])
     # columns of V beyond the rank span the kernel
     return [[V[i][j] for i in range(n)] for j in range(rank, n)]
-
-
-def solve_mod(A, b, N: int):
-    """One solution x of A x = b (mod N), or None.
-
-    Standard Smith reduction: with U A V = D the system becomes
-    D y = U b (mod N), solved coordinatewise, then x = V y.
-    """
-    if N <= 0:
-        raise ValueError("modulus must be positive")
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    D, U, V, _ = _smith_form(tuple(map(tuple, A)))
-    c = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        ci = c[i] % N
-        if d == 0:
-            if ci % N:
-                return None
-            continue
-        g = gcd(d, N)
-        if ci % g:
-            return None
-        # d*y = ci (mod N)  <=>  (d/g) y = ci/g (mod N/g)
-        Ng = N // g
-        y[i] = (ci // g) * pow(d // g, -1, Ng) % Ng if Ng > 1 else 0
-    x = mat_vec(V, y)
-    return [v % N for v in x]
-
-
-def solve_int(A, b):
-    """One solution x of A x = b over Z, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    D, U, V, _ = _smith_form(tuple(map(tuple, A)))
-    c = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        d = D[i][i] if i < min(m, n) else 0
-        if d == 0:
-            if c[i]:
-                return None
-            continue
-        if c[i] % d:
-            return None
-        y[i] = c[i] // d
-    return mat_vec(V, y)

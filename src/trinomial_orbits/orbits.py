@@ -20,8 +20,6 @@ point to another inside the open or component strata.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import intlinalg, strata
 from .derivations import catalog_index
 from .errors import (
@@ -34,7 +32,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .families import family_of
-from .fields import factor
+from .fields import power_product
 from .records import fields, record
 from .shapes import (
     TrinomialShape,
@@ -521,61 +519,32 @@ class AutWord:
         return cls(tuple(steps))
 
 
-def _solve_torus_fp(fld, basis, rows, ratios):
-    """Multipliers mu for the lattice basis with prod mu^basis = ratio on
-    the given coordinate rows, over a prime field (discrete logs)."""
-    p = fld.modulus
-    A = [[vec[i] for vec in basis] for i in rows]
-    R = [fld.dlog(r) for r in ratios]
-    sol = intlinalg.solve_mod(A, R, p - 1)
-    if sol is None:
-        raise DlogUnsolvable(
-            "the discrete-log system mod p-1 has no solution; raise p or retry"
-        )
-    powers = fld.powers()
-    return [powers[e] for e in sol]
+def _solve_torus(fld, basis, rows, ratios):
+    """Multipliers mu for the lattice basis with prod_j mu_j^basis[j][i] =
+    ratio on each given coordinate row i.
 
-
-def _solve_torus_q(fld, basis, rows, ratios):
-    """Rational multipliers: per-prime integer systems plus a sign system."""
-    A = [[vec[i] for vec in basis] for i in rows]
-    primes = set()
-    vals = []
-    signs = []
-    for r in ratios:
-        r = Fraction(r)
-        num, den = r.numerator, r.denominator
-        signs.append(0 if num > 0 else 1)
-        fac = {}
-        for pr, e in factor(abs(num)).items():
-            fac[pr] = fac.get(pr, 0) + e
-        for pr, e in factor(den).items():
-            fac[pr] = fac.get(pr, 0) - e
-        vals.append(fac)
-        primes.update(fac)
-    exps = {}
-    for pr in sorted(primes):
-        target = [v.get(pr, 0) for v in vals]
-        sol = intlinalg.solve_int(A, target)
-        if sol is None:
-            raise RootUnavailable(
-                f"no rational torus element matches the coordinate ratios "
-                f"(prime {pr} obstructs)"
-            )
-        exps[pr] = sol
-    sign_sol = intlinalg.solve_mod(A, signs, 2)
-    if sign_sol is None:
-        raise RootUnavailable(
-            "no rational torus element matches the coordinate ratios (signs obstruct)"
-        )
-    k = len(basis)
-    mus = []
-    for i in range(k):
-        mu = Fraction(-1 if sign_sol[i] % 2 else 1)
-        for pr, sol in exps.items():
-            mu *= Fraction(pr) ** sol[i]
-        mus.append(mu)
-    return mus
+    The unit group K^* is abelian, so the Smith form U A V = D of the
+    exponent matrix A solves the system in it as over Z, with the field's
+    own products and roots: c = r^U, then y_l^(d_l) = c_l coordinatewise
+    (c_l = 1 past the rank, the smallest d_l-th root for d_l > 1), then
+    mu = y^V.  No coordinate is factored, and over F_p a discrete log is
+    read only for a d_l > 1, by kth_roots."""
+    if not rows:
+        return [fld.one] * len(basis)
+    A = tuple(tuple(vec[i] for vec in basis) for i in rows)
+    D, U, V, _ = intlinalg._smith_form(A)
+    ys = [fld.one] * len(basis)
+    for i, row in enumerate(U):
+        c = power_product(fld, ratios, row)
+        d = D[i][i] if i < len(ys) else 0
+        if d == 1:
+            ys[i] = c
+        elif d > 1 and (roots := fld.kth_roots(c, d)):
+            ys[i] = min(roots)
+        elif d > 1 or c != fld.one:
+            unsolvable = RootUnavailable if fld.modulus is None else DlogUnsolvable
+            raise unsolvable("no torus element matches the coordinate ratios")
+    return [power_product(fld, ys, row) for row in V]
 
 
 def _torus_step(shape, fld, src, dst, rows):
@@ -584,11 +553,7 @@ def _torus_step(shape, fld, src, dst, rows):
         return None, tuple(src)
     basis = torus_lattice(shape).vectors
     ratios = [fld.div(dst[i], src[i]) for i in rows]
-    if fld.modulus is None:
-        mus = _solve_torus_q(fld, basis, rows, ratios)
-    else:
-        mus = _solve_torus_fp(fld, basis, rows, ratios)
-    step = TorusStep(torus_scaling(shape, fld, mus))
+    step = TorusStep(torus_scaling(shape, fld, _solve_torus(fld, basis, rows, ratios)))
     cur = step.apply(fld, src)
     for i in rows:
         if cur[i] != dst[i]:

@@ -22,6 +22,7 @@ from math import gcd
 
 from . import intlinalg
 from .errors import DegenerateShape, EmptyGroup12, NonPositiveExponent, ShapeError
+from .fields import power_product
 from .polynomials import PolyRing, Polynomial
 from .records import field, record
 
@@ -437,26 +438,16 @@ def torus_scaling(shape: TrinomialShape, fld, multipliers):
 
     Building elements through the lattice parametrization (never
     coordinatewise) is what keeps them in the neutral component.  Each
-    coordinate takes one power per nonzero exponent and at most one
-    inverse, of the product of its negative-exponent powers (a zero
-    multiplier there raises ZeroDivisionError).
+    coordinate is the power product of the multipliers over its column of
+    exponents (a zero multiplier at a negative exponent raises
+    ZeroDivisionError).
     """
     basis = torus_lattice(shape).vectors
     if len(multipliers) != len(basis):
         raise ValueError("one multiplier per basis vector")
     if not basis:
         return (fld.one,) * shape.n
-    coords = []
-    for column in zip(*basis):
-        num, den = fld.one, None
-        for mu, e in zip(multipliers, column):
-            if e > 0:
-                num = fld.mul(num, fld.pow(mu, e))
-            elif e < 0:
-                power = fld.pow(mu, -e)
-                den = power if den is None else fld.mul(den, power)
-        coords.append(num if den is None else fld.mul(num, fld.inv(den)))
-    return tuple(coords)
+    return tuple(power_product(fld, multipliers, column) for column in zip(*basis))
 
 
 # ---------------------------------------------------------------------------

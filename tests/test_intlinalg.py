@@ -1,5 +1,3 @@
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from trinomial_orbits import intlinalg
@@ -9,8 +7,6 @@ from trinomial_orbits.intlinalg import (
     mat_mul,
     mat_vec,
     smith_normal_form,
-    solve_int,
-    solve_mod,
 )
 
 
@@ -108,68 +104,34 @@ class TestKernel:
         assert len(kernel_basis(A)) == 2
 
 
-class TestSolvers:
-    @given(matrices, st.integers(2, 30))
-    @settings(max_examples=150, deadline=None)
-    def test_solve_mod_verifies(self, A, N):
-        rng = random.Random(0)
-        x0 = [rng.randrange(-5, 6) for _ in A[0]]
-        b = [v % N for v in mat_vec(A, x0)]
-        x = solve_mod(A, b, N)
-        assert x is not None
-        assert [v % N for v in mat_vec(A, x)] == b
+class TestSmithCache:
+    """The Smith forms are read from one bounded cache."""
 
     @given(matrices)
     @settings(max_examples=150, deadline=None)
-    def test_solve_int_verifies(self, A):
-        rng = random.Random(1)
-        x0 = [rng.randrange(-5, 6) for _ in A[0]]
-        b = mat_vec(A, x0)
-        x = solve_int(A, b)
-        assert x is not None
-        assert mat_vec(A, x) == b
-
-    def test_unsolvable_cases(self):
-        assert solve_int([[2]], [3]) is None
-        assert solve_mod([[2]], [1], 4) is None
-        assert solve_mod([[0]], [1], 5) is None
-
-    def test_empty_system(self):
-        assert solve_mod([], [], 7) == []
-        assert mat_mul(identity(2), identity(2)) == identity(2)
-
-
-class TestSmithCache:
-    """solve_mod and solve_int read one bounded cache of Smith forms."""
-
-    @given(matrices, st.integers(2, 30), st.integers(0, 10**6))
-    @settings(max_examples=150, deadline=None)
-    def test_cached_equals_uncached(self, A, N, seed):
-        rng = random.Random(seed)
-        b = [rng.randrange(-20, 21) for _ in A]
-        cached = (solve_mod(A, b, N), solve_int(A, b))
-        again = (solve_mod(A, b, N), solve_int(A, b))  # from the cache now
-        real = intlinalg._smith_form
-        try:
-            intlinalg._smith_form = lambda rows: smith_normal_form(rows)
-            uncached = (solve_mod(A, b, N), solve_int(A, b))
-        finally:
-            intlinalg._smith_form = real
+    def test_cached_equals_uncached(self, A):
+        key = tuple(map(tuple, A))
+        cached = intlinalg._smith_form(key)
+        again = intlinalg._smith_form(key)  # from the cache now
+        uncached = tuple(tuple(map(tuple, M)) for M in smith_normal_form(A))
         assert cached == again == uncached
 
     def test_cached_forms_cannot_change(self):
         A = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-        b = [2, 6, 10]
-        first = solve_int(A, b)
         forms = intlinalg._smith_form(tuple(map(tuple, A)))
         assert len(forms) == 4  # D, U, V and U_inv
+        assert all(isinstance(M, tuple) for M in forms)
         assert all(isinstance(row, tuple) for M in forms for row in M)
         A[0][0] = 3  # the key is a copy: the caller's matrix may change
-        assert solve_int([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], b) == first
+        again = intlinalg._smith_form(((2, 4, 4), (-6, 6, 12), (10, -4, -16)))
+        assert again is forms
+        assert again == tuple(
+            tuple(map(tuple, M)) for M in smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        )
 
     def test_cache_is_bounded(self):
         for k in range(3 * intlinalg.SMITH_CACHE_SIZE):
-            solve_mod([[k + 1, 2]], [1], 7)
+            intlinalg._smith_form(((k + 1, 2),))
         info = intlinalg._smith_form.cache_info()
         assert info.maxsize == intlinalg.SMITH_CACHE_SIZE
         assert info.currsize <= intlinalg.SMITH_CACHE_SIZE

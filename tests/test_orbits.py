@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,12 +15,15 @@ from trinomial_orbits import (
     BigO,
     ConjectureNotAssumed,
     DifferentOrbits,
+    DlogUnsolvable,
     MathDomainError,
     OMeps,
     O1,
     O2,
     PointNotOnVariety,
     PrimeField,
+    QQ,
+    RootUnavailable,
     TrinomialShape,
     UnsupportedFamily,
     classify_point,
@@ -29,6 +34,7 @@ from trinomial_orbits import (
     ml_generators,
     orbit_count,
     orbits,
+    parse_field,
     saut_descriptor,
     transport,
     validate_shape,
@@ -46,10 +52,11 @@ from trinomial_orbits.orbits import (
     TorusStep,
     TorusStratum,
     AutWord,
+    _solve_torus,
 )
 from trinomial_orbits.oracle import build_census, enumerate_points, point_count
 from trinomial_orbits.shapes import symmetry_group, torus_lattice, torus_scaling
-from conftest import power_one_shapes, singular_set, small_shapes
+from conftest import SHAPE_A, SHAPE_D, power_one_shapes, singular_set, small_shapes
 
 
 class TestFamilies:
@@ -344,6 +351,56 @@ class TestGluingUnderSymmetries:
         self.check_listing(shape)
 
 
+def same_orbit_pairs(shape, fld, count, seed):
+    """Seeded pairs of points in one open or component orbit of a shape
+    whose z and s groups are single cubes (A and D).  An open pair has
+    every y nonzero and x solved from the equation; a component pair has y
+    zero on a nonempty M, the other ys nonzero, any x, and s = w z for one
+    cube root w of -1 per pair."""
+    rng = random.Random(seed)
+    view = family_of(shape).f1
+    gx = shape.group_of(view.x)
+    (z,), (s,) = view.zs, view.ss
+    roots = sorted(fld.kth_roots(fld.neg(fld.one), 3))
+
+    def unit():
+        if fld.modulus is None:
+            return F(rng.choice((-1, 1)) * rng.randint(1, 30), rng.randint(1, 30))
+        return rng.randrange(1, fld.modulus)
+
+    def point(M, w):
+        pt = [unit() for _ in range(shape.n)]
+        if M:
+            for k in M:
+                pt[view.ys[k]] = fld.zero
+            pt[s] = fld.mul(w, pt[z])
+        else:
+            x_one = pt[:view.x] + [fld.one] + pt[view.x + 1:]
+            rest = fld.add(*(shape.monomial_value(fld, pt, g) for g in range(3) if g != gx))
+            pt[view.x] = fld.div(fld.neg(rest), shape.monomial_value(fld, x_one, gx))
+        return tuple(pt)
+
+    pairs = []
+    for _ in range(count):
+        M = [k for k in range(view.m) if rng.random() < 0.5] if rng.random() < 0.5 else []
+        w = rng.choice(roots)
+        pairs.append((point(M, w), point(M, w)))
+    return pairs
+
+
+# sha256 of the JSON list of words for same_orbit_pairs(shape, field, 40,
+# "<name>/<field>"), recorded from the per-prime integer and discrete-log
+# solvers that the solve in K^* replaced: the words must not change
+PINNED_WORDS = {
+    ("A", "Q"): "8dee19d88099f8e82c84f9fb20617c36b9bc813b9681aab4276a0a7a37faa26e",
+    ("A", "Fp:13"): "34bbe9735943c7bb1c969fee930668d41a24b942470b51f4bd0c6bde21abf993",
+    ("A", "Fp:101"): "b5bb507870ad24b8b296c56f0de30874049ac749ea727d6682ee916d50109aa5",
+    ("D", "Q"): "fe68beec76293c1fcf2dd1c65626faf03dadabe63844f4d50d47e750ed0b2391",
+    ("D", "Fp:13"): "9ccc11065ce4cb93624056ba9ddd7da7dc6e99d2fec973f96accaf0652eaa7bb",
+    ("D", "Fp:101"): "34f48087171eddcbda4e071a9f93acacfca189192a97647413aca5c46955becf",
+}
+
+
 class TestTransport:
     def test_hand_word_rational(self, shape_a, qq):
         src = (F(-2), F(1), F(1), F(1))
@@ -527,6 +584,73 @@ class TestTransport:
         perm = symmetry_group(shape_a).generators[0]  # z <-> s swap
         word = AutWord((PermStep(perm),))
         assert word.apply(shape_a, f7, (5, 0, 6, 1)) == (5, 0, 1, 6)
+
+    def test_height_of_points_costs_no_factoring(self, shape_a, qq):
+        # y scaled by the Mersenne prime 2^61 - 1: factoring the ratios by
+        # trial division would not finish
+        Y = F(2**61 - 1)
+        src, dst = (F(-9), F(1), F(1), F(2)), (F(-9) / Y**2, Y, F(1), F(2))
+        start = time.perf_counter()
+        word = transport(shape_a, qq, src, dst)
+        assert time.perf_counter() - start < 1.0
+        assert word.apply(shape_a, qq, src) == dst
+
+    @pytest.mark.parametrize("name, field", sorted(PINNED_WORDS))
+    def test_words_pinned(self, name, field):
+        shape = validate_shape({"A": SHAPE_A, "D": SHAPE_D}[name])
+        fld = parse_field(field)
+        words = []
+        for src, dst in same_orbit_pairs(shape, fld, 40, f"{name}/{field}"):
+            word = transport(shape, fld, src, dst)
+            assert word.apply(shape, fld, src) == dst
+            words.append(word.to_json(fld))
+        digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
+        assert digest == PINNED_WORDS[name, field]
+
+
+class TestSolveTorus:
+    """The torus step's system prod_j mu_j^(A_ij) = r_i, solved in K^*."""
+
+    @given(small_shapes(), st.sampled_from([None, 2, 3, 7, 13, 101]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reproduces_a_torus_element(self, shape, p, data):
+        fld = QQ if p is None else PrimeField(p)
+        basis = torus_lattice(shape).vectors
+        if p is None:
+            unit = st.builds(F, st.integers(1, 30) | st.integers(-30, -1), st.integers(1, 30))
+        else:
+            unit = st.integers(1, p - 1)
+        t = torus_scaling(shape, fld, data.draw(st.lists(unit, min_size=len(basis), max_size=len(basis))))
+        rows = data.draw(st.lists(st.integers(0, shape.n - 1), unique=True))
+        mus = _solve_torus(fld, basis, rows, [t[i] for i in rows])
+        got = torus_scaling(shape, fld, mus)
+        assert [got[i] for i in rows] == [t[i] for i in rows]
+
+    def test_invariant_factor_two_rational(self):
+        # mu^2 = r: the Smith diagonal is (2), which no shape's torus step
+        # has reached; the smallest square root of 4 is taken
+        assert _solve_torus(QQ, ((2,),), [0], [F(4)]) == [-2]
+        for r in (F(-4), F(2)):
+            with pytest.raises(RootUnavailable):
+                _solve_torus(QQ, ((2,),), [0], [r])
+
+    def test_invariant_factor_two_f7(self):
+        f7 = PrimeField(7)
+        assert _solve_torus(f7, ((2,),), [0], [2]) == [3]  # 3^2 = 4^2 = 2
+        with pytest.raises(DlogUnsolvable):
+            _solve_torus(f7, ((2,),), [0], [3])  # 3 is no square mod 7
+
+    def test_inconsistent_rows(self):
+        # mu = 2 and mu = 3 at once: the zero invariant factor's row needs c = 1
+        with pytest.raises(RootUnavailable):
+            _solve_torus(QQ, ((1, 1),), [0, 1], [F(2), F(3)])
+        with pytest.raises(DlogUnsolvable):
+            _solve_torus(PrimeField(7), ((1, 1),), [0, 1], [2, 3])
+        assert _solve_torus(PrimeField(7), ((1, 1),), [0, 1], [3, 3]) == [3]
+
+    def test_empty_rows(self):
+        assert _solve_torus(PrimeField(7), ((1, 0), (0, 1)), [], []) == [1, 1]
+        assert _solve_torus(QQ, ((1,),), [], []) == [1]
 
 
 class TestGluingOracle:
