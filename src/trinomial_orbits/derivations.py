@@ -15,8 +15,15 @@ equation F, for an exponent-1 variable and a variable of another group:
                 the two variants differ by the sign of that root (over F_2,
                 where it is 1 = -1, only delta+:i is built).
 
-Nilpotency and the in-field divided powers read one sequence, the reduced
-powers delta^k(v) mod F from the image of v, under one NILPOTENCY_CAP.
+An elementary derivation on (e, o), e of exponent 1 and o of exponent l,
+sends o -> +-dF/de and e -> -+dF/do.  dF/de contains neither e nor o, so
+delta^2(o) = 0 and delta^k(e) is a monomial with coefficient
+-+l(l-1)...(l-k+1); a nonzero monomial is never 0 mod F.  So the indices
+are o: 2, e: (l mod p) + 1 (l + 1 over Q), every other variable 1, and the
+catalog records them on the derivation.  Delta, custom and graded-part
+derivations find theirs, and the in-field divided powers, from one
+sequence: the reduced powers delta^k(v) mod F from the image of v.  Both
+read one NILPOTENCY_CAP.
 
 Flows exp(u*delta) are exact truncated exponentials.  Every catalog
 derivation over F_p carries a characteristic-0 twin: the derivation of the
@@ -71,6 +78,7 @@ class Derivation:
         )
         self._qlift = None
         self._twin_field = None  # the catalog field of a twin not yet looked up
+        self._indices = None  # closed-form nilpotency indices, set by _elementary
         self._series = {}
         self._flow = None
 
@@ -148,14 +156,27 @@ class Derivation:
             yield cur
             cur = self.derive(cur).reduce_mod(g)
         if not cur.is_zero():
-            raise Diverged(
-                f"no nilpotency on {self.ring.names[v]} within {NILPOTENCY_CAP} steps"
-            )
+            raise self._diverged(v)
+
+    def _diverged(self, v: int) -> Diverged:
+        return Diverged(f"no nilpotency on {self.ring.names[v]} within {NILPOTENCY_CAP} steps")
 
     def nilpotency_index(self, v: int) -> int:
-        """Least k >= 1 with derivation^k(variable v) = 0 mod the equation,
-        searched up to NILPOTENCY_CAP."""
-        return 1 + sum(1 for _ in self._reduced_powers(v))
+        """Least k >= 1 with derivation^k(variable v) = 0 mod the equation;
+        Diverged if it exceeds NILPOTENCY_CAP.
+
+        A catalog elementary derivation on (e, o), e of exponent 1 and o of
+        exponent l, reads its recorded indices: o: 2, e: (l mod p) + 1
+        (l + 1 over Q), any other variable 1.  dF/de contains neither e nor
+        o, so delta^k(e) is a monomial with coefficient -+l(l-1)...(l-k+1),
+        and a nonzero monomial is never 0 mod F.  Every other derivation
+        counts its reduced powers."""
+        if self._indices is None:
+            return 1 + sum(1 for _ in self._reduced_powers(v))
+        index = self._indices.get(v, 1)
+        if index > NILPOTENCY_CAP:
+            raise self._diverged(v)
+        return index
 
     # -- flows ----------------------------------------------------------------
 
@@ -293,9 +314,15 @@ def _push_poly(p: Polynomial, ring) -> Polynomial:
 def _elementary(shape, fld, partials, a, b, family, params):
     """The elementary derivation a -> dF/db, b -> -dF/da, for variables of
     different groups, one of exponent 1 (which makes it locally nilpotent;
-    it kills F by construction).  partials holds every dF/dv."""
+    it kills F by construction).  partials holds every dF/dv.  It records
+    the closed-form indices that nilpotency_index reads; e is the
+    exponent-1 variable (b when both are)."""
     images = {a: partials[b], b: -partials[a]}
-    return Derivation(shape, fld, images, family=family, params=params)
+    d = Derivation(shape, fld, images, family=family, params=params)
+    e, o = (b, a) if shape.exponents[b] == 1 else (a, b)
+    l, p = shape.exponents[o], fld.modulus
+    d._indices = {o: 2, e: (l % p if p else l) + 1}
+    return d
 
 
 def _build_gamma(shape, fld, partials):

@@ -323,6 +323,52 @@ class TestReducedPowersAgainstReference:
         assert D1.divided_power_series(1) == [shape_a.ring(qq).var(1)]
 
 
+ELEMENTARY_FAMILIES = ("gamma", "D", "E", "Dk", "Ek")
+CLOSED_FORM_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(101))
+
+
+class TestClosedFormIndices:
+    @given(small_shapes(), st.sampled_from(CLOSED_FORM_FIELDS))
+    @settings(max_examples=80, deadline=None)
+    def test_elementary_agrees_with_leibniz(self, shape, fld):
+        # the recorded indices against the Leibniz pass from the bare variable
+        flat = GradingWeight((0,) * shape.n)
+        for d in lnd_catalog(shape, fld):
+            assert (d._indices is not None) == (d.family in ELEMENTARY_FAMILIES), d
+            if d._indices is not None:
+                for v in range(shape.n):
+                    assert outcome(d.nilpotency_index, v) == outcome(
+                        ref_nilpotency_index, d, v), (d, fld, v)
+            assert Derivation(shape, fld, dict(d.images))._indices is None
+            assert all(part._indices is None for _, part in homogeneous_split(d, flat))
+
+    @pytest.mark.parametrize("fld", [QQ, PrimeField(101)])
+    @pytest.mark.parametrize("designator", ["gamma:1,1", "D:1"])
+    def test_index_past_the_cap_diverges(self, fld, designator):
+        # x = T0_1 next to T1_1^60: index 61 over Q and F_101
+        d = catalog_derivation(validate_shape([[1, 2], [60], [3]]), fld, designator)
+        with pytest.raises(Diverged, match=r"^no nilpotency on T0_1 within 50 steps$"):
+            d.nilpotency_index(0)
+
+    @pytest.mark.parametrize("designator", ["gamma:1,1", "D:1"])
+    def test_index_reduces_mod_p(self, designator):
+        # 60 = 4 mod 7
+        d = catalog_derivation(validate_shape([[1, 2], [60], [3]]), PrimeField(7), designator)
+        assert d.nilpotency_index(0) == 5
+
+    def test_exponent_divisible_by_p_leaves_x_unmoved(self):
+        # dF/dz = 7 z^6 = 0 over F_7
+        D1 = catalog_derivation(validate_shape([[1, 2], [7], [3]]), PrimeField(7), "D:1")
+        assert 0 not in D1.images
+        assert [D1.nilpotency_index(v) for v in range(4)] == [1, 1, 2, 1]
+
+    def test_catalog_index_costs_no_arithmetic(self, monkeypatch, shape_a, qq):
+        D1 = catalog_derivation(shape_a, qq, "D:1")
+        monkeypatch.setattr(Derivation, "derive", None)
+        monkeypatch.setattr(Polynomial, "reduce_mod", None)
+        assert [D1.nilpotency_index(v) for v in range(4)] == [4, 1, 2, 1]
+
+
 # -- a reference over Fractions only: each Q or Q(i) coefficient is a pair
 # (real, imaginary) of Fractions, whatever type the library keeps -----------
 
