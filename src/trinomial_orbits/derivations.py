@@ -15,31 +15,35 @@ equation F, for an exponent-1 variable and a variable of another group:
                 the two variants differ by the sign of that root (over F_2,
                 where it is 1 = -1, only delta+:i is built).
 
-An elementary derivation on (e, o), e of exponent 1 and o of exponent l,
-sends o -> +-dF/de and e -> -+dF/do.  dF/de contains neither e nor o, so
-delta^2(o) = 0 and delta^k(e) is a monomial with coefficient
--+l(l-1)...(l-k+1); a nonzero monomial is never 0 mod F.  So the indices
-are o: 2, e: (l mod p) + 1 (l + 1 over Q), every other variable 1, and the
-catalog records them on the derivation.  Delta, custom and graded-part
-derivations find theirs, and the in-field divided powers, from one
-sequence: the reduced powers delta^k(v) mod F from the image of v.  Both
-read one NILPOTENCY_CAP.
+Every catalog derivation is elementary in suitable coordinates, and is
+built from one record (s, l, w, {t: c_t}): it sends the local slice s to
+w and each other moved variable t to c_t * d(s^l)/ds, with w and every
+c_t in its kernel.  So its divided powers are, in closed form,
 
-Flows exp(u*delta) are exact truncated exponentials.  Every catalog
-derivation over F_p carries a characteristic-0 twin: the derivation of the
-same designator over Q, or over the Gaussian rationals Q(i) for delta.  Its
-flows are computed as divided powers upstairs and reduced into the field
-(i to the field's sqrt(-1)); this is what makes flows over tiny prime fields
-exact (the k! divisions happen upstairs where they are exact divisions of
-p-integral polynomials), and what proves their group law once for every p:
-upstairs exp(s*delta) o exp(t*delta) = exp((s+t)*delta) holds modulo F,
-and with p-integral divided powers and the coefficients of F all 1 the
-identity reduces mod p.
+    P_1(s) = w,    P_k(t) = C(l, k) * c_t * s^(l-k) * w^(k-1)  (k = 1..l),
+
+with integer coefficients in every characteristic, and its nilpotency
+indices are s: 1 + [w != 0], t: (l mod p) + 1 (l + 1 over Q and Q(i)),
+every other variable 1.  The record of the elementary derivation on
+(e, o), e of exponent 1 and o of group monomial o^l * R, has s = o, w the
+image of o and t = e; that of delta has s the variable of the third group
+(see _build_delta).  Custom and graded-part derivations have no record:
+they find their indices and in-field divided powers from one sequence,
+the reduced powers delta^k(v) mod F from the image of v.  Both kinds read
+one NILPOTENCY_CAP on the index.
+
+Flows exp(u*delta) are exact truncated exponentials sum_k u^k P_k.  A
+catalog flow is exact over every F_p, tiny primes included, since its k!
+divisions are the integers C(l, k); and it obeys the group law there,
+because the closed form is an identity of integer polynomials:
+exp(u*delta) sends s to s + u*w and t to t + c_t * ((s + u*w)^l - s^l)/w,
+and composing two flows telescopes to exp((u + u')*delta).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from operator import add
 
 from .errors import (
@@ -50,10 +54,10 @@ from .errors import (
     RootUnavailable,
 )
 from .families import family_of, require_f1
-from .fields import QI, QQ
+from .fields import QQ
 from .polynomials import Polynomial
 from .records import record
-from .shapes import EQUATION_CACHE_SIZE, TrinomialShape, nonrigidity_witnesses
+from .shapes import EQUATION_CACHE_SIZE, TrinomialShape, nonrigidity_witnesses, shape_fact
 
 NILPOTENCY_CAP = 50
 FLOW_LEFT_THE_VARIETY = (
@@ -76,30 +80,12 @@ class Derivation:
         self.designator = (
             "custom" if family == "custom" else f"{family}:{','.join(map(str, self.params))}"
         )
-        self._qlift = None
-        self._twin_field = None  # the catalog field of a twin not yet looked up
-        self._indices = None  # closed-form nilpotency indices, set by _elementary
+        self._slice = None  # a catalog derivation's (s, l, w, {t: c_t}), set by _sliced
         self._series = {}
         self._flow = None
 
     def __repr__(self):
         return f"Derivation({self.designator})"
-
-    @property
-    def qlift(self):
-        """The characteristic-0 twin whose divided powers the flows reduce,
-        or None.  A catalog derivation over F_p looks it up on first use, in
-        the cached catalog over Q (over Q(i) for delta): catalogs that are
-        never flowed never build the twin's catalog."""
-        if self._twin_field is not None:
-            twins = _catalog(self.shape, self._twin_field)[0]
-            self._qlift = next(d for d in twins if d.designator == self.designator)
-            self._twin_field = None
-        return self._qlift
-
-    @qlift.setter
-    def qlift(self, twin):
-        self._qlift, self._twin_field = twin, None
 
     def image(self, v: int) -> Polynomial:
         return self.images.get(v, self.ring.zero)
@@ -165,15 +151,22 @@ class Derivation:
         """Least k >= 1 with derivation^k(variable v) = 0 mod the equation;
         Diverged if it exceeds NILPOTENCY_CAP.
 
-        A catalog elementary derivation on (e, o), e of exponent 1 and o of
-        exponent l, reads its recorded indices: o: 2, e: (l mod p) + 1
-        (l + 1 over Q), any other variable 1.  dF/de contains neither e nor
-        o, so delta^k(e) is a monomial with coefficient -+l(l-1)...(l-k+1),
-        and a nonzero monomial is never 0 mod F.  Every other derivation
-        counts its reduced powers."""
-        if self._indices is None:
+        A catalog derivation reads its record (s, l, w, {t: c_t}): s has
+        index 1 + [w != 0], each t (l mod p) + 1 (l + 1 over Q and Q(i)),
+        any other variable 1.  delta^k(t) = l(l-1)...(l-k+1) c_t s^(l-k)
+        w^(k-1) is never 0 mod F while its coefficient is nonzero, and w
+        vanishes only for delta over F_2, where k <= (l mod 2) + 1 <= 2.
+        Every other derivation counts its reduced powers."""
+        if self._slice is None:
             return 1 + sum(1 for _ in self._reduced_powers(v))
-        index = self._indices.get(v, 1)
+        s, l, w, coeffs = self._slice
+        p = self.field.modulus
+        if v == s:
+            index = 1 + (not w.is_zero())
+        elif v in coeffs:
+            index = (l % p if p else l) + 1
+        else:
+            index = 1
         if index > NILPOTENCY_CAP:
             raise self._diverged(v)
         return index
@@ -182,36 +175,46 @@ class Derivation:
 
     def moving_variables(self):
         """The variables a flow moves, in canonical order: those whose
-        divided powers P_k, k >= 1, are not all zero.
-
-        The twin may move a variable whose first-order image vanishes mod p
-        while higher divided powers survive; a variable whose pushed powers
-        all vanish mod p does not move."""
+        divided powers P_k, k >= 1, are not all zero.  Over F_p a catalog
+        variable t whose image vanishes (p divides l) still moves when
+        some later C(l, k) does not vanish mod p."""
         candidates = set(self.images)
-        twin = self.qlift
-        if twin is not None:
-            candidates |= set(twin.images)
+        if self._slice is not None:
+            candidates |= {self._slice[0], *self._slice[3]}
         return [v for v in sorted(candidates) if len(self.divided_power_series(v)) > 1]
 
     def divided_power_series(self, v: int):
         """[P_0, P_1, ...] with P_k = delta^k(v)/k!, P_k = 0 beyond the list;
         the list never ends in a zero polynomial.
 
-        Computed over Q or Q(i) through the twin when there is one (exact
-        in every characteristic); otherwise in-field, refusing a division by
-        a multiple of the characteristic.
+        A catalog derivation reads them in closed form from its record,
+        exact in every characteristic; any other derivation takes them
+        in-field, refusing a division by a multiple of the characteristic.
         """
-        if v in self._series:
-            return self._series[v]
-        twin = self.qlift
-        if twin is not None:
-            series = [_push_poly(p, self.ring) for p in twin.divided_power_series(v)]
-            while series[-1].is_zero():  # P_0 = v never vanishes
-                series.pop()
-        else:
-            series = self._series_in_field(v)
-        self._series[v] = series
-        return series
+        if v not in self._series:
+            self._series[v] = (
+                self._series_in_field(v) if self._slice is None else self._closed_form_series(v)
+            )
+        return self._series[v]
+
+    def _closed_form_series(self, v: int):
+        """[v, w] for the slice s; [t, C(l, k) c_t s^(l-k) w^(k-1) mod F for
+        k = 1..l] for a moved t; [v] otherwise; trailing zeros dropped."""
+        s, l, w, coeffs = self._slice
+        ring, fld = self.ring, self.field
+        out = [ring.var(v)]
+        if v == s:
+            out.append(w)
+        elif v in coeffs:
+            g = self.shape.equation(fld)
+            head = coeffs[v]  # c_t * w^(k-1)
+            for k in range(1, l + 1):
+                power = (head * ring.var(s) ** (l - k)).scale(comb(l, k))
+                out.append(power.reduce_mod(g))
+                head = head * w
+        while out[-1].is_zero():  # P_0 = v never vanishes
+            out.pop()
+        return out
 
     def _series_in_field(self, v: int):
         fld = self.field
@@ -285,44 +288,48 @@ class Derivation:
         return out
 
 
-def _push_poly(p: Polynomial, ring) -> Polynomial:
-    """Map a polynomial over Q or Q(i) into another ring's field F_p,
-    sending a + b*i to a + b*j mod p with j = sqrt_minus_one() of F_p."""
-    fld = ring.field
-
-    def residue(c, q):
-        if fld.is_zero(q.denominator):
-            raise CharacteristicTooSmall(
-                f"coefficient {c} does not reduce into {fld!r}"
-            )
-        return q.numerator * fld.inv(q.denominator)
-
-    out = {}
-    for e, c in p.terms.items():
-        val = residue(c, c.real)
-        if c.imag:
-            val += residue(c, c.imag) * fld.sqrt_minus_one()
-        out[e] = val
-    return ring.from_terms(out)
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
 
 
+@shape_fact
+def _cofactors(shape):
+    """For each variable v, the exponents of R in its group monomial v^l * R."""
+    out = []
+    for v in range(shape.n):
+        exps = list(shape.monomial_exps(shape.group_of(v)))
+        exps[v] = 0
+        out.append(tuple(exps))
+    return tuple(out)
+
+
+def _sliced(shape, fld, s, l, w, coeffs, family, params):
+    """The catalog derivation of the record (s, l, w, {t: c_t}), whose
+    images are s -> w and t -> l * c_t * s^(l-1); nilpotency_index and
+    divided_power_series read the record in closed form.  Every c_t is a
+    monomial free of s."""
+    images = {s: w}
+    for t, c in coeffs.items():
+        ((exps, k),) = c.terms.items()
+        images[t] = w.ring.from_terms({exps[:s] + (l - 1,) + exps[s + 1:]: k * l})
+    d = Derivation(shape, fld, images, family=family, params=params)
+    d._slice = (s, l, w, coeffs)
+    return d
+
+
 def _elementary(shape, fld, partials, a, b, family, params):
     """The elementary derivation a -> dF/db, b -> -dF/da, for variables of
     different groups, one of exponent 1 (which makes it locally nilpotent;
-    it kills F by construction).  partials holds every dF/dv.  It records
-    the closed-form indices that nilpotency_index reads; e is the
-    exponent-1 variable (b when both are)."""
-    images = {a: partials[b], b: -partials[a]}
-    d = Derivation(shape, fld, images, family=family, params=params)
+    it kills F by construction).  With e the exponent-1 variable (b when
+    both are), e * Q its group monomial, and o the other variable, of group
+    monomial o^l * R: s = o, w = +-Q = +-dF/de (the image of o), t = e and
+    c_e = -R when a = o, +R when a = e.  partials holds every dF/dv."""
     e, o = (b, a) if shape.exponents[b] == 1 else (a, b)
-    l, p = shape.exponents[o], fld.modulus
-    d._indices = {o: 2, e: (l % p if p else l) + 1}
-    return d
+    w = partials[e] if a == o else -partials[e]
+    ((_, sign),) = w.terms.items()
+    c = w.ring.from_terms({_cofactors(shape)[o]: -sign})
+    return _sliced(shape, fld, o, shape.exponents[o], w, {e: c}, family, params)
 
 
 def _build_gamma(shape, fld, partials):
@@ -371,13 +378,14 @@ def _build_delta(shape, fld):
     """Both sign variants of the quadratic-pair derivations, for each
     variable of the remaining group; over F_2, where j = -j, only delta+.
 
-    With the all-plus equation convention the images are, writing A, B for
-    the exponent-2 leaders, F0, F1 for the half-exponent tails and j^2 = -1:
+    With the all-plus equation convention, writing A, B for the exponent-2
+    leaders, F0, F1 for the half-exponent tails, v^l * R for the monomial
+    of the third group and j^2 = -1, the record has
 
-        A  ->  dP2/dv * F1
-        B  ->  (+-j) * dP2/dv * F0
-        v  ->  -2 F0 F1 (A F0 +- j B F1)
+        s = v,   w = -2 F0 F1 (A F0 +- j B F1),   c_A = F1 R,   c_B = +-j F0 R,
 
+    so the images are A -> dP2/dv * F1, B -> (+-j) * dP2/dv * F0, v -> w.
+    w is in the kernel: A F0 +- j B F1 goes to dP2/dv F0 F1 (1 + j^2) = 0.
     A pure sign adjustment (j replaced by a rational) satisfies the equation
     identity but is never locally nilpotent, so fields without j refuse.
     """
@@ -388,7 +396,6 @@ def _build_delta(shape, fld):
     if obstruction is not None:
         raise RootUnavailable(obstruction)
     g0, g1, g2 = pair
-    partials = shape.partials(fld)
     ring = shape.ring(fld)
     j = fld.sqrt_minus_one()
 
@@ -406,16 +413,13 @@ def _build_delta(shape, fld):
     signs = (j,) if fld.neg(j) == j else (j, fld.neg(j))  # F_2: j = -j
     out = []
     for i, v in enumerate(shape.group_indices(g2), start=1):
-        dP2 = partials[v]
+        R = ring.monomial(_cofactors(shape)[v])
         for sign, fam in zip(signs, ("delta+", "delta-")):
-            images = {
-                A: dP2 * F1,
-                B: (dP2 * F0).scale(sign),
-                v: (F0 * F1 * (ring.var(A) * F0 + (ring.var(B) * F1).scale(sign))).scale(
-                    fld.from_int(-2)
-                ),
-            }
-            out.append(Derivation(shape, fld, images, family=fam, params=(i,)))
+            w = (F0 * F1 * (ring.var(A) * F0 + (ring.var(B) * F1).scale(sign))).scale(
+                fld.from_int(-2)
+            )
+            coeffs = {A: F1 * R, B: (F0 * R).scale(sign)}
+            out.append(_sliced(shape, fld, v, shape.exponents[v], w, coeffs, fam, (i,)))
     return out
 
 
@@ -435,12 +439,7 @@ def _build_power_one(shape, fld, partials, view):
 def _catalog(shape: TrinomialShape, fld):
     """The catalog over fld as (derivations, notes) tuples, built once per
     (shape, field) while the pair is among the EQUATION_CACHE_SIZE most
-    recently used, like the equation and partials it reads.
-
-    Over F_p the twins are the derivations of the cached Q entry (Q(i) for
-    delta), looked up on first use, so their divided-power series are
-    computed once for every prime.
-    """
+    recently used, like the equation and partials it reads."""
     shape.require_nondegenerate()
     partials = shape.partials(fld)
     out = _build_gamma(shape, fld, partials)
@@ -458,9 +457,6 @@ def _catalog(shape: TrinomialShape, fld):
     view = tag.f1 or tag.f2
     if view is not None:
         out.extend(_build_power_one(shape, fld, partials, view))
-    if fld.modulus is not None:
-        for d in out:
-            d._twin_field = QI if d.family in ("delta+", "delta-") else QQ
     return tuple(out), tuple(notes)
 
 

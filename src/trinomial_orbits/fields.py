@@ -18,8 +18,8 @@ Coordinates (and coefficients) may also be plain ints: any int over F_p,
 whatever its residue, and ints next to Fractions over Q and Q(i).
 
 Q(i) is the characteristic-0 home of the derivations that need a square
-root of -1: Q has none, so over F_p those derivations take their exact
-divided powers from a twin over Q(i), reduced through i -> sqrt(-1) mod p.
+root of -1 (Q has none); over F_p they use the field's own sqrt(-1),
+and their divided powers are read in closed form in the field.
 
 Prime fields are capped at p <= 10^5: each field builds one table of the
 powers of its primitive root, and discrete logarithms and k-th roots are

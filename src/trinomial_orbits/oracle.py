@@ -619,21 +619,21 @@ def _flow_orbit(delta, p):
 
 def _torus_homogeneous(delta) -> bool:
     """Whether delta is homogeneous for the torus grading: every image term
-    of its twin (delta.qlift), or of delta when it has none, shifts the
-    degree by one e over Z (monomial degree - deg x_v, under each lattice
-    basis vector w as a GradingWeight).
+    shifts the degree by one e over Z (monomial degree - deg x_v, under each
+    lattice basis vector w as a GradingWeight).
 
-    Each w is admissible, so derive adds e, reduce_mod by the homogeneous
-    equation keeps the degree, and pushing a twin's series into F_p keeps
-    exponents: each P_k of x_v has degree deg x_v + k*e.  Then
-    P_k(t.x) = t_v chi(t)^k P_k(x) for t in T(F_p), chi(t) = t^e, so
-    exp(u delta)(t.x) = t.exp(chi(t) u delta)(x).
+    Each w is admissible, so derive adds e and reduce_mod by the homogeneous
+    equation keeps the degree: each in-field P_k of x_v has degree
+    deg x_v + k*e.  So has each closed-form P_k = C(l,k) c_t s^(l-k) w^(k-1)
+    of a catalog derivation: deg w = deg s + e and deg c_t + (l-1) deg s =
+    deg t + e restate over Z that F is homogeneous, whichever image terms
+    vanish mod p.  Then P_k(t.x) = t_v chi(t)^k P_k(x) for t in T(F_p),
+    chi(t) = t^e, so exp(u delta)(t.x) = t.exp(chi(t) u delta)(x).
     """
-    source = delta.qlift or delta
     weights = [GradingWeight(w) for w in torus_lattice(delta.shape).vectors]
     shifts = {
         tuple(w.monomial_degree(e) - w.weights[v] for w in weights)
-        for v, img in source.images.items()
+        for v, img in delta.images.items()
         for e in img.terms
     }
     return len(shifts) <= 1

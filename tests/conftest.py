@@ -43,16 +43,19 @@ def fresh_catalog_cache():
 
 
 @pytest.fixture
-def twinless_delta(monkeypatch):
-    """Catalog deltas lose their Q(i) twin and compute their divided powers
-    in the field.  Over F_5 that series is not a flow of X: H2 and
-    [[2],[2],[6]] send delta images off the variety, as every catalog delta
-    did before the twins existed."""
-    twin = Derivation.qlift
+def in_field_delta(monkeypatch):
+    """Catalog deltas are built without their closed-form record, keeping
+    their designators, and so compute their divided powers in the field.
+    Over F_5 that series is not a flow of X: H2 and [[2],[2],[6]] send
+    delta images off the variety."""
+    build = derivations._build_delta
     monkeypatch.setattr(
-        Derivation,
-        "qlift",
-        property(lambda d: None if d.family.startswith("delta") else twin.fget(d)),
+        derivations,
+        "_build_delta",
+        lambda shape, fld: [
+            Derivation(shape, fld, d.images, family=d.family, params=d.params)
+            for d in build(shape, fld)
+        ],
     )
 
 
@@ -208,8 +211,8 @@ def prove_group_law(d):
     """Check exp(delta) o exp(u*delta) = exp((u+1)*delta) modulo the
     equation by symbolic substitution over the derivation's field, with u
     an extra ring variable, from the flow_polynomial series: the law that
-    a characteristic-0 twin gives every catalog flow, checked by
-    computation."""
+    the closed form gives every catalog flow as an identity of integer
+    polynomials, checked by computation."""
     n = d.ring.nvars
     ring = PolyRing(d.field, d.ring.names + ("u",))
     xs = [ring.var(i) for i in range(n)]

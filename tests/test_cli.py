@@ -346,7 +346,7 @@ class TestEnumerateVerify:
 
     @pytest.mark.parametrize("sub", ["all", "invariance"])
     @pytest.mark.parametrize("shape", ["[[2,2],[2,2],[5]]", "[[2],[2],[6]]"])
-    def test_flows_leaving_the_variety_are_reported(self, capsys, twinless_delta, sub, shape):
+    def test_flows_leaving_the_variety_are_reported(self, capsys, in_field_delta, sub, shape):
         code, data = run_json(capsys, "verify", sub, "--shape", shape, "--field", "Fp:5")
         assert code in (0, 3) and "error" not in data
         flows = next(c for c in data["checks"] if c["name"] == "flow_invariance")
@@ -369,7 +369,7 @@ class TestEnumerateVerify:
         code, text = run(capsys, *args)
         assert code == 0 and "PASS flow_regularity" in text
 
-    def test_verify_flows_failure_exits_3(self, capsys, twinless_delta):
+    def test_verify_flows_failure_exits_3(self, capsys, in_field_delta):
         code, data = run_json(
             capsys, "verify", "flows", "--shape", "[[2,2],[2,2],[5]]", "--field", "Fp:5"
         )

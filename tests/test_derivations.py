@@ -83,7 +83,8 @@ class TestCatalog:
                 assert (v in moving) == (len(series) > 1), (d, v)
 
     def test_f2_delta_moves_the_variables_it_lists(self, shape_h2):
-        # the T2_1 image -2*F0*F1*(...) and its twin's pushed powers vanish mod 2
+        # the T2_1 image w = -2*F0*F1*(...) vanishes mod 2, and with it every
+        # closed-form P_k, k >= 2
         f2 = PrimeField(2)
         (d,) = lnd_catalog(shape_h2, f2)
         assert d.moving_variables() == sorted(d.images) == [0, 2]
@@ -269,13 +270,59 @@ def outcome(fn, *args):
         return type(exc)
 
 
+@st.composite
+def delta_shapes(draw, max_vars=5):
+    """Shapes with two even groups led by exponent 2, in any group order,
+    and a third group of exponents 1-8 (so some exceed p = 5)."""
+    even = st.lists(st.sampled_from([2, 4]), max_size=1).map(lambda t: [2] + t)
+    groups = [draw(even), draw(even), draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))]
+    groups = draw(st.permutations(groups))
+    shape = validate_shape(groups)
+    assume(shape.n <= max_vars and shape.degenerate_group() is None)
+    assume(delta_pair_groups(shape) is not None)
+    return shape
+
+
+def push(p, ring):
+    """Map a polynomial over Q or Q(i) into the F_p of ring, sending
+    a + b*i to a + b*j mod p with j = sqrt_minus_one() of F_p; a
+    denominator that p divides refuses with CharacteristicTooSmall."""
+    fld = ring.field
+
+    def residue(q):
+        if fld.is_zero(q.denominator):
+            raise CharacteristicTooSmall(f"{q} does not reduce into {fld!r}")
+        return q.numerator * fld.inv(q.denominator)
+
+    out = {}
+    for e, c in p.terms.items():
+        out[e] = residue(c.real)
+        if c.imag:
+            out[e] += residue(c.imag) * fld.sqrt_minus_one()
+    return ring.from_terms(out)
+
+
+def upstairs(d):
+    """The catalog derivation of d's designator over Q, or over Q(i) for
+    delta: characteristic 0, where in-field divided powers are exact."""
+    fld = QI if d.family.startswith("delta") else QQ
+    return catalog_derivation(d.shape, fld, d.designator)
+
+
+def pushed_record(d):
+    """The record of d's characteristic-0 counterpart, pushed into d's field."""
+    s, l, w, coeffs = upstairs(d)._slice
+    return s, l, push(w, d.ring), {t: push(c, d.ring) for t, c in coeffs.items()}
+
+
 def ref_series(d, v):
-    """The reference for divided_power_series: in-field, or the twin's
-    series pushed into the field, less the powers that vanish there after
-    the last nonzero one."""
-    if d.qlift is None:
+    """The reference for divided_power_series: in-field for a derivation
+    with no record and over Q and Q(i); over F_p, for a catalog derivation,
+    the in-field series of its characteristic-0 counterpart pushed into
+    F_p, less the powers that vanish there after the last nonzero one."""
+    if d._slice is None or d.field.modulus is None:
         return ref_series_in_field(d, v)
-    pushed = [derivations._push_poly(p, d.ring) for p in ref_series_in_field(d.qlift, v)]
+    pushed = [push(p, d.ring) for p in ref_series_in_field(upstairs(d), v)]
     last = max(k for k, p in enumerate(pushed) if not p.is_zero())
     return pushed[: last + 1]
 
@@ -294,17 +341,26 @@ class TestReducedPowersAgainstReference:
     @settings(max_examples=60, deadline=None)
     def test_catalog_derivations(self, shape, fld):
         for d in lnd_catalog(shape, fld):
-            assert (d.qlift is None) == (fld.modulus is None)
+            assert d._slice is not None
+            assert_agrees_with_reference(d)
+
+    @given(delta_shapes(max_vars=4), st.sampled_from(REFERENCE_FIELDS[1:]))
+    @settings(max_examples=40, deadline=None)
+    def test_catalog_deltas(self, shape, fld):
+        # every reference field but Q has a square root of -1
+        deltas = [d for d in lnd_catalog(shape, fld) if d.family.startswith("delta")]
+        assert deltas
+        for d in deltas:
             assert_agrees_with_reference(d)
 
     @given(small_shapes(), st.sampled_from(REFERENCE_FIELDS))
     @settings(max_examples=60, deadline=None)
     def test_custom_derivations(self, shape, fld):
-        # the catalog images with no twin: the in-field series, refusals
+        # the catalog images with no record: the in-field series, refusals
         # included (over F_2 and F_5 some divided powers need 1/p)
         for d in lnd_catalog(shape, fld):
             custom = Derivation(shape, fld, dict(d.images))
-            assert custom.qlift is None
+            assert custom._slice is None
             assert_agrees_with_reference(custom)
 
     @given(power_one_shapes(), st.sampled_from(REFERENCE_FIELDS))
@@ -323,7 +379,6 @@ class TestReducedPowersAgainstReference:
         assert D1.divided_power_series(1) == [shape_a.ring(qq).var(1)]
 
 
-ELEMENTARY_FAMILIES = ("gamma", "D", "E", "Dk", "Ek")
 CLOSED_FORM_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5), PrimeField(101))
 
 
@@ -331,16 +386,16 @@ class TestClosedFormIndices:
     @given(small_shapes(), st.sampled_from(CLOSED_FORM_FIELDS))
     @settings(max_examples=80, deadline=None)
     def test_elementary_agrees_with_leibniz(self, shape, fld):
-        # the recorded indices against the Leibniz pass from the bare variable
+        # every catalog derivation reads its indices from its record: against
+        # the Leibniz pass from the bare variable
         flat = GradingWeight((0,) * shape.n)
         for d in lnd_catalog(shape, fld):
-            assert (d._indices is not None) == (d.family in ELEMENTARY_FAMILIES), d
-            if d._indices is not None:
-                for v in range(shape.n):
-                    assert outcome(d.nilpotency_index, v) == outcome(
-                        ref_nilpotency_index, d, v), (d, fld, v)
-            assert Derivation(shape, fld, dict(d.images))._indices is None
-            assert all(part._indices is None for _, part in homogeneous_split(d, flat))
+            assert d._slice is not None
+            for v in range(shape.n):
+                assert outcome(d.nilpotency_index, v) == outcome(
+                    ref_nilpotency_index, d, v), (d, fld, v)
+            assert Derivation(shape, fld, dict(d.images))._slice is None
+            assert all(part._slice is None for _, part in homogeneous_split(d, flat))
 
     @pytest.mark.parametrize("fld", [QQ, PrimeField(101)])
     @pytest.mark.parametrize("designator", ["gamma:1,1", "D:1"])
@@ -349,6 +404,17 @@ class TestClosedFormIndices:
         d = catalog_derivation(validate_shape([[1, 2], [60], [3]]), fld, designator)
         with pytest.raises(Diverged, match=r"^no nilpotency on T0_1 within 50 steps$"):
             d.nilpotency_index(0)
+
+    def test_series_past_the_cap_is_read_in_closed_form(self):
+        # x = T0_1 has index 61 over Q, past the cap, but its divided powers
+        # C(60, k) c s^(60-k) w^(k-1) are read, not iterated: the flows exist
+        shape = validate_shape([[1, 2], [60], [3]])
+        assert len(catalog_derivation(shape, QQ, "D:1").divided_power_series(0)) == 61
+        f7 = PrimeField(7)
+        d = catalog_derivation(shape, f7, "D:1")
+        assert d.nilpotency_index(0) == 5  # 60 = 4 mod 7
+        assert len(d.divided_power_series(0)) == 61  # C(60, 60) = 1
+        assert verify_flow_regularity(shape, f7, [d]).checks[0].passed
 
     @pytest.mark.parametrize("designator", ["gamma:1,1", "D:1"])
     def test_index_reduces_mod_p(self, designator):
@@ -503,7 +569,7 @@ class TestFlows:
                     assert shape.on_variety(fld, img)
 
     def test_custom_in_field_flow_surfaces_small_characteristic(self, shape_a, f3):
-        # same images as D:1 but built raw, losing the rational twin
+        # same images as D:1 but built raw, without the closed-form record
         D1 = catalog_derivation(shape_a, f3, "D:1")
         raw = Derivation(shape_a, f3, dict(D1.images))
         pt = next(
@@ -535,10 +601,9 @@ class TestFlowGroupLaw:
         assert all(prove_group_law(d) for d in lnd_catalog(shape, PrimeField(p)))
 
     def test_truncated_series_breaks_the_law(self, shape_a, f7):
-        # a private copy of D:1: the catalog's derivations are shared
-        D1 = catalog_derivation(shape_a, f7, "D:1")
-        d = Derivation(shape_a, f7, dict(D1.images), family="D", params=(1,))
-        d.qlift = D1.qlift
+        # a private copy of D:1 (on x, z): the catalog's derivations are shared
+        d = derivations._elementary(shape_a, f7, shape_a.partials(f7), 0, 2, "D", (1,))
+        assert d.images == catalog_derivation(shape_a, f7, "D:1").images
         series = d.divided_power_series(0)  # x + 3u z^2 - 3u^2 z y^2 + u^3 y^4
         assert len(series) == 4
         assert prove_group_law(d)
@@ -548,8 +613,8 @@ class TestFlowGroupLaw:
     @given(small_shapes(), st.sampled_from([5, 7, 13]))
     @settings(max_examples=40, deadline=None)
     def test_shortcut_agrees_with_the_proof(self, shape, p):
-        # every catalog derivation has a characteristic-0 twin, whose flows
-        # obey the law upstairs and reduce mod p
+        # every catalog flow is read from its record in closed form, an
+        # identity of integer polynomials that obeys the law mod every p
         for d in lnd_catalog(shape, PrimeField(p)):
             assert prove_group_law(d), d
 
@@ -643,28 +708,30 @@ class TestDeltaFlows:
 
             _build_delta(shape_h2, QQ)
 
-    def test_fp_deltas_have_gaussian_twins(self, shape_h2):
+    def test_fp_deltas_push_the_gaussian_records(self, shape_h2):
+        # an F_p delta is built in F_p from its own record: the Q(i) record
+        # of its designator with i sent to j, and so are its images
         f13 = PrimeField(13)
-        twins = catalog_index(shape_h2, QI)
         for d in lnd_catalog(shape_h2, f13):
-            assert d.qlift is twins[d.designator]
-            for v, img in d.qlift.images.items():
-                assert derivations._push_poly(img, d.ring) == d.image(v)
+            assert d._slice == pushed_record(d)
+            assert d.images == {v: push(img, d.ring) for v, img in upstairs(d).images.items()}
 
-    def test_twin_looked_up_on_first_flow(self, monkeypatch, shape_h2):
-        built = []
-        real = derivations._build_delta
+    def test_fp_flows_request_no_characteristic_0_catalog(self, monkeypatch):
+        requested = []
+        real = derivations._catalog
         monkeypatch.setattr(
-            derivations, "_build_delta",
-            lambda shape, fld: built.append(fld) or real(shape, fld),
+            derivations, "_catalog", lambda shape, fld: requested.append(fld) or real(shape, fld)
         )
-        f101 = PrimeField(101)
-        (d, *_) = lnd_catalog(shape_h2, f101)
-        d.well_defined()
-        d.nilpotency_index(0)
-        assert built == [f101]
-        d.divided_power_series(0)
-        assert built == [f101, QI]
+        rng = random.Random(4)
+        fields = [PrimeField(p) for p in (13, 7, 5)]
+        for raw, fld in zip((SHAPE_H2, SHAPE_A, SHAPE_D), fields):
+            shape = validate_shape(raw)
+            cat = lnd_catalog(shape, fld)
+            assert verify_flow_regularity(shape, fld, cat).checks[0].passed
+            for d in cat:
+                for pt in random_points(shape, fld, 5, rng):
+                    assert shape.on_variety(fld, d.exp_flow(rng.randrange(fld.modulus), pt))
+        assert requested and set(requested) == set(fields)
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
     def test_flows_stay_on_the_variety_over_f5(self, groups):
@@ -677,21 +744,8 @@ class TestDeltaFlows:
                     assert shape.on_variety(f5, d.exp_flow(u, pt))
 
 
-@st.composite
-def delta_shapes(draw, max_vars=5):
-    """Shapes with two even groups led by exponent 2, in any group order,
-    and a third group of exponents 1-8 (so some exceed p = 5)."""
-    even = st.lists(st.sampled_from([2, 4]), max_size=1).map(lambda t: [2] + t)
-    groups = [draw(even), draw(even), draw(st.lists(st.integers(1, 8), min_size=1, max_size=2))]
-    groups = draw(st.permutations(groups))
-    shape = validate_shape(groups)
-    assume(shape.n <= max_vars and shape.degenerate_group() is None)
-    assume(delta_pair_groups(shape) is not None)
-    return shape
-
-
 class TestGaussianTwins:
-    """Delta is exact over Q(i), and its F_p flows are the twin's, reduced."""
+    """Delta is exact over Q(i), and its F_p flows stay on the variety."""
 
     @given(delta_shapes())
     @settings(max_examples=30, deadline=None)
@@ -766,19 +820,19 @@ class TestCatalogCache:
             assert word.apply(shape, fld, src) == dst
             flows += sum(1 for s in word.steps if isinstance(s, FlowStep))
         assert flows >= 50
-        assert len(builds) == len({fld, QQ}) and set(builds) == {fld, QQ}
+        assert builds == [fld]
 
     @pytest.mark.parametrize("raw", [SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E])
-    def test_fp_twins_are_the_cached_q_derivations(self, raw):
+    def test_fp_records_reduce_the_q_records(self, raw):
+        # each F_p catalog derivation is built in F_p from its own record,
+        # the Q record of its designator reduced mod p
         shape = validate_shape(raw)
-        rational = lnd_catalog(shape, QQ)
-        twins = [
-            [d.qlift for d in lnd_catalog(shape, PrimeField(p))] for p in (7, 13)
-        ]
-        assert twins[0] and all(t is not None for t in twins[0])
-        for per_prime in twins:
-            assert len(per_prime) == len(rational)
-            assert all(t is q for t, q in zip(per_prime, rational))
+        rational = catalog_index(shape, QQ)
+        for p in (7, 13):
+            cat = lnd_catalog(shape, PrimeField(p))
+            assert [d.designator for d in cat] == list(rational)
+            for d in cat:
+                assert d._slice == pushed_record(d), d
 
     def test_cache_stays_bounded(self):
         for k in range(2, 4 + EQUATION_CACHE_SIZE):

@@ -323,7 +323,7 @@ class TestInvariance:
         """Where _torus_homogeneous holds, with e the degree shift of the
         image terms, every term of every divided power P_k of x_v has torus
         degree deg x_v + k*e over Z: the lemma the T-orbit sums rest on,
-        on the catalog and its twinless copies."""
+        on the catalog and its copies with no record."""
         assume(oracle.point_count(shape, p) <= 3000)
         fld = PrimeField(p)
         basis = torus_lattice(shape).vectors
@@ -333,10 +333,9 @@ class TestInvariance:
 
         cat = lnd_catalog(shape, fld)
         for delta in cat + [Derivation(shape, fld, dict(d.images)) for d in cat]:
-            source = delta.qlift or delta
-            if not source.images or not oracle._torus_homogeneous(delta):
+            if not delta.images or not oracle._torus_homogeneous(delta):
                 continue
-            v, img = next(iter(source.images.items()))
+            v, img = next(iter(delta.images.items()))
             e = [a - vec[v] for a, vec in zip(degree(next(iter(img.terms))), basis)]
             try:
                 series = [(v, delta.divided_power_series(v)) for v in delta.moving_variables()]
@@ -434,7 +433,7 @@ class TestFlowRegularity:
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
     @settings(max_examples=60, deadline=None)
     def test_torus_sum_equals_pointwise_generated(self, shape, p):
-        # catalog derivations and their twinless copies, whose series are
+        # catalog derivations and their copies with no record, whose series are
         # taken in the field: the sum over T-orbits reads the pointwise
         # loop's numbers, written out here over every point and every u
         assume(oracle.point_count(shape, p) <= 600)
@@ -470,7 +469,7 @@ class TestFlowRegularity:
             }, delta
 
     def test_step_leaving_the_variety_falls_back(self, monkeypatch, shape_h2):
-        # twinless copies of the deltas take their divided powers in F_5,
+        # copies of the deltas with no record take their divided powers in F_5,
         # where they are no flow and leave X; they are still homogeneous,
         # so the T-orbit sum counts every image that left, as the pointwise
         # loop does
@@ -487,9 +486,9 @@ class TestFlowRegularity:
         )
 
     def test_derivation_with_no_first_power_runs_pointwise(self):
-        # over F_2 the one delta of this shape has no P_1 term, but its twin
-        # is homogeneous, so it is summed over T-orbits; T(F_2) is trivial,
-        # so each T-orbit is one point and every point is read
+        # over F_2 the one delta of this shape has no image term (l = 4 and
+        # w = 0), so it is homogeneous and summed over T-orbits; T(F_2) is
+        # trivial, so each T-orbit is one point and every point is read
         shape, fld = validate_shape([[2, 2], [4], [2, 4]]), PrimeField(2)
         cat = lnd_catalog(shape, fld)
         assert [d.designator for d in cat] == ["delta+:1"]
@@ -984,8 +983,8 @@ class TestKeyedInvariance:
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_flows_leaving_the_variety_equal_reference(self, twinless_delta, groups, seed):
-        # over F_5 the twinless delta flows leave X: CharacteristicTooSmall;
+    def test_flows_leaving_the_variety_equal_reference(self, in_field_delta, groups, seed):
+        # over F_5 the in-field delta flows leave X: CharacteristicTooSmall;
         # their copies are still torus-homogeneous, so every orbit stands
         # for its points.  Sampled, both kinds of case still show.
         shape, f5 = validate_shape(groups), PrimeField(5)
@@ -1164,8 +1163,8 @@ class TestSkipped:
         ]
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
-    def test_flows_leaving_the_variety_are_refused(self, twinless_delta, groups):
-        # without their twins some delta images leave X over F_5: those
+    def test_flows_leaving_the_variety_are_refused(self, in_field_delta, groups):
+        # without their closed form some delta images leave X over F_5: those
         # trials are refused and make no component-membership run, the
         # others still compare
         shape, f5 = validate_shape(groups), PrimeField(5)
