@@ -5,15 +5,18 @@ Every value handled by this package is exact.  A rational value is a
 plain int when it is integral and a `fractions.Fraction` (gcd-reduced,
 positive denominator) only where a denominator appears; Gaussian-rational
 elements are `GaussianRational` pairs a + b*i whose parts follow the same
-rule; prime-field elements are plain ints in ``[0, p)``.  Division over Q
-and Q(i) builds Fractions from their parts and never uses ``/``, which
-would give a float on two ints.  A field object bundles the arithmetic so
-that the polynomial layer can stay generic.  That layer sums and multiplies
-elements with their own + and *, and each field's `normalize` turns the
-accumulated values back into canonical elements, so integral coefficients
-stay ints.  Point evaluation goes through one hook,
-`eval_terms(terms, point)`: the value of sum c * prod x_i^k over compiled
-(c, ((i, k), ...)) terms, accumulated natively and normalised once per value.
+rule; prime-field elements are plain ints in ``[0, p)``.  The values Q's
+own methods build follow that rule: they are computed on numerator and
+denominator ints, and a Fraction (with its one gcd) is built only where a
+denominator remains.  Division never uses ``/``, which would give a float
+on two ints.  A field object bundles the arithmetic so that the polynomial
+layer can stay generic.  That layer sums and multiplies elements with their
+own + and *, and each field's `normalize` turns the accumulated values back
+into canonical elements, so integral coefficients stay ints.  Point
+evaluation goes through one hook, `eval_terms(terms, point)`: the value of
+sum c * prod x_i^k over compiled (c, ((i, k), ...)) terms, accumulated
+natively and normalised once per value; `power_product(bases, exponents)`
+is the same for prod b^e with exponents of either sign, with one inverse.
 Coordinates (and coefficients) may also be plain ints: any int over F_p,
 whatever its residue, and ints next to Fractions over Q and Q(i).
 
@@ -109,34 +112,29 @@ class _CharZeroField:
 
 class Rationals(_CharZeroField):
     """The field Q.  Elements are ints or Fractions; overflow is impossible.
-    `one`, `zero`, `from_int`, `parse`, `inv`, `div` and `eval_terms` give
-    Fractions; polynomial coefficients are ints where integral."""
+    `one`, `zero`, `from_int`, `parse`, `inv`, `div`, `kth_roots`,
+    `eval_terms` and `power_product` give an int exactly when the value is
+    integral; `add`, `sub`, `mul` and `pow` are the operands' own."""
 
     kind = "Q"
+    zero = 0
+    one = 1
 
     def __repr__(self):
         return "Q"
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
-
     def from_int(self, n: int):
-        return Fraction(n)
+        return n
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Fraction(1, a)
+        return _ratio(a.denominator, a.numerator)
 
     def div(self, a, b):
         if b == 0:
             raise ZeroDivisionError("division by 0")
-        return Fraction(a, b)
+        return _ratio(a.numerator * b.denominator, a.denominator * b.numerator)
 
     def normalize(self, acc: dict) -> dict:
         """The nonzero entries of natively accumulated values, each integral
@@ -146,7 +144,8 @@ class Rationals(_CharZeroField):
 
     def eval_terms(self, terms, point):
         """sum c * prod x_i^k over (c, ((i, k), ...)) terms, as numerator
-        and denominator ints: one Fraction, and so one gcd, per value."""
+        and denominator ints: at most one Fraction, and so one gcd, per
+        value."""
         num, den = 0, 1
         for c, factors in terms:
             n, d = c.numerator, c.denominator
@@ -158,11 +157,25 @@ class Rationals(_CharZeroField):
                 num += n
             else:
                 num, den = num * d + n * den, den * d
-        return Fraction(num, den)
+        return _ratio(num, den)
+
+    def power_product(self, bases, exponents):
+        """prod b^e over the pairs, as numerator and denominator ints (a zero
+        base at a negative exponent leaves den = 0, and _ratio raises
+        ZeroDivisionError)."""
+        num = den = 1
+        for b, e in zip(bases, exponents):
+            if e > 0:
+                num *= b.numerator**e
+                den *= b.denominator**e
+            elif e < 0:
+                num *= b.denominator**-e
+                den *= b.numerator**-e
+        return _ratio(num, den)
 
     def parse(self, s: str):
         try:
-            return Fraction(s.strip())
+            return _rational(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise FieldError(f"not a rational: {s!r}") from exc
 
@@ -174,21 +187,27 @@ class Rationals(_CharZeroField):
         """All rational x with x^k = a.  Perfect-power detection only."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        a = Fraction(a)
-        if k == 1:
+        a = _rational(a)
+        if k == 1 or a == 0:
             return {a}
-        if a == 0:
-            return {Fraction(0)}
-        num, den = abs(a.numerator), a.denominator
-        rn = integer_kth_root(num, k)
-        rd = integer_kth_root(den, k)
+        rn = integer_kth_root(abs(a.numerator), k)
+        rd = integer_kth_root(a.denominator, k)
         if rn is None or rd is None:
             return set()
-        r = Fraction(rn, rd)
+        r = _ratio(rn, rd)
         if a > 0:
             return {r, -r} if k % 2 == 0 else {r}
         # a < 0: odd k has the single root -r, even k has none in Q
         return set() if k % 2 == 0 else {-r}
+
+
+def _ratio(num: int, den: int):
+    """num / den for ints: their quotient when den divides num, else one
+    Fraction (den = 0 raises ZeroDivisionError)."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _rational(x):
@@ -321,6 +340,18 @@ class GaussianRationals(_CharZeroField):
             acc = acc + c
         return acc
 
+    def power_product(self, bases, exponents):
+        """prod b^e over the pairs, with one inverse: of the product of the
+        negative-exponent powers (a zero base there raises
+        ZeroDivisionError)."""
+        num, den = GaussianRational(1), None
+        for b, e in zip(bases, exponents):
+            if e > 0:
+                num = num * b**e
+            elif e < 0:
+                den = b**-e if den is None else den * b**-e
+        return num if den is None else num * self.inv(den)
+
     def sqrt_minus_one(self):
         """i."""
         return GaussianRational(0, 1)
@@ -406,6 +437,19 @@ class PrimeField:
             acc += c
         return acc % p
 
+    def power_product(self, bases, exponents):
+        """prod b^e over the pairs, as residues, with one inverse: of the
+        product of the negative-exponent powers (a zero base there raises
+        ZeroDivisionError)."""
+        p = self.modulus
+        num = den = 1
+        for b, e in zip(bases, exponents):
+            if e > 0:
+                num = num * pow(b, e, p) % p
+            elif e < 0:
+                den = den * pow(b, -e, p) % p
+        return num if den == 1 else num * self.inv(den) % p
+
     def fmt(self, a) -> str:
         return str(a % self.modulus)
 
@@ -485,20 +529,6 @@ class PrimeField:
                 table[x] = e
             self._dlog_table = table
         return self._dlog_table[a]
-
-
-def power_product(fld, bases, exponents):
-    """prod b^e over the pairs, in fld, with one inverse: of the product of
-    the negative-exponent powers (a zero base there raises
-    ZeroDivisionError)."""
-    num, den = fld.one, None
-    for b, e in zip(bases, exponents):
-        if e > 0:
-            num = fld.mul(num, fld.pow(b, e))
-        elif e < 0:
-            power = fld.pow(b, -e)
-            den = power if den is None else fld.mul(den, power)
-    return num if den is None else fld.mul(num, fld.inv(den))
 
 
 def factor(n: int) -> dict:

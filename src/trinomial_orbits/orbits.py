@@ -32,7 +32,6 @@ from .errors import (
     UnsupportedFamily,
 )
 from .families import family_of
-from .fields import power_product
 from .records import fields, record
 from .shapes import (
     TrinomialShape,
@@ -200,13 +199,8 @@ def _vanishing(fld, pt, idxs):
 def _root_ratio(fld, pt, view):
     """r = prod z^(b/d) / prod s^(c/d); satisfies r^d = -1 on the stratum."""
     d = view.d
-    num = fld.one
-    for i, b in zip(view.zs, view.b):
-        num = fld.mul(num, fld.pow(pt[i], b // d))
-    den = fld.one
-    for i, c in zip(view.ss, view.c):
-        den = fld.mul(den, fld.pow(pt[i], c // d))
-    return fld.div(num, den)
+    bases = [pt[i] for i in view.zs + view.ss]
+    return fld.power_product(bases, [b // d for b in view.b] + [-(c // d) for c in view.c])
 
 
 def classify_point(shape: TrinomialShape, fld, pt, assume_conjecture: bool = False):
@@ -535,7 +529,7 @@ def _solve_torus(fld, basis, rows, ratios):
     D, U, V, _ = intlinalg._smith_form(A)
     ys = [fld.one] * len(basis)
     for i, row in enumerate(U):
-        c = power_product(fld, ratios, row)
+        c = fld.power_product(ratios, row)
         d = D[i][i] if i < len(ys) else 0
         if d == 1:
             ys[i] = c
@@ -544,7 +538,7 @@ def _solve_torus(fld, basis, rows, ratios):
         elif d > 1 or c != fld.one:
             unsolvable = RootUnavailable if fld.modulus is None else DlogUnsolvable
             raise unsolvable("no torus element matches the coordinate ratios")
-    return [power_product(fld, ys, row) for row in V]
+    return [fld.power_product(ys, row) for row in V]
 
 
 def _torus_step(shape, fld, src, dst, rows):

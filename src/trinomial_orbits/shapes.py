@@ -22,7 +22,6 @@ from math import gcd
 
 from . import intlinalg
 from .errors import DegenerateShape, EmptyGroup12, NonPositiveExponent, ShapeError
-from .fields import power_product
 from .polynomials import PolyRing, Polynomial
 from .records import field, record
 
@@ -447,7 +446,7 @@ def torus_scaling(shape: TrinomialShape, fld, multipliers):
         raise ValueError("one multiplier per basis vector")
     if not basis:
         return (fld.one,) * shape.n
-    return tuple(power_product(fld, multipliers, column) for column in zip(*basis))
+    return tuple(fld.power_product(multipliers, column) for column in zip(*basis))
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,123 @@ rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
 gaussian = st.builds(GaussianRational, rationals, rationals)
 
 
+def canonical_rational(x):
+    """An int exactly when the denominator is 1, else a Fraction."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+class TestCanonicalRationals:
+    """Every value Q's field methods build is an int exactly when integral."""
+
+    def test_constants(self):
+        for x in (QQ.zero, QQ.one, QQ.from_int(3), QQ.from_int(-7)):
+            assert type(x) is int
+        assert (QQ.zero, QQ.one, QQ.from_int(3)) == (0, 1, 3)
+
+    @given(st.integers(-30, 30), st.integers(-30, 30).filter(bool), rationals)
+    def test_quotients(self, a, b, c):
+        for q, want in (
+            (QQ.div(a, b), Fraction(a, b)),
+            (QQ.div(c, b), c / b),
+            (QQ.inv(b), Fraction(1, b)),
+            (QQ.parse(f"{a}/{abs(b)}"), Fraction(a, abs(b))),
+        ):
+            assert q == want and canonical_rational(q)
+        if c:
+            assert QQ.inv(c) == 1 / c and canonical_rational(QQ.inv(c))
+            assert QQ.div(a, c) == a / c and canonical_rational(QQ.div(a, c))
+
+    def test_denominator_minus_one(self):
+        for q in (QQ.div(6, -3), QQ.div(-5, -1), QQ.inv(-1), QQ.div(Fraction(4, 3), Fraction(-2, 3))):
+            assert type(q) is int
+        assert (QQ.div(6, -3), QQ.div(-5, -1), QQ.inv(-1)) == (-2, 5, -1)
+
+    @given(rationals, st.integers(1, 5))
+    def test_roots(self, r, k):
+        roots = QQ.kth_roots(r**k, k)
+        assert r in roots and all(canonical_rational(x) for x in roots)
+
+    def test_parse(self):
+        assert type(QQ.parse("3")) is int and type(QQ.parse("4/2")) is int
+        assert type(QQ.parse("-0/5")) is int and QQ.parse("-0/5") == 0
+        assert type(QQ.parse("1/3")) is Fraction
+
+
+def _gaussian_product(bases, exponents):
+    """prod b^e over Q(i) on (real, imag) Fraction pairs, apart from the
+    library's arithmetic: a zero base at a negative exponent raises
+    ZeroDivisionError."""
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    out = (Fraction(1), Fraction(0))
+    for b, e in zip(bases, exponents):
+        x = (Fraction(b.real), Fraction(b.imag))
+        if e < 0:
+            norm = x[0] ** 2 + x[1] ** 2
+            x = (x[0] / norm, -x[1] / norm)
+        for _ in range(abs(e)):
+            out = mul(out, x)
+    return GaussianRational(*out)
+
+
+def _reference_product(fld, bases, exponents):
+    if fld == QQ:
+        out = Fraction(1)
+        for b, e in zip(bases, exponents):
+            out *= Fraction(b) ** e
+        return out
+    if fld == QI:
+        return _gaussian_product(bases, exponents)
+    p, out = fld.modulus, 1
+    for b, e in zip(bases, exponents):
+        try:
+            out = out * pow(b, e, p) % p
+        except ValueError as exc:  # base not invertible mod p
+            raise ZeroDivisionError from exc
+    return out
+
+
+def _field_bases(fld):
+    if fld == QQ:
+        return st.one_of(rationals, st.integers(-9, 9))
+    if fld == QI:
+        return st.one_of(gaussian, st.builds(GaussianRational, st.integers(-3, 3)))
+    p = fld.modulus
+    return st.one_of(st.integers(0, p - 1), st.sampled_from([-1, -p, p, p + 3, -p - 2, 7 * p + 1]))
+
+
+class TestPowerProduct:
+    @given(st.sampled_from([QQ, QI, PrimeField(2), PrimeField(13), PrimeField(101)]), st.data())
+    def test_matches_reference(self, fld, data):
+        n = data.draw(st.integers(0, 4))
+        bases = data.draw(st.lists(_field_bases(fld), min_size=n, max_size=n))
+        exponents = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        one = fld.power_product(bases, [0] * n)
+        assert one == fld.one and type(one) is type(fld.one)
+        if any(e < 0 and fld.is_zero(b) for b, e in zip(bases, exponents)):
+            with pytest.raises(ZeroDivisionError):
+                fld.power_product(bases, exponents)
+            with pytest.raises(ZeroDivisionError):
+                _reference_product(fld, bases, exponents)
+            return
+        got = fld.power_product(bases, exponents)
+        assert got == _reference_product(fld, bases, exponents)
+        if fld == QQ:
+            assert canonical_rational(got)
+        elif fld == QI:
+            assert type(got) is GaussianRational
+        else:
+            assert type(got) is int and 0 <= got < fld.modulus
+
+    @pytest.mark.parametrize("fld", [QQ, QI, PrimeField(2), PrimeField(13), PrimeField(101)])
+    def test_zero_base_at_negative_exponent(self, fld):
+        zero = fld.zero if fld.modulus is None else fld.modulus
+        with pytest.raises(ZeroDivisionError):
+            fld.power_product([fld.one, zero], [2, -1])
+        assert fld.is_zero(fld.power_product([zero, fld.one], [3, -1]))
+
+
 class TestGaussianRationals:
     @given(gaussian, gaussian, gaussian)
     def test_field_axioms(self, a, b, c):

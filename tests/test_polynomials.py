@@ -316,8 +316,14 @@ def coordinates(fld):
 
 
 def same_value(fld, value, ref):
-    """Equal and of the same type; over F_p also the canonical residue."""
-    return value == ref and type(value) is type(ref) and (
+    """Equal and of the canonical type: over Q an int exactly when the
+    denominator is 1, elsewhere the reference's type; over F_p also the
+    canonical residue."""
+    if fld == QQ:
+        want = int if ref.denominator == 1 else Fraction
+    else:
+        want = type(ref)
+    return value == ref and type(value) is want and (
         fld.modulus is None or 0 <= value < fld.modulus
     )
 
