@@ -74,7 +74,7 @@ def integer_kth_root(n: int, k: int):
 
 
 class _CharZeroField:
-    """Arithmetic shared by Q and Q(i): elements add, multiply and test zero
+    """Arithmetic shared by Q and Q(i): elements negate and test zero
     natively, and are canonical as computed."""
 
     modulus = None
@@ -85,20 +85,8 @@ class _CharZeroField:
     def __hash__(self):
         return hash(self.kind)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def neg(self, a):
         return -a
-
-    def pow(self, a, k: int):
-        return a**k
 
     def is_zero(self, a) -> bool:
         return not a
@@ -112,9 +100,11 @@ class _CharZeroField:
 
 class Rationals(_CharZeroField):
     """The field Q.  Elements are ints or Fractions; overflow is impossible.
-    `one`, `zero`, `from_int`, `parse`, `inv`, `div`, `kth_roots`,
-    `eval_terms` and `power_product` give an int exactly when the value is
-    integral; `add`, `sub`, `mul` and `pow` are the operands' own."""
+    Every value a method builds is an int exactly when it is integral and
+    never a float: `add`, `sub`, `mul`, `pow`, `inv`, `div`, `eval_terms`
+    and `power_product` compute on numerator and denominator ints and build
+    at most one Fraction, and `one`, `zero`, `from_int`, `parse` and
+    `kth_roots` follow the same rule."""
 
     kind = "Q"
     zero = 0
@@ -125,6 +115,20 @@ class Rationals(_CharZeroField):
 
     def from_int(self, n: int):
         return n
+
+    def add(self, a, b):
+        ad, bd = a.denominator, b.denominator
+        return _ratio(a.numerator * bd + b.numerator * ad, ad * bd)
+
+    def sub(self, a, b):
+        ad, bd = a.denominator, b.denominator
+        return _ratio(a.numerator * bd - b.numerator * ad, ad * bd)
+
+    def mul(self, a, b):
+        return _ratio(a.numerator * b.numerator, a.denominator * b.denominator)
+
+    def pow(self, a, k: int):
+        return self.power_product((a,), (k,))
 
     def inv(self, a):
         if a == 0:
@@ -312,6 +316,18 @@ class GaussianRationals(_CharZeroField):
     def from_int(self, n: int):
         return GaussianRational(n)
 
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def pow(self, a, k: int):
+        return a**k
+
     def normalize(self, acc: dict) -> dict:
         """The nonzero entries of natively accumulated values: the parts are
         canonical as built, so each value already is."""
@@ -355,6 +371,11 @@ class GaussianRationals(_CharZeroField):
     def sqrt_minus_one(self):
         """i."""
         return GaussianRational(0, 1)
+
+    def kth_roots(self, a, k: int):
+        """Refused: Q(i) serves the derivations that need i, and no root
+        extraction is implemented over it."""
+        raise FieldError(f"{self!r} has no k-th root extraction")
 
 
 class PrimeField:

@@ -36,6 +36,7 @@ from .records import fields, record
 from .shapes import (
     TrinomialShape,
     apply_permutation_to_point,
+    shape_fact,
     symmetry_group,
     torus_lattice,
     torus_scaling,
@@ -555,14 +556,29 @@ def _torus_step(shape, fld, src, dst, rows):
     return step, cur
 
 
+@shape_fact
+def _flow_moves(shape):
+    """transport's ordered (coordinate, candidate flow designators) pairs,
+    built once per shape."""
+    view = family_of(shape).f1
+    moves = [(i, (f"D:{j}",)) for j, i in enumerate(view.zs, start=1)]
+    moves += [(i, (f"E:{j}",)) for j, i in enumerate(view.ss, start=1)]
+    moves.append((view.x, tuple(f"D:{j}" for j in range(1, view.p + 1))))
+    return tuple(moves)
+
+
 def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
     """An explicit automorphism word mapping src to dst.
 
     Both points must carry the same descriptor, of open or component type.
-    Open recipe: torus step matching the y-coordinates, then one flow per z
-    and s coordinate (their images shift by -u * y-monomial); x follows.
-    Component recipe: torus step matching y off M and every z and s, then a
-    single flow fixing x (z is frozen there since the y-monomial vanishes).
+    A torus step first matches the ys (open stratum) or the ys off M and
+    every z and s (component stratum).  Then each coordinate still off dst
+    is moved by the first of its candidate catalog flows whose image on it
+    is nonzero at the current point: D:j for z_j, E:j for s_j, and D:1 ..
+    D:p for x.  That image is the coordinate's slope, as exp(u * delta)
+    moves it linearly in u, so u = (dst_i - cur_i) / slope.  On the open
+    stratum the slope of z_j and s_j is -dF/dx, nonzero, and x follows from
+    the equation; on a component stratum only x is left to move.
     """
     d_src = classify_point(shape, fld, src)
     d_dst = classify_point(shape, fld, dst)
@@ -573,47 +589,28 @@ def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
             "transport is implemented for the open and component strata"
         )
     view = family_of(shape).f1
-    steps = []
     if isinstance(d_src, BigO):
         rows = list(view.ys)
-        step, cur = _torus_step(shape, fld, src, dst, rows)
-        if step:
-            steps.append(step)
-        # the y-monomial: x's group monomial at cur with x set to 1
-        x_one = cur[:view.x] + (fld.one,) + cur[view.x + 1:]
-        y_mon = shape.monomial_value(fld, x_one, shape.group_of(view.x))
-        catalog = catalog_index(shape, fld)
-        for fam, idxs in (("D", view.zs), ("E", view.ss)):
-            for pos, i in enumerate(idxs, start=1):
-                if cur[i] == dst[i]:
-                    continue
-                u = fld.div(fld.sub(dst[i], cur[i]), fld.neg(y_mon))
-                delta = catalog[f"{fam}:{pos}"]
-                cur = delta.exp_flow(u, cur)
-                steps.append(FlowStep(f"{fam}:{pos}", u))
     else:
         rows = [i for k, i in enumerate(view.ys, start=1) if k not in d_src.M]
         rows += list(view.zs) + list(view.ss)
-        step, cur = _torus_step(shape, fld, src, dst, rows)
-        if step:
-            steps.append(step)
-        if cur[view.x] != dst[view.x]:
-            catalog = catalog_index(shape, fld)
-            moved = False
-            for pos in range(1, view.p + 1):
-                delta = catalog[f"D:{pos}"]
-                slope = delta.image(view.x).eval(cur)
-                if fld.is_zero(slope):
-                    continue
-                u = fld.div(fld.sub(dst[view.x], cur[view.x]), slope)
-                cur = delta.exp_flow(u, cur)
-                steps.append(FlowStep(f"D:{pos}", u))
-                moved = True
+    step, cur = _torus_step(shape, fld, src, dst, rows)
+    steps = [step] if step else []
+    catalog = catalog_index(shape, fld)
+    for i, names in _flow_moves(shape):
+        if cur[i] == dst[i]:
+            continue
+        for name in names:
+            slope = catalog[name].image(i).eval(cur)
+            if not fld.is_zero(slope):
                 break
-            if not moved:
-                raise CharacteristicTooSmall(
-                    "every z-flow degenerates at this point in this characteristic"
-                )
+        else:
+            raise CharacteristicTooSmall(
+                "every z-flow degenerates at this point in this characteristic"
+            )
+        u = fld.div(fld.sub(dst[i], cur[i]), slope)
+        cur = catalog[name].exp_flow(u, cur)
+        steps.append(FlowStep(name, u))
     if tuple(cur) != tuple(dst):
         raise AssertionError("transport recipe failed to reach the target")
     return AutWord(tuple(steps))

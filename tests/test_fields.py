@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from trinomial_orbits import fields
 from trinomial_orbits.fields import (
@@ -181,6 +181,26 @@ class TestCanonicalRationals:
         roots = QQ.kth_roots(r**k, k)
         assert r in roots and all(canonical_rational(x) for x in roots)
 
+    @given(st.one_of(rationals, st.integers(-30, 30)), st.one_of(rationals, st.integers(-30, 30)),
+           st.integers(-4, 4))
+    @example(Fraction(3, 2), Fraction(2, 3), -1)
+    @example(2, 0, -1)
+    def test_ring_operations(self, a, b, k):
+        # the operands' own operators would keep Fraction(1, 1) from 3/2 * 2/3
+        # and give the float 0.5 for 2 ** -1
+        pairs = [
+            (QQ.add(a, b), Fraction(a) + Fraction(b)),
+            (QQ.sub(a, b), Fraction(a) - Fraction(b)),
+            (QQ.mul(a, b), Fraction(a) * Fraction(b)),
+        ]
+        if a or k >= 0:
+            pairs.append((QQ.pow(a, k), Fraction(a) ** k))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                QQ.pow(a, k)
+        for got, want in pairs:
+            assert got == want and canonical_rational(got)
+
     def test_parse(self):
         assert type(QQ.parse("3")) is int and type(QQ.parse("4/2")) is int
         assert type(QQ.parse("-0/5")) is int and QQ.parse("-0/5") == 0
@@ -314,6 +334,11 @@ class TestGaussianRationals:
             QI.inv(QI.zero)
         with pytest.raises(FieldError):
             QI.elements()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_kth_roots_refused(self, k):
+        with pytest.raises(FieldError):
+            QI.kth_roots(QI.from_int(-1), k)
 
 
 class TestConstruction:

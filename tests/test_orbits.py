@@ -54,7 +54,8 @@ from trinomial_orbits.orbits import (
     AutWord,
     _solve_torus,
 )
-from trinomial_orbits.oracle import build_census, enumerate_points, point_count
+from trinomial_orbits.fields import FieldError, QI
+from trinomial_orbits.oracle import _orbit_draw, build_census, enumerate_points, point_count
 from trinomial_orbits.shapes import symmetry_group, torus_lattice, torus_scaling
 from conftest import SHAPE_A, SHAPE_D, power_one_shapes, singular_set, small_shapes
 
@@ -388,6 +389,43 @@ def same_orbit_pairs(shape, fld, count, seed):
     return pairs
 
 
+def census_pairs(shape, fld, count, seed):
+    """Seeded pairs of points in one open or component census bucket over
+    F_p, sampled as the oracle's transport check samples them: an orbit
+    drawn by its size, and each point its representative moved by a
+    uniform torus element."""
+    rng = random.Random(seed)
+    rank = len(torus_lattice(shape).vectors)
+    draws = [_orbit_draw(b, rng) for b in build_census(shape, fld).buckets.values()
+             if sum(size for _, size in b) >= 2]
+
+    def point(draw):
+        rep, _ = draw()
+        mus = [rng.randrange(1, fld.modulus) for _ in range(rank)]
+        return TorusStep(torus_scaling(shape, fld, mus)).apply(fld, rep)
+
+    pairs = []
+    for _ in range(count):
+        draw = rng.choice(draws)
+        pairs.append((point(draw), point(draw)))
+    return pairs
+
+
+def transport_digest(shape, fld, pairs):
+    """sha256 of the JSON list of transport outputs over the pairs: each
+    word, checked to map src to dst, or the refusal's class and message."""
+    outs = []
+    for src, dst in pairs:
+        try:
+            word = transport(shape, fld, src, dst)
+        except MathDomainError as exc:
+            outs.append([type(exc).__name__, str(exc)])
+            continue
+        assert word.apply(shape, fld, src) == dst
+        outs.append(word.to_json(fld))
+    return hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+
+
 # sha256 of the JSON list of words for same_orbit_pairs(shape, field, 40,
 # "<name>/<field>"), recorded from the per-prime integer and discrete-log
 # solvers that the solve in K^* replaced: the words must not change
@@ -398,6 +436,17 @@ PINNED_WORDS = {
     ("D", "Q"): "fe68beec76293c1fcf2dd1c65626faf03dadabe63844f4d50d47e750ed0b2391",
     ("D", "Fp:13"): "9ccc11065ce4cb93624056ba9ddd7da7dc6e99d2fec973f96accaf0652eaa7bb",
     ("D", "Fp:101"): "34f48087171eddcbda4e071a9f93acacfca189192a97647413aca5c46955becf",
+}
+
+# transport_digest of census_pairs(shape, field, 40, "<shape>/<field>"),
+# recorded from the transporter with separate open and component recipes:
+# several zs, a free term, and a characteristic where D:1 cannot move x
+PINNED_CENSUS_WORDS = {
+    ("[[],[1,3,3],[3,3]]", "Fp:7"): "97f2a4316fbf6f4bdd4bd880621a3a3f6e3f4059b8626b1e8a123c06ad56bc4f",
+    ("[[],[1,3,3],[3,3]]", "Fp:13"): "6f07f66b049f5b6688f3c936cffe34c25f9717645f6337b8f829cb9c0de047ca",
+    ("[[1,2],[3,3],[3]]", "Fp:7"): "b7021d40f311662c8af4570a7739c979f18919a1a30d9a965c60eb7a6d856efd",
+    ("[[1,2],[3,3],[3]]", "Fp:13"): "b3cf3f1d2115eb65509dec4511d756893e91f343ea42b32aaab25155f642a16d",
+    ("[[1,2],[3,5],[3]]", "Fp:3"): "2626b8be10d85d505db1cf2e331f2042ea57a49165aab00762b68cc8b1e6483c",
 }
 
 
@@ -599,13 +648,30 @@ class TestTransport:
     def test_words_pinned(self, name, field):
         shape = validate_shape({"A": SHAPE_A, "D": SHAPE_D}[name])
         fld = parse_field(field)
-        words = []
-        for src, dst in same_orbit_pairs(shape, fld, 40, f"{name}/{field}"):
-            word = transport(shape, fld, src, dst)
-            assert word.apply(shape, fld, src) == dst
-            words.append(word.to_json(fld))
-        digest = hashlib.sha256(json.dumps(words).encode()).hexdigest()
-        assert digest == PINNED_WORDS[name, field]
+        pairs = same_orbit_pairs(shape, fld, 40, f"{name}/{field}")
+        assert transport_digest(shape, fld, pairs) == PINNED_WORDS[name, field]
+
+    @pytest.mark.parametrize("groups, field", sorted(PINNED_CENSUS_WORDS))
+    def test_census_words_pinned(self, groups, field):
+        shape, fld = validate_shape(json.loads(groups)), parse_field(field)
+        pairs = census_pairs(shape, fld, 40, f"{groups}/{field}")
+        assert transport_digest(shape, fld, pairs) == PINNED_CENSUS_WORDS[groups, field]
+
+    def test_slopes_come_from_the_catalog(self, monkeypatch):
+        # every flow parameter is read from a catalog derivation's image,
+        # never from a shape monomial evaluated on the side
+        cases = []
+        for name, field in sorted(PINNED_WORDS):
+            shape = validate_shape({"A": SHAPE_A, "D": SHAPE_D}[name])
+            fld = parse_field(field)
+            cases.append((shape, fld, same_orbit_pairs(shape, fld, 40, f"{name}/{field}"), name, field))
+
+        def refuse(*args):
+            raise AssertionError("transport evaluated a shape monomial")
+
+        monkeypatch.setattr(TrinomialShape, "monomial_value", refuse)
+        for shape, fld, pairs, name, field in cases:
+            assert transport_digest(shape, fld, pairs) == PINNED_WORDS[name, field]
 
 
 class TestSolveTorus:
@@ -651,6 +717,12 @@ class TestSolveTorus:
     def test_empty_rows(self):
         assert _solve_torus(PrimeField(7), ((1, 0), (0, 1)), [], []) == [1, 1]
         assert _solve_torus(QQ, ((1,),), [], []) == [1]
+
+    def test_gaussian_rationals_refuse_an_invariant_factor_two(self):
+        # Q(i) extracts no roots, so a d_l > 1 refuses instead of crashing
+        with pytest.raises(FieldError):
+            _solve_torus(QI, ((2,),), [0], [QI.from_int(4)])
+        assert _solve_torus(QI, ((1,),), [0], [QI.from_int(4)]) == [4]
 
 
 class TestGluingOracle:

@@ -276,7 +276,7 @@ def rational_point(shape, rng):
         cofactor = ref_monomial_value(shape, QQ, pt, gv)
         if cofactor:
             rest = sum(ref_monomial_value(shape, QQ, pt, g) for g in range(3) if g != gv)
-            pt[v] = -rest / cofactor
+            pt[v] = QQ.div(-rest, cofactor)
             return tuple(pt)
 
 

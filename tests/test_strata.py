@@ -17,6 +17,7 @@ from trinomial_orbits import (
     support_zero_set,
     validate_shape,
 )
+from trinomial_orbits.fields import FieldError, QI
 from trinomial_orbits.oracle import enumerate_points
 from trinomial_orbits.strata import n_set, stratum_orbits, var_set_from_names, var_set_to_json
 from conftest import singular_set, small_shapes
@@ -164,6 +165,11 @@ class TestNSet:
         assert not any(fld.kth_roots(p - 2, l) for l in set(shape.exponents))
         pt = stratum_point(shape, fld, frozenset())
         assert support_zero_set(shape, fld, pt) == frozenset()
+
+    def test_gaussian_rationals_refuse(self):
+        # Q(i) extracts no roots: the point construction refuses, it does not crash
+        with pytest.raises(FieldError):
+            stratum_point(validate_shape([[1, 2], [3], [3]]), QI, frozenset())
 
     def test_empty_at_larger_prime(self):
         # T2_1 = 0 leaves x^2 + y^2, and -1 is no square mod 10007 = 3 (mod 4)
