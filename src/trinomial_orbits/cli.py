@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 mathematical-domain error
 (missing roots, unsupported family, small characteristic, ...),
-3 verification failure.  Errors are always emitted as JSON objects
-{"error": code, "detail": message} so scripted callers never parse prose.
+3 verification failure.  Every error, a malformed command line too, is one
+JSON object {"error": code, "detail": message}: callers never parse prose.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ class UsageError(Exception):
 
 
 def _load_shape(arg: str) -> TrinomialShape:
-    if arg is None:
-        raise UsageError("--shape is required")
     text = arg
     if os.path.exists(arg):
         with open(arg) as fh:
@@ -65,8 +63,6 @@ def _point_field(arg: str):
 
 
 def _load_point(shape: TrinomialShape, fld, arg: str):
-    if arg is None:
-        raise UsageError("--point is required")
     try:
         data = json.loads(arg)
     except json.JSONDecodeError as exc:
@@ -252,10 +248,10 @@ def cmd_strata(args) -> int:
 
 def cmd_orbits(args) -> int:
     shape = _load_shape(args.shape)
-    fld = _point_field(args.field)
     if args.sub == "count":
         _emit(orbits.orbit_count(shape).to_json(), args.json)
         return 0
+    fld = _point_field(args.field)
     if args.sub == "classify":
         pt = _load_point(shape, fld, args.point)
         desc = orbits.classify_point(shape, fld, pt, args.assume_conjecture)
@@ -269,20 +265,19 @@ def cmd_orbits(args) -> int:
         desc = orbits.saut_descriptor(shape, fld, pt)
         _emit({"saut_orbit": orbits.saut_to_json(desc, shape, fld)}, args.json)
         return 0
-    if args.sub == "transport":
-        src = _load_point(shape, fld, getattr(args, "from"))
-        dst = _load_point(shape, fld, args.to)
-        word = orbits.transport(shape, fld, src, dst)
-        applied = word.apply(shape, fld, src)
-        _emit(
-            {
-                "word": word.to_json(fld),
-                "maps_src_to_dst": list(applied) == list(dst),
-            },
-            args.json,
-        )
-        return 0
-    raise UsageError(f"unknown orbits subcommand {args.sub!r}")
+    # transport
+    src = _load_point(shape, fld, getattr(args, "from"))
+    dst = _load_point(shape, fld, args.to)
+    word = orbits.transport(shape, fld, src, dst)
+    applied = word.apply(shape, fld, src)
+    _emit(
+        {
+            "word": word.to_json(fld),
+            "maps_src_to_dst": list(applied) == list(dst),
+        },
+        args.json,
+    )
+    return 0
 
 
 def cmd_enumerate(args) -> int:
@@ -300,10 +295,12 @@ def cmd_verify(args) -> int:
     shape = _load_shape(args.shape)
     fld = parse_field(args.field)
     kind = args.sub
-    if kind != "flows" and args.trials < 0:
-        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     if kind == "partition":
         report = oracle.verify_partition(shape, fld, args.assume_conjecture)
+    elif kind == "flows":
+        report = oracle.verify_flow_regularity(shape, fld, lnd_catalog(shape, fld))
+    elif args.trials < 0:
+        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
     elif kind == "invariance":
         report = oracle.verify_invariance(
             shape, fld, trials=args.trials, seed=args.seed,
@@ -311,8 +308,6 @@ def cmd_verify(args) -> int:
         )
     elif kind == "transport":
         report = oracle.verify_transport(shape, fld, pairs=args.trials, seed=args.seed)
-    elif kind == "flows":
-        report = oracle.verify_flow_regularity(shape, fld, lnd_catalog(shape, fld))
     else:
         report = oracle.verify_all(
             shape, fld, trials=args.trials, seed=args.seed,
@@ -328,88 +323,91 @@ def cmd_verify(args) -> int:
     return 3 if report.failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as a UsageError, which run_cli prints
+    as JSON; add_subparsers builds its parsers from this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args does not
-    change it."""
-    ap = argparse.ArgumentParser(
+    change it.  Each command takes only the options its handler reads."""
+    ap = _Parser(
         prog="trinomial-orbits",
         description="Classification and orbit stratification of trinomial hypersurfaces",
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
+    point_help = "JSON array or {name: value} object"
 
-    def common(p, point=False, trials=False):
+    def command(parsers, name, run, field=True, conjecture=False, trials=False, help=None):
+        p = parsers.add_parser(name, help=help)
         p.add_argument("--shape", required=True, help="shape JSON file or literal")
-        p.add_argument("--field", default="Q", help="Q, Fp:<prime>, or Qi for lnd (default Q)")
+        if field:
+            p.add_argument(
+                "--field", default="Q", help="Q, Fp:<prime>, or Qi for lnd (default Q)"
+            )
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.add_argument("--assume-conjecture", action="store_true", dest="assume_conjecture")
-        p.add_argument("--seed", type=int, default=0)
-        if point:
-            p.add_argument("--point", help="JSON array or {name: value} object")
+        if conjecture:
+            p.add_argument("--assume-conjecture", action="store_true")
         if trials:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--trials", type=int, default=200)
+        p.set_defaults(run=run)
+        return p
 
     for name in ("classify", "report"):
-        common(sub.add_parser(name, help=f"{name} a shape"))
+        command(sub, name, cmd_classify, field=False, help=f"{name} a shape")
 
     lnd = sub.add_parser("lnd", help="derivation catalog")
     lnd_sub = lnd.add_subparsers(dest="sub", required=True)
-    for name in ("list", "check"):
-        p = lnd_sub.add_parser(name)
-        common(p)
-        if name == "check":
-            p.add_argument("--derivation", help="designator, e.g. D:1 or gamma:1,1")
-            p.add_argument(
-                "--custom",
-                help='images JSON, e.g. {"T2_1": "1"}; unlisted variables map to 0',
-            )
+    command(lnd_sub, "list", cmd_lnd)
+    which = command(lnd_sub, "check", cmd_lnd).add_mutually_exclusive_group()
+    which.add_argument("--derivation", help="designator, e.g. D:1 or gamma:1,1")
+    which.add_argument(
+        "--custom",
+        help='images JSON, e.g. {"T2_1": "1"}; unlisted variables map to 0',
+    )
 
-    st = sub.add_parser("strata", help="singular components, supports, N(S)")
-    common(st, point=True)
-    st.add_argument("--set", help='variable set JSON, e.g. {"vars": ["T0_2"]}')
+    st = command(sub, "strata", cmd_strata, help="singular components, supports, N(S)")
+    which = st.add_mutually_exclusive_group()
+    which.add_argument("--point", help=point_help)
+    which.add_argument("--set", help='variable set JSON, e.g. {"vars": ["T0_2"]}')
 
     orb = sub.add_parser("orbits", help="orbit classification")
     orb_sub = orb.add_subparsers(dest="sub", required=True)
-    for name in ("classify", "count", "transport", "saut"):
-        p = orb_sub.add_parser(name)
-        common(p, point=name in ("classify", "saut"))
-        if name == "transport":
-            p.add_argument("--from", required=True, help="source point")
-            p.add_argument("--to", required=True, help="target point")
+    p = command(orb_sub, "classify", cmd_orbits, conjecture=True)
+    p.add_argument("--point", required=True, help=point_help)
+    command(orb_sub, "count", cmd_orbits, field=False)
+    p = command(orb_sub, "transport", cmd_orbits)
+    p.add_argument("--from", required=True, help="source point")
+    p.add_argument("--to", required=True, help="target point")
+    p = command(orb_sub, "saut", cmd_orbits)
+    p.add_argument("--point", required=True, help=point_help)
 
-    en = sub.add_parser("enumerate", help="all F_p points")
-    common(en)
+    command(sub, "enumerate", cmd_enumerate, help="all F_p points")
 
     ver = sub.add_parser("verify", help="finite-field oracle runs")
     ver_sub = ver.add_subparsers(dest="sub", required=True)
-    for name in ("all", "partition", "invariance", "transport"):
-        common(ver_sub.add_parser(name), trials=True)
-    common(ver_sub.add_parser("flows", help="flow regularity over the full catalog"))
-
+    command(ver_sub, "all", cmd_verify, conjecture=True, trials=True)
+    command(ver_sub, "partition", cmd_verify, conjecture=True)
+    command(ver_sub, "invariance", cmd_verify, conjecture=True, trials=True)
+    command(ver_sub, "transport", cmd_verify, trials=True)
+    command(ver_sub, "flows", cmd_verify, help="flow regularity over the full catalog")
     return ap
 
 
-COMMANDS = {
-    "classify": cmd_classify,
-    "report": cmd_classify,
-    "lnd": cmd_lnd,
-    "strata": cmd_strata,
-    "orbits": cmd_orbits,
-    "enumerate": cmd_enumerate,
-    "verify": cmd_verify,
-}
-
-
 def run_cli(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
-        return COMMANDS[args.cmd](args)
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except SystemExit:  # --help printed its text
+        return 0
     except (UsageError, ShapeError, FieldError, PolyParseError, KeyError) as exc:
-        print(json.dumps({"error": "usage", "detail": str(exc)}))
+        detail = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        print(json.dumps({"error": "usage", "detail": detail}))
         return 1
     except MathDomainError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -516,3 +517,133 @@ class TestParserReuse:
         assert in_process == fresh
         assert [code for code, _, _ in fresh] == [0, 0, 1, 0, 0]
         assert build_parser() is build_parser()
+
+
+# each command's options besides --shape and --json
+INTERFACE = {
+    ("classify",): set(),
+    ("report",): set(),
+    ("orbits", "count"): set(),
+    ("lnd", "list"): {"--field"},
+    ("enumerate",): {"--field"},
+    ("verify", "flows"): {"--field"},
+    ("lnd", "check"): {"--field", "--derivation", "--custom"},
+    ("strata",): {"--field", "--point", "--set"},
+    ("orbits", "classify"): {"--field", "--point", "--assume-conjecture"},
+    ("orbits", "saut"): {"--field", "--point"},
+    ("orbits", "transport"): {"--field", "--from", "--to"},
+    ("verify", "all"): {"--field", "--assume-conjecture", "--seed", "--trials"},
+    ("verify", "invariance"): {"--field", "--assume-conjecture", "--seed", "--trials"},
+    ("verify", "partition"): {"--field", "--assume-conjecture"},
+    ("verify", "transport"): {"--field", "--seed", "--trials"},
+}
+# the options a command requires besides --shape, with valid values
+REQUIRED = {
+    ("orbits", "classify"): ["--point", "[0,1,-1,1]"],
+    ("orbits", "saut"): ["--point", "[0,1,-1,1]"],
+    ("orbits", "transport"): ["--from", "[0,1,-1,1]", "--to", "[0,1,-1,1]"],
+}
+SHARED = {"--field": ["Q"], "--seed": ["1"], "--trials": ["5"], "--assume-conjecture": []}
+
+
+def leaves(parser, path=()):
+    """(command words, parser) for every command the parser runs."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [(path, parser)]
+    return [leaf for name, p in subs[0].choices.items() for leaf in leaves(p, path + (name,))]
+
+
+def fresh_run(argv):
+    src = os.path.dirname(os.path.dirname(trinomial_orbits.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "trinomial_orbits.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestInterface:
+    """Each command takes --shape, --json and only the options its handler reads."""
+
+    def test_options_follow_the_table(self):
+        got = {
+            path: {opt for a in p._actions for opt in a.option_strings}
+            for path, p in leaves(build_parser())
+        }
+        assert got == {
+            path: options | {"-h", "--help", "--shape", "--json"}
+            for path, options in INTERFACE.items()
+        }
+        required = {
+            path: {opt for a in p._actions if a.required for opt in a.option_strings}
+            for path, p in leaves(build_parser())
+        }
+        assert required == {path: {"--shape", *REQUIRED.get(path, [])[::2]} for path in INTERFACE}
+
+    @pytest.mark.parametrize(
+        "cmd,option",
+        [(cmd, opt) for cmd, opts in INTERFACE.items() for opt in SHARED if opt not in opts],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+    )
+    def test_undeclared_options_are_refused(self, capsys, cmd, option):
+        extra = [option, *SHARED[option]]
+        argv = [*cmd, "--shape", "[[1,2],[3],[3]]", *REQUIRED.get(cmd, []), *extra]
+        code, data = run_json(capsys, *argv)
+        assert code == 1
+        assert data == {
+            "error": "usage",
+            "detail": f"trinomial-orbits: unrecognized arguments: {' '.join(extra)}",
+        }
+
+    @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            # report reads no field: it would print Q's empty catalog
+            (["report", "--shape", "[[2,2],[2,2],[5]]", "--field", "Fp:13"],
+             "unrecognized arguments: --field Fp:13"),
+            # transport reads no conjecture flag: it would refuse the F2 point
+            (["orbits", "transport", "--shape", "[[1,1,2],[3],[3]]", "--field", "Fp:7",
+              "--from", "[5,1,1,1,1]", "--to", "[5,1,1,1,1]", "--assume-conjecture"],
+             "unrecognized arguments: --assume-conjecture"),
+            # --custom would drop --derivation, --point would drop --set
+            (["lnd", "check", "--shape", "[[1,2],[3],[3]]", "--derivation", "D:1",
+              "--custom", '{"T2_1": "1"}'],
+             "argument --custom: not allowed with argument --derivation"),
+            (["strata", "--shape", "[[1,2],[3],[3]]", "--field", "Fp:7",
+              "--point", "[5,1,1,1]", "--set", '["T0_2"]'],
+             "argument --set: not allowed with argument --point"),
+        ],
+    )
+    def test_options_a_command_would_drop_are_refused(self, capsys, argv, detail):
+        code, data = run_json(capsys, *argv)
+        assert code == 1 and data["error"] == "usage" and data["detail"].endswith(detail)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "all", "--field", "Fp:5"],
+            ["classify", "--shape", "[[1,2],[3],[3]]", "--nope"],
+            ["verify", "all", "--shape", "[[1,2],[3],[3]]", "--field", "Fp:7", "--trials", "x"],
+            ["survey", "--shape", "[[1,2],[3],[3]]"],
+        ],
+        ids=["missing-shape", "unknown-option", "bad-trials", "unknown-command"],
+    )
+    def test_malformed_command_lines_are_json_usage_errors(self, capsys, argv):
+        code = run_cli(argv)
+        captured = capsys.readouterr()
+        in_process = (code, captured.out, captured.err)
+        assert fresh_run(argv) == in_process
+        code, out, err = in_process
+        (line,) = out.splitlines()
+        assert code == 1 and err == "" and json.loads(line)["error"] == "usage"
+
+    def test_help_exits_zero(self, capsys):
+        assert run_cli(["verify", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: trinomial-orbits verify")
+
+    def test_key_error_detail_is_its_message(self, capsys):
+        code, data = run_json(
+            capsys, "strata", "--shape", "[[1,2],[3],[3]]", "--field", "Fp:7", "--set", "[1]"
+        )
+        assert (code, data) == (1, {"error": "usage", "detail": "unknown variable 1"})

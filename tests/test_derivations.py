@@ -736,7 +736,8 @@ class TestDeltaFlows:
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
     def test_flows_stay_on_the_variety_over_f5(self, groups):
         # p = 5 is at most an exponent of the third group: the divided powers
-        # computed in F_5 were no flow, the pushed Q(i) series is one
+        # computed in F_5 were no flow, the closed form read from each delta's
+        # own F_5 record is one
         shape, f5 = validate_shape(groups), PrimeField(5)
         for d in lnd_catalog(shape, f5):
             for pt in enumerate_points(shape, f5):
@@ -866,7 +867,7 @@ class TestCatalogCache:
              "--from", "[-2,1,1,1,1]", "--to", "[-9,1,1,2,1]"),
             ("lnd", "list", "--field", "Fp:13"),
             ("lnd", "check", "--field", "Fp:7"),
-            ("report", "--field", "Q"),
+            ("report",),
         ]
 
         def outputs(shape):
