@@ -261,10 +261,9 @@ class Derivation:
         """exp(u * derivation) applied to pt, with no equation check.
 
         Each moved coordinate is sum_k u^k P_k(pt), accumulated natively and
-        reduced once.  exp_flow is this call with both ends checked; a
-        caller whose sources are on X by construction checks only the
-        image, and refuses one off X with CharacteristicTooSmall
-        (FLOW_LEFT_THE_VARIETY) as exp_flow does.
+        reduced once.  Nothing here reads the equation: exp_flow checks both
+        ends, _image_on_variety only the image, and the oracle's flow
+        invariance check classifies the image, which refuses one off X.
         """
         fld = self.field
         out = list(pt)
@@ -273,19 +272,28 @@ class Derivation:
             out[v] = fld.eval_terms(terms, at)
         return tuple(out)
 
-    def exp_flow(self, u, pt):
-        """Image of a variety point under exp(u * derivation).
-
-        The result satisfies the equation exactly; if an in-field series
-        terminated early because of the characteristic, the equation check
-        catches it and raises CharacteristicTooSmall.
-        """
-        if not self.shape.on_variety(self.field, pt):
-            raise PointNotOnVariety("flow source does not satisfy the equation")
+    def _image_on_variety(self, u, pt):
+        """flow_image(u, pt) for a source pt on X, checked on X: an image
+        off X means the series is no flow in this characteristic, and is
+        refused with CharacteristicTooSmall (FLOW_LEFT_THE_VARIETY).  The
+        one image check of exp_flow and of the transporter's flows, whose
+        sources are on X by construction."""
         out = self.flow_image(u, pt)
         if not self.shape.on_variety(self.field, out):
             raise CharacteristicTooSmall(FLOW_LEFT_THE_VARIETY)
         return out
+
+    def exp_flow(self, u, pt):
+        """Image of a variety point under exp(u * derivation).
+
+        Both ends are checked: a source off X raises PointNotOnVariety, and
+        the result satisfies the equation exactly, or, when an in-field
+        series terminated early because of the characteristic, the image
+        check (_image_on_variety) raises CharacteristicTooSmall.
+        """
+        if not self.shape.on_variety(self.field, pt):
+            raise PointNotOnVariety("flow source does not satisfy the equation")
+        return self._image_on_variety(u, pt)
 
 
 # ---------------------------------------------------------------------------

@@ -480,8 +480,18 @@ class AutWord:
     steps: tuple
 
     def apply(self, shape: TrinomialShape, fld, pt):
+        """The image of pt under the steps, in order.
+
+        A flow checks its source on X (PointNotOnVariety) only when the
+        step before it was no flow: the input point, and the output of a
+        torus step, which a word read by from_json may hold off the
+        lattice, or of a perm step.  After a flow the source is that
+        flow's image, which every flow checks on X
+        (CharacteristicTooSmall).
+        """
         cur = tuple(pt)
         catalog = None
+        after_flow = False
         for step in self.steps:
             if isinstance(step, TorusStep):
                 cur = step.apply(fld, cur)
@@ -489,11 +499,13 @@ class AutWord:
                 if catalog is None:
                     catalog = catalog_index(shape, fld)
                 delta = catalog[step.designator]
-                cur = delta.exp_flow(step.u, cur)
+                flow = delta._image_on_variety if after_flow else delta.exp_flow
+                cur = flow(step.u, cur)
             elif isinstance(step, PermStep):
                 cur = apply_permutation_to_point(step.perm, cur)
             else:
                 raise TypeError(f"unknown step {step!r}")
+            after_flow = isinstance(step, FlowStep)
         return cur
 
     def to_json(self, fld):
@@ -579,7 +591,20 @@ def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
     moves it linearly in u, so u = (dst_i - cur_i) / slope.  On the open
     stratum the slope of z_j and s_j is -dF/dx, nonzero, and x follows from
     the equation; on a component stratum only x is left to move.
+
+    Only the power-one family F1 is transported: any other family is
+    refused with UnsupportedFamily, naming it, before either point is
+    classified.  Each point is checked on X once: the endpoints by
+    classify_point, and each flow's image by the flow
+    (CharacteristicTooSmall).  No flow source is checked again, as each is
+    on X by construction: an endpoint, the image of a torus step built
+    through the lattice, or a checked flow image.
     """
+    tag = family_of(shape)
+    if tag.kind != "F1":
+        raise UnsupportedFamily(
+            f"transport is implemented for the power-one family F1, not {tag.kind}"
+        )
     d_src = classify_point(shape, fld, src)
     d_dst = classify_point(shape, fld, dst)
     if d_src != d_dst:
@@ -588,7 +613,7 @@ def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
         raise UnsupportedFamily(
             "transport is implemented for the open and component strata"
         )
-    view = family_of(shape).f1
+    view = tag.f1
     if isinstance(d_src, BigO):
         rows = list(view.ys)
     else:
@@ -609,7 +634,7 @@ def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
                 "every z-flow degenerates at this point in this characteristic"
             )
         u = fld.div(fld.sub(dst[i], cur[i]), slope)
-        cur = catalog[name].exp_flow(u, cur)
+        cur = catalog[name]._image_on_variety(u, cur)
         steps.append(FlowStep(name, u))
     if tuple(cur) != tuple(dst):
         raise AssertionError("transport recipe failed to reach the target")

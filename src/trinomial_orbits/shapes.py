@@ -22,7 +22,7 @@ from math import gcd
 
 from . import intlinalg
 from .errors import DegenerateShape, EmptyGroup12, NonPositiveExponent, ShapeError
-from .polynomials import PolyRing, Polynomial
+from .polynomials import MissingCoordinate, PolyRing, Polynomial
 from .records import field, record
 
 
@@ -153,14 +153,23 @@ class TrinomialShape:
             [(1, tuple((idx, exps[idx]) for idx in idxs))] for idxs in self._group_ranges
         )
 
+    @cached_property
+    def _equation_terms(self):
+        """The three monomials as one term list for the fields' eval_terms:
+        the equation in every field, as each coefficient is 1."""
+        return [term for terms in self._monomial_terms for term in terms]
+
     def monomial_value(self, fld, pt, g: int):
         """Value of the g-th monomial at a point (1 for the free term)."""
         return fld.eval_terms(self._monomial_terms[g], pt)
 
     def on_variety(self, fld, pt) -> bool:
-        """Does the point satisfy the equation?  A point with the wrong
-        number of coordinates raises MissingCoordinate."""
-        return fld.is_zero(self.equation(fld).eval(pt))
+        """Does the point satisfy the equation?  Sums the shape's own
+        field-independent terms, with no equation lookup.  A point with the
+        wrong number of coordinates raises MissingCoordinate."""
+        if len(pt) != self.n:
+            raise MissingCoordinate(f"point has {len(pt)} coordinates, ring has {self.n}")
+        return fld.is_zero(fld.eval_terms(self._equation_terms, pt))
 
     # -- serialization ---------------------------------------------------------
 

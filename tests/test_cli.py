@@ -275,6 +275,19 @@ class TestOrbits:
             {"step": "flow", "derivation": "D:1", "u": "-1"}
         ]
 
+    def test_transport_refuses_other_families_by_name(self, capsys):
+        # an F2 shape is refused before either point is classified, so no
+        # advice to pass a conjecture flag that transport does not read
+        code, data = run_json(
+            capsys, "orbits", "transport", "--shape", "[[1,1,2],[3],[3]]",
+            "--field", "Fp:7", "--from", "[5,1,1,1,1]", "--to", "[5,1,1,1,1]",
+        )
+        assert code == 2
+        assert data == {
+            "error": "unsupported_family",
+            "detail": "transport is implemented for the power-one family F1, not F2",
+        }
+
     def test_saut(self, capsys):
         code, data = run_json(
             capsys, "orbits", "saut", "--shape", "[[1,2],[3],[3]]",

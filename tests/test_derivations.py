@@ -745,7 +745,7 @@ class TestDeltaFlows:
                     assert shape.on_variety(f5, d.exp_flow(u, pt))
 
 
-class TestGaussianTwins:
+class TestDeltaOverQiAndFp:
     """Delta is exact over Q(i), and its F_p flows stay on the variety."""
 
     @given(delta_shapes())

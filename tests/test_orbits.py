@@ -13,10 +13,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from trinomial_orbits import (
     BigO,
+    CharacteristicTooSmall,
     ConjectureNotAssumed,
+    Derivation,
     DifferentOrbits,
     DlogUnsolvable,
     MathDomainError,
+    MissingCoordinate,
     OMeps,
     O1,
     O2,
@@ -26,11 +29,13 @@ from trinomial_orbits import (
     RootUnavailable,
     TrinomialShape,
     UnsupportedFamily,
+    catalog_derivation,
     classify_point,
     descriptor_dim,
     descriptor_from_json,
     descriptor_to_json,
     family_of,
+    lnd_catalog,
     ml_generators,
     orbit_count,
     orbits,
@@ -672,6 +677,128 @@ class TestTransport:
         monkeypatch.setattr(TrinomialShape, "monomial_value", refuse)
         for shape, fld, pairs, name, field in cases:
             assert transport_digest(shape, fld, pairs) == PINNED_WORDS[name, field]
+
+
+# the transport cases of CI on shape A, each joined by a word with flows:
+# (field, src, dst), coordinates as the command line takes them
+CI_TRANSPORTS_A = [
+    ("Q", ["-1/2", "2", "1", "1"], ["7/72", "3", "1/2", "-1"]),
+    ("Fp:13", ["11", "1", "1", "1"], ["3", "2", "3", "0"]),
+    ("Fp:13", ["5", "0", "1", "12"], ["7", "0", "3", "10"]),
+    ("Q", ["5", "0", "1", "-1"], ["-2/3", "0", "2", "-2"]),
+]
+
+
+class TestOneCheckPerPoint:
+    """The transport path checks each point on X once: the endpoints when
+    classified, every flow image by its flow, and a flow source only when
+    nothing has checked it yet.  Every refusal stays where it was."""
+
+    @staticmethod
+    def counted_on_variety(monkeypatch):
+        calls = []
+        real = TrinomialShape.on_variety
+
+        def counted(self, fld, pt):
+            calls.append(tuple(pt))
+            return real(self, fld, pt)
+
+        monkeypatch.setattr(TrinomialShape, "on_variety", counted)
+        return calls
+
+    @pytest.mark.parametrize("field, src, dst", CI_TRANSPORTS_A)
+    def test_transport_and_apply_check_each_point_once(self, monkeypatch, shape_a, field, src, dst):
+        # transport: both endpoints, then one image per flow; apply: the
+        # first flow's source, then one image per flow.  A re-check of a
+        # point already on X fails here.
+        fld = parse_field(field)
+        src, dst = tuple(map(fld.parse, src)), tuple(map(fld.parse, dst))
+        calls = self.counted_on_variety(monkeypatch)
+        word = transport(shape_a, fld, src, dst)
+        k = sum(1 for step in word.steps if isinstance(step, FlowStep))
+        assert k >= 1 and len(calls) == 2 + k
+        calls.clear()
+        assert word.apply(shape_a, fld, src) == dst
+        assert len(calls) == 1 + k
+
+    def test_point_off_x_is_refused_by_every_entry(self, shape_a, f7):
+        off, on = (1, 1, 1, 1), (5, 0, 6, 1)
+        assert not shape_a.on_variety(f7, off) and shape_a.on_variety(f7, on)
+        D1 = catalog_derivation(shape_a, f7, "D:1")
+        with pytest.raises(PointNotOnVariety, match="flow source"):
+            D1.exp_flow(1, off)
+        for a, b in ((off, on), (on, off)):
+            with pytest.raises(PointNotOnVariety):
+                transport(shape_a, f7, a, b)
+        perm = symmetry_group(shape_a).generators[0]
+        words = [
+            AutWord((FlowStep("D:1", 1), FlowStep("E:1", 2))),
+            AutWord((orbits.PermStep(perm), FlowStep("D:1", 1))),
+        ]
+        for word in words:
+            with pytest.raises(PointNotOnVariety, match="flow source"):
+                word.apply(shape_a, f7, off)
+
+    def test_off_lattice_torus_step_is_refused_at_the_next_flow(self, monkeypatch, shape_a):
+        # (1, 1, 2, 1) scales z alone, which no lattice element does: it
+        # moves (11, 1, 1, 1) off x*y^2 + z^3 + s^3 over F_13
+        f13 = PrimeField(13)
+        word = AutWord.from_json(f13, {"steps": [
+            {"step": "torus", "coords": ["1", "1", "2", "1"]},
+            {"step": "flow", "derivation": "D:1", "u": "1"},
+            {"step": "flow", "derivation": "E:1", "u": "1"},
+        ]})
+        src = (11, 1, 1, 1)
+        assert shape_a.on_variety(f13, src)
+        assert not shape_a.on_variety(f13, word.steps[0].apply(f13, src))
+        calls = self.counted_on_variety(monkeypatch)
+        with pytest.raises(PointNotOnVariety, match="flow source"):
+            word.apply(shape_a, f13, src)
+        assert calls == [(11, 1, 2, 1)]
+
+    def test_flow_image_off_x_is_refused(self, in_field_delta):
+        # H2's deltas with in-field divided powers are no flows over F_5
+        shape, f5 = validate_shape([[2, 2], [2, 2], [5]]), PrimeField(5)
+        d, u, pt = next(
+            (d, u, pt)
+            for d in lnd_catalog(shape, f5)
+            if d.family.startswith("delta")
+            for pt in enumerate_points(shape, f5)
+            for u in range(1, 5)
+            if not shape.on_variety(f5, d.flow_image(u, pt))
+        )
+        with pytest.raises(CharacteristicTooSmall, match="flow left the variety"):
+            d.exp_flow(u, pt)
+        # the second flow's source is the first's checked image (u = 0: pt)
+        word = AutWord((FlowStep(d.designator, 0), FlowStep(d.designator, u)))
+        with pytest.raises(CharacteristicTooSmall, match="flow left the variety"):
+            word.apply(shape, f5, pt)
+
+    def test_transport_refuses_a_flow_image_off_x(self, monkeypatch, shape_a):
+        # a flow that also shifts x leaves X wherever y != 0
+        real = Derivation.flow_image
+
+        def shifted(self, u, pt):
+            x, *rest = real(self, u, pt)
+            return (x + 1, *rest)
+
+        monkeypatch.setattr(Derivation, "flow_image", shifted)
+        with pytest.raises(CharacteristicTooSmall, match="flow left the variety"):
+            transport(shape_a, PrimeField(13), (11, 1, 1, 1), (3, 2, 3, 0))
+
+    @pytest.mark.parametrize("groups", [SHAPE_A, [[], [1, 3, 3], [3, 3]]])
+    def test_wrong_length_point_is_a_missing_coordinate(self, groups):
+        shape = validate_shape(groups)
+        for fld in (QQ, QI, PrimeField(7)):
+            for pt in ((0,) * (shape.n - 1), (0,) * (shape.n + 1)):
+                with pytest.raises(MissingCoordinate) as caught:
+                    shape.on_variety(fld, pt)
+                with pytest.raises(MissingCoordinate) as by_equation:
+                    shape.equation(fld).eval(pt)
+                assert str(caught.value) == str(by_equation.value)
+                assert str(caught.value) == repr(
+                    f"point has {len(pt)} coordinates, ring has {shape.n}"
+                )
 
 
 class TestSolveTorus:

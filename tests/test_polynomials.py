@@ -185,6 +185,7 @@ class TestRename:
 # coefficient operation at a time, dropping each zero as it appears.
 
 KERNEL_FIELDS = (QQ, GaussianRationals(), PrimeField(2), PrimeField(5), PrimeField(13))
+ON_VARIETY_FIELDS = (QQ, GaussianRationals(), *map(PrimeField, (2, 3, 5, 7, 11, 13)))
 
 
 def ref_add(fld, f, g):
@@ -350,6 +351,17 @@ class TestKernelAgainstReference:
         for g in range(3):
             value = shape.monomial_value(fld, pt, g)
             assert same_value(fld, value, ref_monomial_value(shape, fld, pt, g))
+
+    @given(small_shapes(), st.sampled_from(ON_VARIETY_FIELDS), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_on_variety_is_the_equation(self, shape, fld, data):
+        # on_variety sums the shape's own terms; the cached equation over
+        # fld must agree, free-term shapes included
+        pt = data.draw(st.lists(coordinates(fld), min_size=shape.n, max_size=shape.n))
+        on_points = fld.modulus is not None and point_count(shape, fld.modulus) > 0
+        if on_points and data.draw(st.booleans()):  # X(F_p) may be empty
+            pt = list(random_points(shape, fld, 1, random.Random(data.draw(st.integers())))[0])
+        assert shape.on_variety(fld, pt) == fld.is_zero(shape.equation(fld).eval(pt))
 
     @given(small_shapes(), st.sampled_from([QQ, PrimeField(2), PrimeField(5), PrimeField(13)]),
            st.data())
