@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import oracle, orbits, strata
-from .derivations import delta_obstruction, lnd_catalog
+from .derivations import catalog_derivation, delta_obstruction, lnd_catalog
 from .errors import MathDomainError, ShapeError
 from .families import family_of
 from .fields import FieldError, QQ, field_designator, parse_field
@@ -42,8 +42,11 @@ class UsageError(Exception):
 def _load_shape(arg: str) -> TrinomialShape:
     text = arg
     if os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
+        try:
+            with open(arg) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read shape file {arg!r}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -171,9 +174,7 @@ def cmd_lnd(args) -> int:
     if args.custom:
         wanted = [_custom_derivation(shape, fld, args.custom)]
     elif args.derivation:
-        wanted = [d for d in derivations if d.designator == args.derivation]
-        if not wanted:
-            raise UsageError(f"no catalog derivation {args.derivation!r}")
+        wanted = [catalog_derivation(shape, fld, args.derivation)]
     results = []
     for d in wanted:
         ok, exact = d.well_defined()

@@ -445,9 +445,9 @@ def _build_power_one(shape, fld, partials, view):
 
 @lru_cache(maxsize=EQUATION_CACHE_SIZE)
 def _catalog(shape: TrinomialShape, fld):
-    """The catalog over fld as (derivations, notes) tuples, built once per
-    (shape, field) while the pair is among the EQUATION_CACHE_SIZE most
-    recently used, like the equation and partials it reads."""
+    """(derivations, notes) tuples and the designator index of the catalog
+    over fld, built once per (shape, field) while the pair is among the
+    EQUATION_CACHE_SIZE most recently used, like the equation it reads."""
     shape.require_nondegenerate()
     partials = shape.partials(fld)
     out = _build_gamma(shape, fld, partials)
@@ -465,7 +465,7 @@ def _catalog(shape: TrinomialShape, fld):
     view = tag.f1 or tag.f2
     if view is not None:
         out.extend(_build_power_one(shape, fld, partials, view))
-    return tuple(out), tuple(notes)
+    return tuple(out), tuple(notes), {d.designator: d for d in out}
 
 
 def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
@@ -480,19 +480,16 @@ def lnd_catalog(shape: TrinomialShape, fld=QQ, with_notes: bool = False):
     among the shapes.EQUATION_CACHE_SIZE most recently used, the one bound of
     every (shape, field) cache.  The lists returned are fresh, but the
     derivations in them are shared by every caller, with their divided-power
-    series: do not mutate them.
+    series, as is the catalog_index dict: do not mutate them.
     """
-    derivations, notes = _catalog(shape, fld)
+    derivations, notes, _ = _catalog(shape, fld)
     return (list(derivations), list(notes)) if with_notes else list(derivations)
 
 
 def catalog_index(shape: TrinomialShape, fld) -> dict:
-    """The catalog keyed by designator, over the shared lnd_catalog
-    derivations (and so their divided-power series)."""
-    index = {}
-    for d in lnd_catalog(shape, fld):
-        index.setdefault(d.designator, d)
-    return index
+    """The catalog keyed by designator, built with it and shared by every
+    caller, like its derivations and their series: do not mutate it."""
+    return _catalog(shape, fld)[2]
 
 
 def catalog_derivation(shape: TrinomialShape, fld, designator: str) -> Derivation:

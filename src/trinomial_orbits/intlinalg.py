@@ -8,15 +8,11 @@ row lists.  The Smith form drives four consumers:
   the unit group K^* through U, D and V (orbits._solve_torus),
 * the torus orbits of each stratum over F_p (coset representatives of
   the torus image in (Z/(p-1))^S, through U_inv from the same
-  elimination, read from the same cache as the torus step),
+  elimination, kept on the shape with the torus step's: torus_smith),
 * saturation certificates (a primitive basis has all invariant factors 1).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
-
-SMITH_CACHE_SIZE = 32
 
 
 def identity(n: int):
@@ -161,17 +157,6 @@ def smith_normal_form(A):
             Ui_t[t] = [-x for x in Ui_t[t]]
         t += 1
     return D, U, V, [list(col) for col in zip(*Ui_t)]
-
-
-@lru_cache(maxsize=SMITH_CACHE_SIZE)
-def _smith_form(rows: tuple) -> tuple:
-    """smith_normal_form of a matrix given as a tuple of row tuples, with
-    D, U, V and U_inv as tuples of row tuples, so that no caller can change
-    the cached form.  The transporter's torus step meets the same exponent
-    matrix again and again (one per transport), and so do the stratum
-    quotients: their key, the lattice rows at S^c, does not depend on p, so
-    one entry serves every prime and every repeated census."""
-    return tuple(tuple(map(tuple, M)) for M in smith_normal_form(rows))
 
 
 def kernel_basis(A):

@@ -20,7 +20,7 @@ point to another inside the open or component strata.
 
 from __future__ import annotations
 
-from . import intlinalg, strata
+from . import strata
 from .derivations import catalog_index
 from .errors import (
     CharacteristicTooSmall,
@@ -40,6 +40,7 @@ from .shapes import (
     symmetry_group,
     torus_lattice,
     torus_scaling,
+    torus_smith,
 )
 
 # ---------------------------------------------------------------------------
@@ -526,21 +527,20 @@ class AutWord:
         return cls(tuple(steps))
 
 
-def _solve_torus(fld, basis, rows, ratios):
-    """Multipliers mu for the lattice basis with prod_j mu_j^basis[j][i] =
-    ratio on each given coordinate row i.
+def _solve_torus(fld, rank, smith, ratios):
+    """Multipliers mu for the rank lattice basis vectors with
+    prod_j mu_j^(A_ij) = ratio_i on each row i of the exponent matrix A,
+    from smith = (D, U, V, U_inv) of A; rank ones when A has no rows.
 
-    The unit group K^* is abelian, so the Smith form U A V = D of the
-    exponent matrix A solves the system in it as over Z, with the field's
-    own products and roots: c = r^U, then y_l^(d_l) = c_l coordinatewise
-    (c_l = 1 past the rank, the smallest d_l-th root for d_l > 1), then
-    mu = y^V.  No coordinate is factored, and over F_p a discrete log is
-    read only for a d_l > 1, by kth_roots."""
-    if not rows:
-        return [fld.one] * len(basis)
-    A = tuple(tuple(vec[i] for vec in basis) for i in rows)
-    D, U, V, _ = intlinalg._smith_form(A)
-    ys = [fld.one] * len(basis)
+    The unit group K^* is abelian, so U A V = D solves the system in it as
+    over Z, with the field's own products and roots: c = r^U, then
+    y_l^(d_l) = c_l coordinatewise (c_l = 1 past the rank, the smallest
+    d_l-th root for d_l > 1), then mu = y^V.  No coordinate is factored,
+    and over F_p a discrete log is read only for a d_l > 1, by kth_roots."""
+    if not ratios:
+        return [fld.one] * rank
+    D, U, V, _ = smith
+    ys = [fld.one] * rank
     for i, row in enumerate(U):
         c = fld.power_product(ratios, row)
         d = D[i][i] if i < len(ys) else 0
@@ -558,9 +558,9 @@ def _torus_step(shape, fld, src, dst, rows):
     """Neutral-torus step matching dst on the given coordinates, or None."""
     if all(src[i] == dst[i] for i in rows):
         return None, tuple(src)
-    basis = torus_lattice(shape).vectors
     ratios = [fld.div(dst[i], src[i]) for i in rows]
-    step = TorusStep(torus_scaling(shape, fld, _solve_torus(fld, basis, rows, ratios)))
+    mus = _solve_torus(fld, torus_lattice(shape).rank, torus_smith(shape, tuple(rows)), ratios)
+    step = TorusStep(torus_scaling(shape, fld, mus))
     cur = step.apply(fld, src)
     for i in rows:
         if cur[i] != dst[i]:

@@ -224,16 +224,19 @@ def _equation(shape: TrinomialShape, fld):
 
 
 def shape_fact(fn):
-    """Decorator: fn(shape) is computed once per shape object and kept in
-    its __dict__, as cached_property keeps sizes and exponents, so the fact
-    lives exactly as long as the shape."""
-    key = f"{fn.__module__}.{fn.__name__}"
+    """Decorator: fn(shape, *args) is computed once per shape object and
+    args, and kept in its __dict__ (in a dict of args under the name when
+    there are any: dir(shape) needs string keys), so the fact lives exactly
+    as long as the shape."""
+    name = f"{fn.__module__}.{fn.__name__}"
 
     @wraps(fn)
-    def fact(shape):
-        facts = shape.__dict__
+    def fact(shape, *args):
+        facts, key = shape.__dict__, name
+        if args:
+            facts, key = facts.setdefault(name, {}), args
         if key not in facts:
-            facts[key] = fn(shape)
+            facts[key] = fn(shape, *args)
         return facts[key]
 
     return fact
@@ -297,6 +300,7 @@ def is_even_two_group(grp) -> bool:
     return bool(grp) and all(l % 2 == 0 for l in grp) and 2 in grp
 
 
+@shape_fact
 def nonrigidity_witnesses(shape: TrinomialShape):
     """Witnesses for the two non-rigidity conditions.
 
@@ -439,6 +443,16 @@ def torus_lattice(shape: TrinomialShape) -> LatticeBasis:
     """
     basis = intlinalg.kernel_basis(constraint_rows(shape))
     return LatticeBasis(tuple(tuple(v) for v in basis), len(basis))
+
+
+@shape_fact
+def torus_smith(shape: TrinomialShape, coords: tuple) -> tuple:
+    """Smith form (D, U, V, U_inv), as row tuples, of the torus lattice
+    basis read at coords: one row per coordinate, one column per vector.
+    Every prime's strata and every torus step of the shape read it here."""
+    basis = torus_lattice(shape).vectors
+    rows = [[vec[i] for vec in basis] for i in coords]
+    return tuple(tuple(map(tuple, M)) for M in intlinalg.smith_normal_form(rows))
 
 
 def torus_scaling(shape: TrinomialShape, fld, multipliers):

@@ -15,9 +15,9 @@ from math import gcd, prod
 from operator import mul
 
 from .errors import EmptyStratum, PointNotOnVariety
-from .intlinalg import _smith_form, mat_mul, mat_vec
+from .intlinalg import mat_mul, mat_vec
 from .records import record
-from .shapes import TrinomialShape, shape_fact, torus_lattice
+from .shapes import TrinomialShape, shape_fact, torus_lattice, torus_smith
 
 
 @record(frozen=True)
@@ -140,11 +140,10 @@ def stratum_orbits(shape: TrinomialShape, fld, S):
     coset is one orbit of |H| = (p-1)^|S^c| / prod gcd(d_i, p-1) points,
     and X is T-invariant, so a coset lies on X when its representative
     does: a monomial's log at x = U^-1 c is (l U^-1) c, for its exponent
-    row l.  D and U^-1 come from one elimination, kept in the Smith-form
-    cache under W alone, so every prime and every repeated census reads
-    the same entry; the box size is known from it before any coset is
-    tested.  A stratum where one monomial alone survives holds no point:
-    (0, empty).
+    row l.  D and U^-1 come from one elimination, kept on the shape for
+    S^c (torus_smith), so every prime and every repeated census reads the
+    same one; the box size is known from it before any coset is tested.  A
+    stratum where one monomial alone survives holds no point: (0, empty).
     """
     p = fld.modulus
     order = p - 1
@@ -152,9 +151,9 @@ def stratum_orbits(shape: TrinomialShape, fld, S):
     alive = [grp for grp in map(shape.group_indices, range(3)) if not any(i in S for i in grp)]
     if len(alive) == 1:
         return 0, iter(())
-    basis = torus_lattice(shape).vectors
-    D, _, _, inverse = _smith_form(tuple(tuple(vec[i] for vec in basis) for i in support))
-    moduli = [gcd(D[i][i] if i < len(basis) else 0, order) for i in range(len(support))]
+    rank = torus_lattice(shape).rank
+    D, _, _, inverse = torus_smith(shape, tuple(support))
+    moduli = [gcd(D[i][i] if i < rank else 0, order) for i in range(len(support))]
     box = prod(moduli)
     size = order ** len(support) // box
     exps = shape.exponents

@@ -123,6 +123,14 @@ class TestLnd:
         )
         assert code == 1
 
+    def test_check_padded_designator(self, capsys):
+        # the command line looks a designator up as catalog_derivation does
+        _, single = run_json(
+            capsys, "lnd", "check", "--shape", "[[1,2],[3],[3]]", "--derivation", "D:1")
+        code, padded = run_json(
+            capsys, "lnd", "check", "--shape", "[[1,2],[3],[3]]", "--derivation", " D:1 ")
+        assert code == 0 and padded == single
+
     def test_check_custom_rejected(self, capsys):
         # s -> 1 does not descend: the equation derivative has remainder 3s^2
         code, data = run_json(
@@ -498,6 +506,18 @@ class TestShapeAliases:
         shape = json.dumps({"groups": [[1, 2], [3], [3]], "aliases": aliases})
         code, data = run_json(capsys, "classify", "--shape", shape)
         assert code == 1 and data["error"] == "usage"
+
+
+class TestShapeFile:
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe\x00bad"], ids=["directory", "non_utf8"])
+    def test_unreadable_file_is_a_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path
+        if content is not None:
+            path = tmp_path / "shape.json"
+            path.write_bytes(content)
+        code, data = run_json(capsys, "strata", "--shape", str(path), "--field", "Fp:5")
+        assert code == 1 and data["error"] == "usage"
+        assert str(path) in data["detail"]
 
 
 class TestParserReuse:

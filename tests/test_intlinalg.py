@@ -1,6 +1,7 @@
 from hypothesis import given, settings, strategies as st
 
-from trinomial_orbits import intlinalg
+from conftest import small_shapes
+from trinomial_orbits import TrinomialShape
 from trinomial_orbits.intlinalg import (
     identity,
     kernel_basis,
@@ -8,6 +9,7 @@ from trinomial_orbits.intlinalg import (
     mat_vec,
     smith_normal_form,
 )
+from trinomial_orbits.shapes import torus_lattice, torus_smith
 
 
 def det(M):
@@ -105,33 +107,23 @@ class TestKernel:
 
 
 class TestSmithCache:
-    """The Smith forms are read from one bounded cache."""
+    """The Smith forms of the torus lattice at a coordinate set are a fact
+    of the shape, kept on it."""
 
-    @given(matrices)
+    @given(small_shapes(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_cached_equals_uncached(self, A):
-        key = tuple(map(tuple, A))
-        cached = intlinalg._smith_form(key)
-        again = intlinalg._smith_form(key)  # from the cache now
-        uncached = tuple(tuple(map(tuple, M)) for M in smith_normal_form(A))
-        assert cached == again == uncached
+    def test_cached_equals_uncached(self, shape, data):
+        coords = tuple(data.draw(st.lists(st.integers(0, shape.n - 1), unique=True)))
+        basis = torus_lattice(shape).vectors
+        rows = [[vec[i] for vec in basis] for i in coords]
+        uncached = tuple(tuple(map(tuple, M)) for M in smith_normal_form(rows))
+        assert torus_smith(shape, coords) == uncached
 
     def test_cached_forms_cannot_change(self):
-        A = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
-        forms = intlinalg._smith_form(tuple(map(tuple, A)))
+        shape = TrinomialShape(((1, 2, 2), (3,), (3,)))
+        forms = torus_smith(shape, (0, 1, 3))
         assert len(forms) == 4  # D, U, V and U_inv
         assert all(isinstance(M, tuple) for M in forms)
         assert all(isinstance(row, tuple) for M in forms for row in M)
-        A[0][0] = 3  # the key is a copy: the caller's matrix may change
-        again = intlinalg._smith_form(((2, 4, 4), (-6, 6, 12), (10, -4, -16)))
-        assert again is forms
-        assert again == tuple(
-            tuple(map(tuple, M)) for M in smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
-        )
-
-    def test_cache_is_bounded(self):
-        for k in range(3 * intlinalg.SMITH_CACHE_SIZE):
-            intlinalg._smith_form(((k + 1, 2),))
-        info = intlinalg._smith_form.cache_info()
-        assert info.maxsize == intlinalg.SMITH_CACHE_SIZE
-        assert info.currsize <= intlinalg.SMITH_CACHE_SIZE
+        assert torus_smith(shape, (0, 1, 3)) is forms
+        assert torus_smith(shape, (0, 1)) is not forms

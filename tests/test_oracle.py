@@ -3,7 +3,8 @@ import json
 import math
 import random
 import time
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,7 @@ from trinomial_orbits import (
     PrimeField,
     RootUnavailable,
     TooLarge,
+    TrinomialShape,
     enumerate_points,
     partition_selftest,
     validate_shape,
@@ -27,7 +29,7 @@ from trinomial_orbits import (
     verify_partition,
     verify_transport,
 )
-from trinomial_orbits import oracle, orbits, strata
+from trinomial_orbits import intlinalg, oracle, orbits, strata
 from trinomial_orbits.oracle import build_census, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
 from trinomial_orbits.shapes import torus_lattice, torus_scaling
@@ -746,6 +748,38 @@ class TestCensus:
         pairs = check(report, "transport_roundtrip").details["pairs"]
         negatives = check(report, "transport_negative").details["expected"]
         assert calls["classify"] <= t_orbits + trials + torus + 2 * (pairs + negatives)
+
+    def test_census_eliminates_each_smith_form_once(self, monkeypatch):
+        # the six census runs in census order, in one process: the strata
+        # of every prime and the transports' torus steps read the Smith form
+        # of the lattice rows at a coordinate set once per shape.  z and s
+        # of D have equal rows, so a matrix may be read at several
+        # coordinate tuples: each is eliminated at most that many times.
+        shapes = [TrinomialShape(tuple(map(tuple, raw))) for raw in (SHAPE_D, SHAPE_A, SHAPE_E)]
+        rows = {}
+        for shape in shapes:
+            basis = torus_lattice(shape).vectors  # its own elimination, before counting
+            rows[shape] = [tuple(vec[i] for vec in basis) for i in range(shape.n)]
+        eliminated, current = Counter(), [None]
+        real = intlinalg.smith_normal_form
+
+        def counted(A):
+            eliminated[current[0], tuple(map(tuple, A))] += 1
+            return real(A)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+        for shape, p in [*zip(shapes, (13, 37, 7)), *((shape, 3) for shape in shapes)]:
+            current[0] = shape
+            assert verify_all(shape, PrimeField(p)).failures == 0
+
+        def coordinate_tuples(shape, matrix):
+            at = rows[shape]
+            return sum(all(at[i] == row for i, row in zip(coords, matrix))
+                       for coords in permutations(range(shape.n), len(matrix)))
+
+        assert eliminated
+        assert {key: count for key, count in eliminated.items()
+                if count > coordinate_tuples(*key)} == {}
 
     @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 13]), st.booleans())
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -376,6 +377,28 @@ class TestPerShapeCaches:
         shape = validate_shape(raw)
         for fact in SHAPE_FACTS:
             assert fact(shape) is fact(shape)
+
+    @given(small_shapes())
+    @settings(max_examples=60, deadline=None)
+    def test_witnesses_computed_once_per_shape(self, drawn):
+        # a survey pass reads the witnesses in rigidity_classify and in
+        # each catalog's delta checks; the body runs once for the shape
+        shape = TrinomialShape(drawn.groups)  # no facts from other tests
+        for cache in SHAPE_FIELD_CACHES:
+            cache.cache_clear()
+        body = getattr(nonrigidity_witnesses, "__wrapped__", nonrigidity_witnesses).__code__
+        runs = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is body:
+                runs.append(frame.f_locals["shape"])
+
+        sys.setprofile(profile)
+        try:
+            self._survey(shape, random.Random(4))
+        finally:
+            sys.setprofile(None)
+        assert len(runs) == 1 and runs[0] is shape
 
     def test_shape_parsed_twice_shares_its_facts(self):
         shape = validate_shape(SHAPE_D)
