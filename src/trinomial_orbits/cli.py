@@ -171,9 +171,9 @@ def cmd_lnd(args) -> int:
         return 0
     # check
     wanted = derivations
-    if args.custom:
+    if args.custom is not None:
         wanted = [_custom_derivation(shape, fld, args.custom)]
-    elif args.derivation:
+    elif args.derivation is not None:
         wanted = [catalog_derivation(shape, fld, args.derivation)]
     results = []
     for d in wanted:

@@ -329,11 +329,11 @@ def saut_to_json(desc, shape, fld):
 # ---------------------------------------------------------------------------
 
 
-def _subsets(n):
-    out = []
-    for mask in range(1, 1 << n):
-        out.append(frozenset(i + 1 for i in range(n) if mask >> i & 1))
-    return out
+def _subsets(slot):
+    """Each nonempty set of the slot's variables, with its 1-based positions."""
+    for mask in range(1, 1 << len(slot)):
+        ks = tuple(k for k in range(1, len(slot) + 1) if mask >> k - 1 & 1)
+        yield frozenset(slot[k - 1] for k in ks), ks
 
 
 class _UnionFind:
@@ -368,34 +368,26 @@ class OrbitCount:
         return {"aut_alg": self.aut_alg, "aut": self.aut, "listing": self.listing}
 
 
-def _label(kind, *sets):
-    return (kind,) + tuple(tuple(sorted(s)) for s in sets)
+def _part(name, positions) -> str:
+    return f"{name}={{{','.join(map(str, positions))}}}"
 
 
 def label_str(label) -> str:
-    kind = label[0]
-    if kind == "O":
-        return "O"
-    if kind == "O(M)":
-        return "O(M={" + ",".join(str(i) for i in label[1]) + "})"
-    names = ("M", "P", "Q")
-    body = ",".join(
-        f"{nm}={{{','.join(str(i) for i in s)}}}" for nm, s in zip(names, label[1:])
-    )
-    return f"{kind}({body})"
+    """("O1", M, P, Q) -> "O1(M={..},P={..},Q={..})"; ("O(M)", M) -> "O(M={..})"."""
+    kind, *parts = label
+    if not parts:
+        return kind
+    return f"{kind.removesuffix('(M)')}({','.join(map(_part, 'MPQ', parts))})"
 
 
-def _act(perm, view, label):
-    """The label of the image stratum under a symmetry permutation.
-
-    The label's y/z/s positions become variables, perm moves them, and the
-    images are read back as y/z/s positions; a permutation swapping the z
-    and s groups thereby sends P to Q and Q to P.
-    """
-    slots = (view.ys, view.zs, view.ss)[: len(label) - 1]
-    images = {perm[slot[k - 1]] for slot, part in zip(slots, label[1:]) for k in part}
-    parts = ({k for k, v in enumerate(slot, start=1) if v in images} for slot in slots)
-    return _label(label[0], *parts)
+def _glue(named, generators):
+    """Classes of the named variable sets under the generators, each class
+    the sorted list of its names."""
+    uf = _UnionFind(named)
+    for perm in generators:
+        for vs in named:
+            uf.union(vs, frozenset(perm[v] for v in vs))
+    return [sorted(named[vs] for vs in cls) for cls in uf.classes()]
 
 
 def orbit_count(shape: TrinomialShape) -> OrbitCount:
@@ -405,7 +397,10 @@ def orbit_count(shape: TrinomialShape) -> OrbitCount:
     0..d-1 stand for the d root ratios); the count must equal
     1 + (2^m - 1) d + 2 (2^m - 1)(2^p - 1)(2^q - 1).  Full-group classes
     glue the component labels (the finite cyclic part) and then the
-    symmetry-group action on (M, P, Q).
+    symmetry-group action on (M, P, Q).  Every symmetry generator fixes x
+    and moves either ys only or zs and ss only, so the group is
+    G_y x G_zs and a class of (kind, M, P, Q) is a G_y-class of M times a
+    G_zs-class of (P, Q): each part is glued on its own variable sets.
     """
     tag = family_of(shape)
     if tag.kind != "F1":
@@ -418,28 +413,36 @@ def orbit_count(shape: TrinomialShape) -> OrbitCount:
         + 2 * (2**m - 1) * (2**p - 1) * (2**q - 1)
     )
 
-    glued = [_label("O")]
-    glued += [_label("O(M)", M) for M in _subsets(m)]
-    singular = []
-    for M in _subsets(m):
-        for P in _subsets(p):
-            for Q in _subsets(q):
-                singular.append(_label("O1", M, P, Q))
-                singular.append(_label("O2", M, P, Q))
-    glued += singular
-
-    uf = _UnionFind(glued)
+    ys, zss = set(view.ys), set(view.zs + view.ss)
+    y_gens, zs_gens = [], []
     for perm in symmetry_group(shape).generators:
-        if perm[view.x] != view.x:
+        moved = {v for v, w in enumerate(perm) if v != w}
+        if view.x in moved:
             raise AssertionError("a symmetry moved the power-one variable")
-        for label in glued:
-            uf.union(label, _act(perm, view, label))
-    classes = uf.classes()
-    listing = sorted(
-        [sorted(label_str(lb) for lb in cls) for cls in classes],
-        key=lambda cls: (len(cls[0]), cls),
-    )
-    return OrbitCount(aut_alg, len(classes), listing)
+        if moved <= ys:
+            y_gens.append(perm)
+        elif moved <= zss:
+            zs_gens.append(perm)
+        else:
+            raise AssertionError("a symmetry moved a y together with a z or s")
+    m_classes = _glue({M: _part("M", ks) for M, ks in _subsets(view.ys)}, y_gens)
+    pq_named = {
+        P | Q: f"{_part('P', kp)},{_part('Q', kq)}"
+        for P, kp in _subsets(view.zs)
+        for Q, kq in _subsets(view.ss)
+    }
+    pq_classes = _glue(pq_named, zs_gens)
+    # A part string ends at its last "}", so none is a proper prefix of
+    # another, and products of sorted parts come out sorted.
+    listing = [["O"]] + [[f"O({ms})" for ms in cls] for cls in m_classes]
+    listing += [
+        [f"{kind}({ms},{pqs})" for ms in m_cls for pqs in pq_cls]
+        for kind in ("O1", "O2")
+        for m_cls in m_classes
+        for pq_cls in pq_classes
+    ]
+    listing.sort(key=lambda cls: (len(cls[0]), cls))
+    return OrbitCount(aut_alg, len(listing), listing)
 
 
 # ---------------------------------------------------------------------------

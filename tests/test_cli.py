@@ -499,6 +499,15 @@ class TestPointParsing:
         )
         assert code == 1 and data["error"] == "usage"
 
+    @pytest.mark.parametrize("option", ["--derivation", "--custom"])
+    def test_empty_derivation_is_a_usage_error(self, capsys, option):
+        # an empty value is a value, not an absent option checking the catalog
+        code, data = run_json(
+            capsys, "lnd", "check", "--shape", "[[1,2],[3],[3]]", "--field", "Q",
+            option, "",
+        )
+        assert code == 1 and data["error"] == "usage"
+
 
 class TestShapeAliases:
     @pytest.mark.parametrize("aliases", [7, {"T0_1": ["x"]}, {"T0_1": 5}, ["x"]])

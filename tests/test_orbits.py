@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -62,7 +63,7 @@ from trinomial_orbits.orbits import (
 from trinomial_orbits.fields import FieldError, QI
 from trinomial_orbits.intlinalg import smith_normal_form
 from trinomial_orbits.oracle import _orbit_draw, build_census, enumerate_points, point_count
-from trinomial_orbits.shapes import symmetry_group, torus_lattice, torus_scaling
+from trinomial_orbits.shapes import SymmetryGroup, symmetry_group, torus_lattice, torus_scaling
 from conftest import SHAPE_A, SHAPE_D, power_one_shapes, singular_set, small_shapes
 
 
@@ -356,6 +357,37 @@ class TestGluingUnderSymmetries:
         gens = symmetry_group(shape).generators
         assert any(perm[view.zs[0]] in view.ss for perm in gens)
         self.check_listing(shape)
+
+    def test_every_shape_whose_y_classes_glue(self):
+        # x's group [1, a, a] (m = 2, so M classes glue) beside z and s
+        # groups of sizes 1-3 and exponents 2-4, or beside a free term;
+        # mirror images (z and s groups exchanged) are skipped
+        sides = [
+            list(g) for k in (1, 2, 3)
+            for g in itertools.combinations_with_replacement((2, 3, 4), k)
+        ]
+        checked = 0
+        for a in (2, 3, 4):
+            raws = [[[1, a, a], z, s] for z, s in itertools.combinations_with_replacement(sides, 2)]
+            raws += [[[], [1, a, a], z] for z in sides]
+            for raw in raws:
+                shape = validate_shape(raw)
+                if family_of(shape).kind == "F1":
+                    assert family_of(shape).f1.m == 2
+                    self.check_listing(shape)
+                    checked += 1
+        assert checked > 500
+
+    def test_generator_moving_a_y_with_a_z_is_refused(self):
+        shape = TrinomialShape(((1, 2, 2), (3,), (3,)))  # no facts from other tests
+        view = family_of(shape).f1
+        perm = list(range(shape.n))
+        perm[view.ys[0]], perm[view.zs[0]] = view.zs[0], view.ys[0]
+        key = f"{symmetry_group.__module__}.{symmetry_group.__name__}"
+        shape.__dict__[key] = SymmetryGroup((tuple(perm),), 2)
+        assert symmetry_group(shape).generators == (tuple(perm),)
+        with pytest.raises(AssertionError, match="moved a y together with a z or s"):
+            orbit_count(shape)
 
 
 def same_orbit_pairs(shape, fld, count, seed):
