@@ -358,9 +358,10 @@ def _parse_poly(ring: PolyRing, text: str) -> Polynomial:
             exp = 1
             if peek()[0] == "^":
                 take("^")
-                exp = int(take("num"))
-                if exp < 0:
-                    raise PolyParseError("negative exponent")
+                digits = take("num")
+                if not digits.isdecimal():
+                    raise PolyParseError(f"exponent {digits} is not an integer")
+                exp = int(digits)
             return ring.var(idx) ** exp
         if tk == "(":
             take("(")

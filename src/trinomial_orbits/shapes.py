@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import weakref
 from functools import cached_property, lru_cache, wraps
-from math import gcd
+from math import factorial, gcd
 
 from . import intlinalg
 from .errors import DegenerateShape, EmptyGroup12, NonPositiveExponent, ShapeError
@@ -186,7 +186,10 @@ class TrinomialShape:
     @classmethod
     def from_json(cls, data) -> "TrinomialShape":
         if isinstance(data, str):
-            data = json.loads(data)
+            try:
+                data = json.loads(data)
+            except json.JSONDecodeError as exc:
+                raise ShapeError(f"shape text is not JSON: {exc}") from None
         if not isinstance(data, dict) or "groups" not in data:
             raise ShapeError("shape JSON must be an object with a 'groups' key")
         shape = validate_shape(data["groups"])
@@ -481,23 +484,6 @@ def torus_scaling(shape: TrinomialShape, fld, multipliers):
 class SymmetryGroup:
     generators: tuple  # variable permutations, each a tuple i -> sigma(i)
     order: int
-    elements: tuple = field(compare=False, default=None)
-
-
-def _closure(generators, n: int):
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = tuple(g[p[i]] for i in range(n))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return tuple(sorted(seen))
 
 
 @shape_fact
@@ -506,41 +492,47 @@ def symmetry_group(shape: TrinomialShape) -> SymmetryGroup:
 
     Generators: transpositions of same-group variables with equal exponent,
     plus whole-group swaps between groups with identical exponent multisets
-    (the empty group 0 never swaps with a nonempty one).  Order by closure;
-    each generator is verified to fix the equation as a polynomial.
+    (the empty group 0 never swaps with a nonempty one); each generator is
+    verified to fix the equation as a polynomial.  The order is read from
+    the exponent multisets: the product of m! over each group's classes of
+    m equal exponents, times k! for each class of k identical nonempty
+    groups.  No element is listed.
     """
     n = shape.n
-    gens = []
+    gens, order = [], 1
     for g in range(3):
         idxs = shape.group_indices(g)
         by_exp = {}
         for idx in idxs:
             by_exp.setdefault(shape.exponents[idx], []).append(idx)
         for cls in by_exp.values():
+            order *= factorial(len(cls))
             for a, b in zip(cls, cls[1:]):
                 perm = list(range(n))
                 perm[a], perm[b] = b, a
                 gens.append(tuple(perm))
-    for g in range(3):
-        for h in range(g + 1, 3):
+    for h in range(3):
+        twins = 1  # h and the earlier groups identical to it
+        for g in range(h):
             if not shape.groups[g] or not shape.groups[h]:
                 continue
             if sorted(shape.groups[g]) != sorted(shape.groups[h]):
                 continue
+            twins += 1
             src = sorted(shape.group_indices(g), key=lambda i: (shape.exponents[i], i))
             dst = sorted(shape.group_indices(h), key=lambda i: (shape.exponents[i], i))
             perm = list(range(n))
             for a, b in zip(src, dst):
                 perm[a], perm[b] = b, a
             gens.append(tuple(perm))
+        order *= twins  # the k-th of k identical groups: k! over the class
     from .fields import QQ
 
     eq = shape.equation(QQ)
     for perm in gens:
         if eq.rename(perm) != eq:
             raise AssertionError(f"symmetry generator {perm} does not fix the equation")
-    elements = _closure(gens, n)
-    return SymmetryGroup(tuple(gens), len(elements), elements)
+    return SymmetryGroup(tuple(gens), order)
 
 
 def apply_permutation_to_point(perm, pt):

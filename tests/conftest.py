@@ -174,6 +174,26 @@ def random_points(shape, fld, count: int, rng) -> list:
     return out
 
 
+def symmetry_closure(shape) -> tuple:
+    """Every element of the shape's symmetry group, sorted: one BFS over
+    symmetry_group's generators, composing each element with each
+    generator until nothing new appears.  The library lists no elements;
+    the tests that walk the whole group read them here."""
+    gens, n = shapes.symmetry_group(shape).generators, shape.n
+    identity = tuple(range(n))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[i]] for i in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return tuple(sorted(seen))
+
+
 def exact_coefficient(c) -> bool:
     """A Q or Q(i) coefficient is exact and canonical: an int when integral,
     else a Fraction, and a Gaussian rational's parts likewise (never a

@@ -668,8 +668,12 @@ class TestInterface:
             ["classify", "--shape", "[[1,2],[3],[3]]", "--nope"],
             ["verify", "all", "--shape", "[[1,2],[3],[3]]", "--field", "Fp:7", "--trials", "x"],
             ["survey", "--shape", "[[1,2],[3],[3]]"],
+            ["lnd", "check", "--shape", "[[1,2],[3],[3]]", "--custom", '{"T2_1": "T0_1^3/4"}',
+             "--json"],
+            ["classify", "--shape", '"abc"', "--json"],
         ],
-        ids=["missing-shape", "unknown-option", "bad-trials", "unknown-command"],
+        ids=["missing-shape", "unknown-option", "bad-trials", "unknown-command",
+             "rational-exponent", "string-shape"],
     )
     def test_malformed_command_lines_are_json_usage_errors(self, capsys, argv):
         code = run_cli(argv)

@@ -511,6 +511,19 @@ class TestFlowRegularity:
         assert (result.details["off_variety"], result.details["runs"]) == (1200, 3125)
         assert result.details["flow_evaluations"] == result.details["runs"]
 
+    def test_flow_onto_the_singular_locus_fails(self, monkeypatch, shape_h2):
+        # every image sent to the origin, which is on X and singular: each
+        # regular point's p images cross the singular locus, for each delta
+        fld = PrimeField(13)
+        origin = (0,) * shape_h2.n
+        monkeypatch.setattr(oracle, "_flow_orbit", lambda delta, p: lambda pt: [origin] * p)
+        cat = lnd_catalog(shape_h2, fld)
+        assert [d.family[:5] for d in cat] == ["delta", "delta"]
+        result = check(verify_flow_regularity(shape_h2, fld, cat), "flow_regularity")
+        assert result.details["failures"] == 13 * (28561 - 625) * 2 == 726336
+        assert result.details["singular"] == 625 and result.details["off_variety"] == 0
+        assert result.passed is False
+
     def test_orbit_sizes_must_add_up(self, monkeypatch, shape_h2):
         # a lost T-orbit fails the check and shows the summed size; the
         # check still reports
@@ -955,7 +968,7 @@ def torus_verdict(result):
     )
 
 
-class TestKeyedInvariance:
+class TestInvarianceAgainstReference:
     """_invariance_checks reads each source's class from its T-orbit's key
     in the census; with every case run, weighted by the orbit sizes, it
     must equal the reference that classifies both sides of every pair at
@@ -1017,7 +1030,7 @@ class TestKeyedInvariance:
 
     @pytest.mark.parametrize("groups", [SHAPE_H2, [[2], [2], [6]]])
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_flows_leaving_the_variety_equal_reference(self, in_field_delta, groups, seed):
+    def test_flows_off_variety_equal_reference(self, in_field_delta, groups, seed):
         # over F_5 the in-field delta flows leave X: CharacteristicTooSmall;
         # their copies are still torus-homogeneous, so every orbit stands
         # for its points.  Sampled, both kinds of case still show.
@@ -1086,7 +1099,7 @@ class TestKeyedInvariance:
         assert calls["on_variety"] == trials + torus["runs"]
 
 
-class TestResidueKey:
+class TestCensusAgainstPointwise:
     """build_census classifies one point per T-orbit, _singular_test decides
     one point per zero mask; both must equal the pointwise scans."""
 

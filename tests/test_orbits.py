@@ -64,7 +64,9 @@ from trinomial_orbits.fields import FieldError, QI
 from trinomial_orbits.intlinalg import smith_normal_form
 from trinomial_orbits.oracle import _orbit_draw, build_census, enumerate_points, point_count
 from trinomial_orbits.shapes import SymmetryGroup, symmetry_group, torus_lattice, torus_scaling
-from conftest import SHAPE_A, SHAPE_D, power_one_shapes, singular_set, small_shapes
+from conftest import (
+    SHAPE_A, SHAPE_D, power_one_shapes, singular_set, small_shapes, symmetry_closure,
+)
 
 
 class TestFamilies:
@@ -319,7 +321,7 @@ def _symmetry_classes(shape, labels):
         classes.add(
             frozenset(
                 by_variables[kind, frozenset(perm[v] for v in names)]
-                for perm in symmetry_group(shape).elements
+                for perm in symmetry_closure(shape)
             )
         )
     return classes
@@ -640,6 +642,8 @@ class TestTransport:
         word = transport(shape_a, f7, (5, 0, 6, 1), (0, 0, 6, 1))
         again = AutWord.from_json(f7, word.to_json(f7))
         assert again.apply(shape_a, f7, (5, 0, 6, 1)) == (0, 0, 6, 1)
+        with pytest.raises(ValueError, match="unknown step kind"):
+            AutWord.from_json(f7, {"steps": [{"step": "swap", "perm": [0, 1, 3, 2]}]})
 
     def test_catalog_built_once_per_call(self, monkeypatch, shape_d):
         from trinomial_orbits import derivations
@@ -670,6 +674,12 @@ class TestTransport:
         perm = symmetry_group(shape_a).generators[0]  # z <-> s swap
         word = AutWord((PermStep(perm),))
         assert word.apply(shape_a, f7, (5, 0, 6, 1)) == (5, 0, 1, 6)
+        data = word.to_json(f7)
+        assert data == {"steps": [{"step": "perm", "perm": [0, 1, 3, 2]}]}
+        again = AutWord.from_json(f7, json.loads(json.dumps(data)))
+        assert again == word and again.apply(shape_a, f7, (5, 0, 6, 1)) == (5, 0, 1, 6)
+        with pytest.raises(TypeError, match="unknown step"):
+            AutWord((perm,)).apply(shape_a, f7, (5, 0, 6, 1))
 
     def test_height_of_points_costs_no_factoring(self, shape_a, qq):
         # y scaled by the Mersenne prime 2^61 - 1: factoring the ratios by
@@ -898,10 +908,7 @@ class TestGluingOracle:
         from itertools import product
 
         from trinomial_orbits.orbits import _UnionFind
-        from trinomial_orbits.shapes import (
-            apply_permutation_to_point,
-            symmetry_group,
-        )
+        from trinomial_orbits.shapes import apply_permutation_to_point
 
         fld = PrimeField(13)
         p = 13
@@ -931,7 +938,7 @@ class TestGluingOracle:
             for t in stabilizer:
                 image = tuple(fld.mul(c, v) for c, v in zip(t, pt))
                 uf.union(desc, classify_point(shape_d, fld, image))
-            for perm in symmetry_group(shape_d).elements:
+            for perm in symmetry_closure(shape_d):
                 image = apply_permutation_to_point(perm, pt)
                 uf.union(desc, classify_point(shape_d, fld, image))
         oracle = {

@@ -128,6 +128,7 @@ class TestParsing:
     def test_spec_syntax(self):
         p = RING.parse("3*x^2*z - 1/2*y")
         assert p == 3 * X**2 * Z - RING.const(Fraction(1, 2)) * Y
+        assert RING.parse("(x + 1)*y") == X * Y + Y
 
     def test_roundtrip_via_str(self):
         rng = random.Random(5)
@@ -138,6 +139,11 @@ class TestParsing:
     def test_unknown_variable(self):
         with pytest.raises(PolyParseError):
             RING.parse("3*w")
+
+    @pytest.mark.parametrize("text", ["x^3/4", "y^2/1", "z^\u00b2"])
+    def test_exponent_is_an_integer(self, text):
+        with pytest.raises(PolyParseError, match="is not an integer"):
+            RING.parse(text)
 
     def test_trailing_garbage(self):
         with pytest.raises(PolyParseError):

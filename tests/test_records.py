@@ -32,13 +32,11 @@ from trinomial_orbits.orbits import (
     orbit_count,
 )
 from trinomial_orbits.oracle import CheckResult, VerifyReport, build_census
-from trinomial_orbits.records import FrozenInstanceError, fields
+from trinomial_orbits.records import FrozenInstanceError, field, fields, record
 from trinomial_orbits.shapes import (
     Factoriality,
     RigidityVerdict,
-    SymmetryGroup,
     rigidity_classify,
-    symmetry_group,
 )
 
 from conftest import SHAPE_A, SHAPE_D
@@ -100,9 +98,17 @@ class TestSemantics:
             {"groups": SHAPE_A, "aliases": {"T0_1": "x", "T0_2": "y"}}
         )
         assert plain == aliased and plain.aliases != aliased.aliases
-        group = symmetry_group(plain)
-        bare = SymmetryGroup(group.generators, group.order)
-        assert bare.elements is None and bare == group and hash(bare) == hash(group)
+
+        @record(frozen=True)
+        class Tagged:
+            key: tuple
+            size: int
+            note: str = field(compare=False, default=None)
+
+        noted = Tagged((1, 2), 2, "listed")
+        bare = Tagged(noted.key, noted.size)
+        assert bare.note is None and bare == noted and hash(bare) == hash(noted)
+        assert hash(noted) == hash(((1, 2), 2))
 
     def test_equality_only_within_one_class(self):
         assert BigO() == BigO() and BigO() != DDBigO()

@@ -40,6 +40,7 @@ from conftest import (
     random_points,
     singular_set,
     small_shapes,
+    symmetry_closure,
     SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_E_BASE, SHAPE_FIELD_CACHES, SHAPE_H2,
 )
 
@@ -110,6 +111,12 @@ class TestValidation:
     def test_aliases_must_be_an_object_of_strings(self, aliases):
         with pytest.raises(ShapeError):
             TrinomialShape.from_json({"groups": SHAPE_A, "aliases": aliases})
+
+    @pytest.mark.parametrize("text", ["abc", '"abc"', "[[1,2],", ""])
+    def test_shape_text_that_is_no_shape_object(self, text):
+        # undecodable text, and JSON that decodes to no object
+        with pytest.raises(ShapeError):
+            TrinomialShape.from_json(text)
 
     @pytest.mark.parametrize("aliases", [None, [], "", {}])
     def test_empty_aliases_mean_none(self, aliases):
@@ -326,16 +333,21 @@ class TestSymmetry:
     def test_all_ones_gives_s3(self):
         assert symmetry_group(validate_shape([[1], [1], [1]])).order == 6
 
+    @given(small_shapes())
+    @settings(max_examples=150, deadline=None)
+    def test_order_is_the_closure_size(self, shape):
+        assert symmetry_group(shape).order == len(symmetry_closure(shape))
+
     def test_every_element_fixes_equation(self, shape_d, qq):
         eq = shape_d.equation(qq)
-        for perm in symmetry_group(shape_d).elements:
+        for perm in symmetry_closure(shape_d):
             assert eq.rename(perm) == eq
 
     def test_point_action_stays_on_variety(self, shape_d, f7):
         from trinomial_orbits.oracle import enumerate_points
 
         pts = enumerate_points(shape_d, f7)[:50]
-        for perm in symmetry_group(shape_d).elements:
+        for perm in symmetry_closure(shape_d):
             for pt in pts:
                 assert shape_d.on_variety(f7, apply_permutation_to_point(perm, pt))
 
@@ -434,8 +446,7 @@ class TestPerShapeCaches:
             {"groups": SHAPE_D, "aliases": {"T0_1": "x", "T1_1": "z"}})
         assert aliased == plain and aliased is not plain
         assert torus_lattice(aliased) == torus_lattice(plain)
-        sym, plain_sym = symmetry_group(aliased), symmetry_group(plain)
-        assert (sym.order, sym.elements) == (plain_sym.order, plain_sym.elements)
+        assert symmetry_group(aliased) == symmetry_group(plain)
         assert family_of(aliased) == family_of(plain)
         assert [c.generators for c in strata.singular_components(aliased)] == [
             c.generators for c in strata.singular_components(plain)]
