@@ -533,7 +533,7 @@ class GradingWeight:
 
 def eta_grading(shape: TrinomialShape, i: int) -> GradingWeight:
     """Unique-power-one family grading: deg x = -a_i, deg y_i = 1, rest 0."""
-    view = require_f1(shape)
+    view = require_f1(shape, "family {kind} where the power-one family is needed")
     w = [0] * shape.n
     w[view.x] = -view.a[i - 1]
     w[view.ys[i - 1]] = 1

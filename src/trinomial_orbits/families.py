@@ -67,6 +67,17 @@ class PowerOneView:
     def d(self):
         return gcd(*(self.b + self.c))
 
+    @property
+    def aut_alg(self) -> int:
+        """F1's connected-group orbits: the open one, d per nonempty M, and
+        O1 and O2 per nonempty (M, P, Q)."""
+        return 1 + (2**self.m - 1) * (self.d + 2 * (2**self.p - 1) * (2**self.q - 1))
+
+    def census_prime(self, p) -> bool:
+        """p = 1 (mod 2d): F_p holds the d roots of r^d = -1, so its census
+        realizes every connected-group stratum."""
+        return (p - 1) % (2 * self.d) == 0
+
 
 @record(frozen=True)
 class FamilyTag:
@@ -137,8 +148,10 @@ def family_of(shape: TrinomialShape) -> FamilyTag:
     return FamilyTag("other")
 
 
-def require_f1(shape: TrinomialShape) -> PowerOneView:
+def require_f1(shape: TrinomialShape, refusal: str) -> PowerOneView:
+    """The power-one view, the one guard of every F1-only statement: any
+    other family raises UnsupportedFamily(refusal with {kind} filled in)."""
     tag = family_of(shape)
     if tag.kind != "F1":
-        raise UnsupportedFamily(f"family {tag.kind} where the power-one family is needed")
+        raise UnsupportedFamily(refusal.format(kind=tag.kind))
     return tag.f1

@@ -32,10 +32,11 @@ from .errors import (
     DifferentOrbits,
     MathDomainError,
     PointNotOnVariety,
+    RootUnavailable,
     TooLarge,
     UnsupportedFamily,
 )
-from .families import family_of
+from .families import family_of, require_f1
 from .fields import field_designator
 from .records import field, record
 from .shapes import TrinomialShape, torus_lattice, torus_scaling
@@ -331,7 +332,7 @@ def _orbit_draw(items, rng):
 
 def _partition_checks(shape, fld, counts, points: int, errors: int) -> list:
     """The partition check over per-descriptor counts, plus the descriptor
-    census where the orbit-count formula applies."""
+    census for an F1 shape over a census prime (PowerOneView)."""
     keyed = {_desc_key(shape, fld, desc): c for desc, c in counts.items()}
     classified = sum(keyed.values())
     checks = [
@@ -347,9 +348,9 @@ def _partition_checks(shape, fld, counts, points: int, errors: int) -> list:
             },
         )
     ]
-    tag = family_of(shape)
-    if tag.kind == "F1" and (fld.modulus - 1) % (2 * tag.f1.d) == 0:
-        expected = orbits.orbit_count(shape).aut_alg
+    view = family_of(shape).f1
+    if view is not None and view.census_prime(fld.modulus):
+        expected = view.aut_alg
         checks.append(
             CheckResult(
                 "descriptor_census",
@@ -378,11 +379,19 @@ def verify_partition(
     return _report(shape, fld, None, checks)
 
 
-def selftest_applicable(shape: TrinomialShape) -> bool:
-    """A detectable merge exists: singular strata to conflate, or several
-    root-ratio components per vanishing set."""
-    tag = family_of(shape)
-    return tag.kind == "F1" and (tag.f1.q >= 1 or tag.f1.d > 1)
+def _selftest_refusal(shape: TrinomialShape, fld):
+    """None inside the planted self-test's gate, else the MathDomainError
+    that skips it.  The gate: an F1 shape, a census prime, and strata to
+    merge, singular ones (q >= 1) or several root ratios per M (d > 1)."""
+    try:
+        view = require_f1(shape, "the planted self-test is stated for the power-one family")
+    except UnsupportedFamily as exc:
+        return exc
+    if not (fld.modulus and view.census_prime(fld.modulus)):
+        return RootUnavailable(f"the descriptor census needs p = 1 (mod {2 * view.d})")
+    if view.q == 0 and view.d == 1:
+        return UnsupportedFamily("no strata for the planted merge: a free term, d = 1")
+    return None
 
 
 def _planted(shape, fld, desc):
@@ -415,9 +424,13 @@ def _selftest_checks(shape, fld, census: Census) -> list:
 
 
 def partition_selftest(shape: TrinomialShape, fld) -> VerifyReport:
-    """Plant a misclassifier and demand that the census check catches it."""
-    checks = _selftest_checks(shape, fld, build_census(shape, fld))
-    return _report(shape, fld, None, checks)
+    """Plant a misclassifier and demand that the census check catches it.
+    Outside the gate (_selftest_refusal) no census is built, and that check
+    alone is reported skipped, with the refusal's code."""
+    refusal = _selftest_refusal(shape, fld)
+    if refusal:
+        return _report(shape, fld, None, [_skipped("selftest_planted_merge_caught", refusal)])
+    return _report(shape, fld, None, _selftest_checks(shape, fld, build_census(shape, fld)))
 
 
 # ---------------------------------------------------------------------------
@@ -783,13 +796,12 @@ def verify_transport(
     Both checks are reported skipped, with the MathDomainError code, for a
     shape outside the power-one family or a field whose characteristic
     refuses the flows."""
-    if family_of(shape).kind != "F1":
-        checks = _skipped_transport(
-            UnsupportedFamily("transport is implemented for the power-one family")
-        )
+    try:
+        require_f1(shape, "transport is implemented for the power-one family")
+    except UnsupportedFamily as exc:
+        checks = _skipped_transport(exc)
     else:
-        census = build_census(shape, fld)
-        checks = _transport_checks(shape, fld, census.buckets, pairs, seed)
+        checks = _transport_checks(shape, fld, build_census(shape, fld).buckets, pairs, seed)
     return _report(shape, fld, seed, checks)
 
 
@@ -808,21 +820,18 @@ def verify_all(
     transport draws its pairs from the census buckets, and the planted
     self-test relabels the census counts.  Each check equals the one the
     standalone verify_* function reports, which builds the same census.  A
-    skipped check does not count as a failure.
+    skipped check does not count as a failure.  Transport runs for F1, and
+    the self-test inside partition_selftest's gate (_selftest_refusal).
     """
     census = build_census(shape, fld, assume_conjecture)
     checks = _partition_checks(
         shape, fld, census.counts, census.points, census.errors
     )
     checks += _invariance_checks(shape, fld, census, trials, seed, assume_conjecture)
-    tag = family_of(shape)
-    if tag.kind == "F1":
+    if family_of(shape).kind == "F1":
         checks += _transport_checks(
             shape, fld, census.buckets, max(10, trials // 10), seed
         )
-        if (fld.modulus - 1) % (2 * tag.f1.d) == 0 and selftest_applicable(shape):
-            checks += [
-                c for c in _selftest_checks(shape, fld, census)
-                if c.name == "selftest_planted_merge_caught"
-            ]
+    if _selftest_refusal(shape, fld) is None:
+        checks.append(_selftest_checks(shape, fld, census)[-1])  # the caught check
     return _report(shape, fld, seed, checks)

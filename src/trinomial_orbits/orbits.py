@@ -31,7 +31,7 @@ from .errors import (
     RootUnavailable,
     UnsupportedFamily,
 )
-from .families import family_of
+from .families import family_of, require_f1
 from .records import fields, record
 from .shapes import (
     TrinomialShape,
@@ -205,25 +205,29 @@ def _root_ratio(fld, pt, view):
     return fld.power_product(bases, [b // d for b in view.b] + [-(c // d) for c in view.c])
 
 
+def _power_one_descriptor(fld, pt, view):
+    """The descriptor of a point of an F1 shape's X, from its power-one view."""
+    M = _vanishing(fld, pt, view.ys)
+    if not M:
+        return BigO()
+    P = _vanishing(fld, pt, view.zs)
+    Q = _vanishing(fld, pt, view.ss)
+    if not P and not Q:
+        return OMeps(M, _root_ratio(fld, pt, view))
+    if not (bool(P) == bool(Q) if view.q else not P):
+        raise AssertionError("on the variety the two live monomials vanish together")
+    if fld.is_zero(pt[view.x]):
+        return O2(M, P, Q)
+    return O1(M, P, Q)
+
+
 def classify_point(shape: TrinomialShape, fld, pt, assume_conjecture: bool = False):
     """The orbit descriptor of a variety point."""
     if not shape.on_variety(fld, pt):
         raise PointNotOnVariety("point does not satisfy the equation")
     tag = family_of(shape)
     if tag.kind == "F1":
-        view = tag.f1
-        M = _vanishing(fld, pt, view.ys)
-        if not M:
-            return BigO()
-        P = _vanishing(fld, pt, view.zs)
-        Q = _vanishing(fld, pt, view.ss)
-        if not P and not Q:
-            return OMeps(M, _root_ratio(fld, pt, view))
-        if not (bool(P) == bool(Q) if view.q else not P):
-            raise AssertionError("on the variety the two live monomials vanish together")
-        if fld.is_zero(pt[view.x]):
-            return O2(M, P, Q)
-        return O1(M, P, Q)
+        return _power_one_descriptor(fld, pt, tag.f1)
     if tag.kind == "F2":
         if not assume_conjecture:
             raise ConjectureNotAssumed(
@@ -259,10 +263,7 @@ def classify_point(shape: TrinomialShape, fld, pt, assume_conjecture: bool = Fal
 
 def descriptor_dim(shape: TrinomialShape, desc) -> int:
     """Orbit dimension for the unique-power-one family."""
-    tag = family_of(shape)
-    if tag.kind != "F1":
-        raise UnsupportedFamily("dimensions are stated for the power-one family")
-    v = tag.f1
+    v = require_f1(shape, "dimensions are stated for the power-one family")
     full = v.m + v.p + v.q
     if isinstance(desc, BigO):
         return full
@@ -296,22 +297,16 @@ class FixedPoint:
 
 
 def saut_descriptor(shape: TrinomialShape, fld, pt):
-    """Flow-group orbit type: a p+q-dimensional sheet (all y nonzero, labeled
-    by the y-values), a line (some y zero, z and s monomials alive), or a
-    fixed singular point."""
+    """Flow-group orbit type, read from the descriptor of a point checked on
+    X before the family: a p+q-dimensional sheet on O (labeled by the
+    y-values), a line on an O(M, r), or a fixed singular point on O1/O2."""
     if not shape.on_variety(fld, pt):
         raise PointNotOnVariety("point does not satisfy the equation")
-    tag = family_of(shape)
-    if tag.kind != "F1":
-        raise UnsupportedFamily("flow-orbit shapes are stated for the power-one family")
-    view = tag.f1
-    yv = tuple(pt[i] for i in view.ys)
-    if all(not fld.is_zero(v) for v in yv):
-        return Sheet(yv)
-    alive = all(not fld.is_zero(pt[i]) for i in view.zs) and all(
-        not fld.is_zero(pt[i]) for i in view.ss
-    )
-    if alive:
+    view = require_f1(shape, "flow-orbit shapes are stated for the power-one family")
+    desc = _power_one_descriptor(fld, pt, view)
+    if isinstance(desc, BigO):
+        return Sheet(tuple(pt[i] for i in view.ys))
+    if isinstance(desc, OMeps):
         return LineOrbit(tuple(pt))
     return FixedPoint()
 
@@ -393,26 +388,16 @@ def _glue(named, generators):
 def orbit_count(shape: TrinomialShape) -> OrbitCount:
     """Count and list orbits for the unique-power-one family.
 
-    Connected-group strata are enumerated abstractly (component labels
-    0..d-1 stand for the d root ratios); the count must equal
-    1 + (2^m - 1) d + 2 (2^m - 1)(2^p - 1)(2^q - 1).  Full-group classes
-    glue the component labels (the finite cyclic part) and then the
+    The connected-group count is the view's closed form
+    (PowerOneView.aut_alg), 1 + (2^m - 1) d + 2 (2^m - 1)(2^p - 1)(2^q - 1).
+    Full-group classes glue the d component strata of each M into one O(M)
+    label (the finite cyclic part) and then glue the labels under the
     symmetry-group action on (M, P, Q).  Every symmetry generator fixes x
     and moves either ys only or zs and ss only, so the group is
     G_y x G_zs and a class of (kind, M, P, Q) is a G_y-class of M times a
     G_zs-class of (P, Q): each part is glued on its own variable sets.
     """
-    tag = family_of(shape)
-    if tag.kind != "F1":
-        raise UnsupportedFamily("orbit counting is stated for the power-one family")
-    view = tag.f1
-    m, p, q, d = view.m, view.p, view.q, view.d
-    aut_alg = (
-        1
-        + (2**m - 1) * d
-        + 2 * (2**m - 1) * (2**p - 1) * (2**q - 1)
-    )
-
+    view = require_f1(shape, "orbit counting is stated for the power-one family")
     ys, zss = set(view.ys), set(view.zs + view.ss)
     y_gens, zs_gens = [], []
     for perm in symmetry_group(shape).generators:
@@ -442,7 +427,7 @@ def orbit_count(shape: TrinomialShape) -> OrbitCount:
         for pq_cls in pq_classes
     ]
     listing.sort(key=lambda cls: (len(cls[0]), cls))
-    return OrbitCount(aut_alg, len(listing), listing)
+    return OrbitCount(view.aut_alg, len(listing), listing)
 
 
 # ---------------------------------------------------------------------------
@@ -603,11 +588,9 @@ def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
     on X by construction: an endpoint, the image of a torus step built
     through the lattice, or a checked flow image.
     """
-    tag = family_of(shape)
-    if tag.kind != "F1":
-        raise UnsupportedFamily(
-            f"transport is implemented for the power-one family F1, not {tag.kind}"
-        )
+    view = require_f1(
+        shape, "transport is implemented for the power-one family F1, not {kind}"
+    )
     d_src = classify_point(shape, fld, src)
     d_dst = classify_point(shape, fld, dst)
     if d_src != d_dst:
@@ -616,7 +599,6 @@ def transport(shape: TrinomialShape, fld, src, dst) -> AutWord:
         raise UnsupportedFamily(
             "transport is implemented for the open and component strata"
         )
-    view = tag.f1
     if isinstance(d_src, BigO):
         rows = list(view.ys)
     else:

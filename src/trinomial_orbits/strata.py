@@ -10,7 +10,7 @@ which singular torus strata cannot be separated by component membership.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import gcd, prod
 from operator import mul
 
@@ -127,6 +127,12 @@ def linked(shape: TrinomialShape, S, P) -> bool:
     return True
 
 
+def _live_groups(shape: TrinomialShape, S) -> list:
+    """The variable indices of each group whose monomial survives S, holding
+    no variable of S; the free term always survives."""
+    return [grp for grp in map(shape.group_indices, range(3)) if not any(i in S for i in grp)]
+
+
 def stratum_orbits(shape: TrinomialShape, fld, S):
     """The T(F_p)-orbits of U(S) over a prime field: the number of cosets
     to test, and a lazy iterator of one (representative, size) pair each.
@@ -148,7 +154,7 @@ def stratum_orbits(shape: TrinomialShape, fld, S):
     p = fld.modulus
     order = p - 1
     support = [i for i in range(shape.n) if i not in S]
-    alive = [grp for grp in map(shape.group_indices, range(3)) if not any(i in S for i in grp)]
+    alive = _live_groups(shape, S)
     if len(alive) == 1:
         return 0, iter(())
     rank = torus_lattice(shape).rank
@@ -188,12 +194,7 @@ def stratum_point(shape: TrinomialShape, fld, S):
     S = frozenset(S)
     if not S <= set(range(shape.n)):
         raise ValueError("variable set outside the shape")
-    live = []
-    for g in range(3):
-        if not shape.groups[g]:
-            live.append(g)  # the free term never vanishes
-        elif not any(i in S for i in shape.group_indices(g)):
-            live.append(g)
+    live = _live_groups(shape, S)
 
     def finish(pt):
         if not shape.on_variety(fld, pt):
@@ -210,14 +211,7 @@ def stratum_point(shape: TrinomialShape, fld, S):
         )
     # every live monomial is 1 at base: v^l must cancel the other len(live) - 1
     target = fld.from_int(1 - len(live))
-    candidates = [
-        i
-        for g in live
-        for i in shape.group_indices(g)
-        if i not in S
-    ]
-    candidates.sort(key=lambda i: (shape.exponents[i], i))
-    for v in candidates:
+    for v in sorted(chain(*live), key=lambda i: (shape.exponents[i], i)):
         roots = fld.kth_roots(target, shape.exponents[v])
         roots = [r for r in roots if not fld.is_zero(r)]
         if roots:

@@ -241,6 +241,16 @@ class TestStrata:
         assert code == 1 and data["error"] == "usage"
 
 
+# shapes outside the power-one family: (groups, family kind, a point of X
+# over F_13)
+NON_F1 = [
+    ("[[2],[3],[3]]", "rigid", "[0,1,12]"),
+    ("[[2,2],[2,2],[5]]", "flexible_h", "[0,1,0,1,0]"),
+    ("[[1,1,2],[3],[3]]", "F2", "[0,0,0,1,12]"),
+    ("[[2,4],[2,4],[3]]", "other", "[0,1,0,1,0]"),
+]
+
+
 class TestOrbits:
     def test_count_shape_d(self, capsys):
         code, data = run_json(capsys, "orbits", "count", "--shape", "[[1,2,2],[3],[3]]")
@@ -295,6 +305,47 @@ class TestOrbits:
             "error": "unsupported_family",
             "detail": "transport is implemented for the power-one family F1, not F2",
         }
+
+    @pytest.mark.parametrize("groups,kind,point", NON_F1)
+    @pytest.mark.parametrize(
+        "argv,detail",
+        [
+            (["orbits", "count"], "orbit counting is stated for the power-one family"),
+            (
+                ["orbits", "saut", "--field", "Fp:13", "--point", "{point}"],
+                "flow-orbit shapes are stated for the power-one family",
+            ),
+            (
+                ["orbits", "transport", "--field", "Fp:13", "--from", "{point}",
+                 "--to", "{point}"],
+                "transport is implemented for the power-one family F1, not {kind}",
+            ),
+        ],
+    )
+    def test_power_one_refusals(self, capsys, groups, kind, point, argv, detail):
+        argv = [a.format(point=point) for a in argv]
+        code, data = run_json(capsys, *argv, "--shape", groups)
+        assert code == 2
+        assert data == {"error": "unsupported_family", "detail": detail.format(kind=kind)}
+
+    @pytest.mark.parametrize("groups,kind,point", NON_F1)
+    def test_verify_transport_skips_other_families(self, capsys, groups, kind, point):
+        code, data = run_json(
+            capsys, "verify", "transport", "--shape", groups, "--field", "Fp:13"
+        )
+        assert code == 0 and data["failures"] == 0
+        assert [c["details"] for c in data["checks"]] == 2 * [
+            {
+                "code": "unsupported_family",
+                "message": "transport is implemented for the power-one family",
+            }
+        ]
+
+    def test_saut_checks_the_point_before_the_family(self, capsys):
+        code, data = run_json(
+            capsys, "orbits", "saut", "--shape", "[[2],[3],[3]]", "--point", "[1,1,1]"
+        )
+        assert code == 2 and data["error"] == "point_not_on_variety"
 
     def test_saut(self, capsys):
         code, data = run_json(

@@ -34,7 +34,8 @@ from trinomial_orbits.oracle import build_census, verify_flow_regularity
 from trinomial_orbits.derivations import lnd_catalog
 from trinomial_orbits.shapes import torus_lattice, torus_scaling
 from conftest import (
-    SHAPE_A, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points, singular_set, small_shapes,
+    SHAPE_A, SHAPE_B, SHAPE_C, SHAPE_D, SHAPE_E, SHAPE_H2, random_points, singular_set,
+    small_shapes,
 )
 
 SHAPE_H2_POWER_ONE = [[1, 3], [2], [2, 2]]  # flexible, exponent-1 variable
@@ -286,6 +287,44 @@ class TestPartition:
         assert any(
             c.name == "selftest_planted_merge_caught" for c in report.checks
         )
+
+    @pytest.mark.parametrize(
+        "groups,p,code",
+        [
+            (SHAPE_B, 7, "unsupported_family"),  # rigid
+            (SHAPE_H2, 7, "unsupported_family"),  # flexible
+            (SHAPE_C, 7, "unsupported_family"),  # several power-one variables
+            (SHAPE_A, 5, "root_unavailable"),  # 5 != 1 (mod 2d = 6)
+            ([[], [2, 3], [1, 2]], 7, "unsupported_family"),  # q = 0, d = 1
+        ],
+    )
+    def test_selftest_skips_outside_the_gate(self, monkeypatch, groups, p, code):
+        # no census is built, and the one check reports the refusal
+        def no_orbits(*args):
+            raise AssertionError("T-orbits listed outside the self-test gate")
+
+        monkeypatch.setattr(oracle, "torus_orbits", no_orbits)
+        shape, fld = validate_shape(groups), PrimeField(p)
+        report = partition_selftest(shape, fld)
+        assert [c.name for c in report.checks] == ["selftest_planted_merge_caught"]
+        caught = report.checks[0]
+        assert caught.skipped and caught.details["code"] == code
+        assert report.failures == 0
+        monkeypatch.undo()
+        assert "selftest_planted_merge_caught" not in {
+            c.name for c in verify_all(shape, fld, trials=20).checks
+        }
+
+    @given(small_shapes(), st.sampled_from([2, 3, 5, 7, 11, 13]))
+    @settings(max_examples=80, deadline=None)
+    def test_selftest_refuses_only_by_domain_error(self, shape, p):
+        # outside the gate the check is skipped; inside it the plant is caught
+        try:
+            report = partition_selftest(shape, PrimeField(p))
+        except MathDomainError:
+            return
+        caught = check(report, "selftest_planted_merge_caught")
+        assert caught.skipped or caught.passed
 
 
 class TestInvariance:
@@ -689,6 +728,15 @@ class TestVerifyAll:
         names = {c.name for c in report.checks}
         assert {"partition", "descriptor_census", "flow_invariance",
                 "transport_roundtrip", "selftest_planted_merge_caught"} <= names
+
+    def test_census_reads_no_orbit_listing(self, monkeypatch, shape_d):
+        # the expected count is the power-one view's closed form
+        calls = []
+        count = orbits.orbit_count
+        monkeypatch.setattr(orbits, "orbit_count", lambda s: calls.append(s) or count(s))
+        report = verify_all(shape_d, PrimeField(13))
+        assert check(report, "descriptor_census").details == {"realized": 16, "expected": 16}
+        assert calls == []
 
     def test_report_json_shape(self, shape_a, f7):
         report = verify_all(shape_a, f7, trials=50, seed=1)

@@ -60,6 +60,7 @@ from trinomial_orbits.orbits import (
     AutWord,
     _solve_torus,
 )
+from trinomial_orbits.derivations import eta_grading
 from trinomial_orbits.fields import FieldError, QI
 from trinomial_orbits.intlinalg import smith_normal_form
 from trinomial_orbits.oracle import _orbit_draw, build_census, enumerate_points, point_count
@@ -230,6 +231,24 @@ class TestDimensions:
                 == descriptor_dim(shape_d, O2(M, one, one)) + 1
             )
 
+    @pytest.mark.parametrize(
+        "groups,kind",
+        [
+            ([[2], [3], [3]], "rigid"),
+            ([[2, 2], [2, 2], [5]], "flexible_h"),
+            ([[1, 1, 2], [3], [3]], "F2"),
+            ([[2, 4], [2, 4], [3]], "other"),
+        ],
+    )
+    def test_power_one_refusals(self, groups, kind):
+        shape = validate_shape(groups)
+        with pytest.raises(UnsupportedFamily) as exc:
+            descriptor_dim(shape, BigO())
+        assert str(exc.value) == "dimensions are stated for the power-one family"
+        with pytest.raises(UnsupportedFamily) as exc:
+            eta_grading(shape, 1)
+        assert str(exc.value) == f"family {kind} where the power-one family is needed"
+
 
 class TestSAut:
     def test_sheet(self, shape_a, qq):
@@ -242,6 +261,25 @@ class TestSAut:
 
     def test_fixed_point(self, shape_a, qq):
         assert saut_descriptor(shape_a, qq, (F(3), F(0), F(0), F(0))) == FixedPoint()
+
+    @given(power_one_shapes(), st.sampled_from([2, 3, 5, 7, 13]))
+    @settings(max_examples=40, deadline=None)
+    def test_orbit_type_follows_the_vanishing_coordinates(self, shape, p):
+        # a sheet where no y vanishes, a line where some y but no z or s
+        # does, a fixed point otherwise: on one point of every T-orbit
+        fld, view = PrimeField(p), family_of(shape).f1
+        try:
+            census = build_census(shape, fld)
+        except MathDomainError:
+            assume(False)
+        for pt, _, _ in census.orbits:
+            desc = saut_descriptor(shape, fld, pt)
+            if all(pt[i] for i in view.ys):
+                assert desc == Sheet(tuple(pt[i] for i in view.ys))
+            elif all(pt[i] for i in view.zs + view.ss):
+                assert desc == LineOrbit(pt)
+            else:
+                assert desc == FixedPoint()
 
     def test_singular_points_are_flow_fixed(self, shape_a, shape_d, f7):
         # every singular point is literally fixed by every catalog flow
